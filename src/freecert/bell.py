@@ -296,6 +296,8 @@ def outer_bound(s: BellScenario, functional: BellFunctional, level,
             "iterations": res.iterations,
             "bracket": [res.bracket[0], res.bracket[1]],
             "psd_floor": psd_floor(res.b),
+            "certified_upper": res.certified_upper,
+            "levels": res.levels,
         }
         return value, info
     return value
@@ -501,6 +503,8 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     best = None
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])

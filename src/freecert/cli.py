@@ -344,12 +344,13 @@ def _cmd_gns(args):
 
 def _cmd_bell_outer(args):
     scenario, functional = _load_functional(args.scenario)
-    if args.dump_sdp:
-        inst, _ = moment_instance(scenario, functional, args.level)
-        with open(args.dump_sdp, "w", encoding="utf-8") as fh:
-            json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
-            fh.write("\n")
     try:
+        if args.dump_sdp:
+            inst, _ = moment_instance(scenario, functional, args.level)
+            with open(args.dump_sdp, "w", encoding="utf-8") as fh:
+                json.dump(instance_to_json(inst), fh, indent=2,
+                          sort_keys=True)
+                fh.write("\n")
         value, info = outer_bound(scenario, functional, args.level,
                                   tol=args.tol, return_info=True)
     except ValueError as exc:
@@ -368,9 +369,12 @@ def _cmd_bell_outer(args):
 
 def _cmd_bell_inner(args):
     scenario, functional = _load_functional(args.scenario)
-    value, A, B, xi = inner_bound(scenario, functional, dim=args.dim,
-                                  iters=args.iters, seed=args.seed,
-                                  restarts=args.restarts)
+    try:
+        value, A, B, xi = inner_bound(scenario, functional, dim=args.dim,
+                                      iters=args.iters, seed=args.seed,
+                                      restarts=args.restarts)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     corr = correlation_of(A, B, xi)
     pvm_residual = max(
         float(np.max(np.abs(P @ P - P)))

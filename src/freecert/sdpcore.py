@@ -6,9 +6,14 @@ Feasibility runs Douglas-Rachford projection splitting between the PSD cone
 precomputed SVD of the constraint system); the affine projection of the cone
 shadow is the reported iterate. Plain Dykstra-corrected alternating
 projections only reach O(1/k) PSD floors on near-tangent moment instances,
-which is why the reflected update is used. Optimization bisects on the
-objective level set, reusing the feasibility engine with one extra constraint
-row per level.
+which is why the reflected update is used.
+
+Optimization bisects on the objective level set. Every level reuses the one
+base projector: the level row is a closed-form rank-one correction. When
+the constraints fix the trace, the splitting iterate of a level also carries
+a dual bound on the objective (the infeasibility certificate of operator
+splitting), and a level ends as soon as that bound falls below it. Levels
+without such a bound end when the PSD floor stalls.
 """
 
 from __future__ import annotations
@@ -88,10 +93,17 @@ class FeasibilityResult:
 
 @dataclass
 class MaximizeResult:
+    """`value` and `b` are the best feasible level and its point; the
+    bracket top is the lowest rejected level. `certified_upper` is the
+    smallest dual bound formed (None without one) and `levels` counts the
+    level solves."""
+
     value: float
     b: np.ndarray
     iterations: int
     bracket: tuple[float, float]
+    certified_upper: float | None = None
+    levels: int = 0
 
 
 class _HermitianVec:
@@ -223,19 +235,22 @@ CHECK_EVERY = 25
 STALL_WINDOW = 40
 STALL_REL = 1e-3
 MIN_ITER_BEFORE_STALL = 2000
+# the level row counts as a combination of the base rows below this norm of
+# its part orthogonal to them (relative to the row), and the trace counts as
+# fixed by the base rows below this relative norm of its orthogonal part
+DEPENDENT_ROW_REL = 1e-10
+FIXED_TRACE_REL = 1e-9
 
-try:
-    import numba as _numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _numba = None
 
+def _splitting(hv, affine, start, tol, max_iter, reject=None):
+    """Douglas-Rachford splitting between the PSD cone and the affine set
+    that `affine` projects onto, started from the affine point `start`.
 
-def _splitting_python(Q, x0, n, iu_i, iu_j, tol, max_iter, start):
-    hv = _HermitianVec(n)
-
-    def affine(v):
-        return v - Q @ (Q.T @ v) + x0
-
+    Every CHECK_EVERY iterations the affine projection x of the cone point y
+    is scored by its PSD floor; the solve ends when the floor reaches -tol,
+    when `reject(y, x)` reports that the affine set misses the cone, or when
+    the floor stalls. Returns (best x, its floor, iterations).
+    """
     z = start.copy()
     best_floor = -np.inf
     best_x = affine(_project_psd_vec(hv, z))
@@ -253,6 +268,8 @@ def _splitting_python(Q, x0, n, iu_i, iu_j, tol, max_iter, start):
                 best_x = x.copy()
             if best_floor >= -tol:
                 break
+            if reject is not None and reject(y, x):
+                break
             window.append(best_floor)
             if len(window) > STALL_WINDOW:
                 window.pop(0)
@@ -263,88 +280,15 @@ def _splitting_python(Q, x0, n, iu_i, iu_j, tol, max_iter, start):
     return best_x, best_floor, it
 
 
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _splitting_compiled(Q, x0, n, iu_i, iu_j, tol, max_iter, start,
-                            check_every, stall_window, stall_rel,
-                            min_iter_stall):  # pragma: no cover - jitted
-        dim = x0.shape[0]
-        k = iu_i.shape[0]
-        s2 = np.sqrt(2.0)
-        z = start.copy()
-        best_floor = -1e300
-        best_x = x0.copy()
-        have_best = False
-        window = np.empty(stall_window)
-        wlen = 0
-        it = 0
-        M = np.zeros((n, n), dtype=np.complex128)
-        y = np.empty(dim)
-        while it < max_iter:
-            it += 1
-            for a in range(n):
-                M[a, a] = z[a]
-            for q in range(k):
-                i, j = iu_i[q], iu_j[q]
-                zz = (z[n + q] + 1j * z[n + k + q]) / s2
-                M[i, j] = zz
-                M[j, i] = np.conj(zz)
-            w, U = np.linalg.eigh(M)
-            Uc = U * np.sqrt(np.maximum(w, 0.0))
-            C = Uc @ Uc.conj().T
-            for a in range(n):
-                y[a] = C[a, a].real
-            for q in range(k):
-                zz = C[iu_i[q], iu_j[q]]
-                y[n + q] = s2 * zz.real
-                y[n + k + q] = s2 * zz.imag
-            refl = 2.0 * y - z
-            pa = refl - Q @ (Q.T @ refl) + x0
-            z = z + pa - y
-            if it % check_every == 0 or it == max_iter:
-                x = y - Q @ (Q.T @ y) + x0
-                for a in range(n):
-                    M[a, a] = x[a]
-                for q in range(k):
-                    i, j = iu_i[q], iu_j[q]
-                    zz = (x[n + q] + 1j * x[n + k + q]) / s2
-                    M[i, j] = zz
-                    M[j, i] = np.conj(zz)
-                wx = np.linalg.eigvalsh(M)
-                floor = wx[0]
-                if floor > best_floor or not have_best:
-                    best_floor = floor
-                    best_x = x.copy()
-                    have_best = True
-                if best_floor >= -tol:
-                    break
-                if wlen < stall_window:
-                    window[wlen] = best_floor
-                    wlen += 1
-                else:
-                    for a in range(stall_window - 1):
-                        window[a] = window[a + 1]
-                    window[stall_window - 1] = best_floor
-                    if (it >= min_iter_stall
-                            and window[stall_window - 1] - window[0]
-                            < stall_rel * abs(window[0])):
-                        break
-        return best_x, best_floor, it
-
-
-def _splitting(hv, projector, tol, max_iter, start_vec=None):
+def _solve(hv, projector, tol, max_iter, start_vec=None) -> FeasibilityResult:
     start = (projector.apply(start_vec) if start_vec is not None
              else projector.x0.copy())
-    iu_i = hv.iu[0].astype(np.int64)
-    iu_j = hv.iu[1].astype(np.int64)
-    if _numba is not None:
-        return _splitting_compiled(
-            projector.Q, projector.x0, hv.n, iu_i, iu_j, float(tol),
-            int(max_iter), start, CHECK_EVERY, STALL_WINDOW, STALL_REL,
-            MIN_ITER_BEFORE_STALL)
-    return _splitting_python(projector.Q, projector.x0, hv.n, iu_i, iu_j,
-                             tol, max_iter, start)
+    x, floor, it = _splitting(hv, projector.apply, start, tol, max_iter)
+    psd_res = max(0.0, -floor)
+    aff_res = projector.residual(x)
+    ok = psd_res <= tol and aff_res <= tol
+    msg = "" if ok else "no PSD point found within tolerance"
+    return FeasibilityResult(ok, hv.unvec(x), psd_res, aff_res, it, msg)
 
 
 def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
@@ -360,30 +304,105 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     if tol <= 0:
         raise ValueError("tol must be positive")
     hv = _HermitianVec(inst.n)
-    L, rhs = _build_system(hv, inst.constraints)
-    projector = _AffineProjector(L, rhs)
+    projector = _AffineProjector(*_build_system(hv, inst.constraints))
     start_vec = hv.vec(np.asarray(start, dtype=complex)) if start is not None else None
-    x, floor, it = _splitting(hv, projector, tol, max_iter, start_vec)
-    b = hv.unvec(x)
-    psd_res = max(0.0, -floor)
-    aff_res = projector.residual(x)
-    ok = psd_res <= tol and aff_res <= tol
-    msg = "" if ok else "no PSD point found within tolerance"
-    return FeasibilityResult(ok, b, psd_res, aff_res, it, msg)
+    return _solve(hv, projector, tol, max_iter, start_vec)
 
 
-def _feasibility_with_level(hv, base_L, base_rhs, obj_vec, level, tol,
-                            max_iter, start_vec):
-    L = np.vstack([base_L, obj_vec[None, :]])
-    rhs = np.append(base_rhs, level)
-    try:
-        projector = _AffineProjector(L, rhs)
-    except InconsistentConstraintsError:
-        return None, -np.inf, 0
-    x, floor, it = _splitting(hv, projector, tol, max_iter, start_vec)
-    if floor >= -tol and projector.residual(x) <= tol:
-        return x, floor, it
-    return None, floor, it
+class _LevelSets:
+    """Feasibility of the level sets {Lx = r, <c,x> = t} of one instance,
+    all projected with the base projector of {Lx = r}.
+
+    On {Lx = r} the objective reads <c,x> = <c~,x> + <c,x0> with
+    c~ = c - QQ^T c, so the level projection is the base projection plus
+    the rank-one step P_t(x) = P_A(x) - ((<c,P_A(x)> - t)/|c~|^2) c~.
+
+    When the base rows fix the trace tr b = tau, each check of a level whose
+    PSD floor is still negative also yields a dual bound. With y the cone
+    point, Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the vector Y - mu c lies
+    in the row space of L, so for every feasible b
+
+        <Y,b> - mu <c,b> = <Y - mu c, x0>   and   <Y,b> >= tau min(0, lmin(Y)),
+
+    hence <c,b> <= U = (<Y - mu c, x0> - tau min(0, lmin(Y))) / (-mu)
+    whenever mu < 0 (`bound` adds a rounding charge). `upper` keeps the
+    smallest U seen; a level t is rejected as soon as upper < t.
+    """
+
+    def __init__(self, hv: _HermitianVec, base: _AffineProjector,
+                 c: np.ndarray):
+        self.hv = hv
+        self.base = base
+        self.c = c
+        self.c_perp = c - base.Q @ (base.Q.T @ c)
+        self.c_perp_sq = float(self.c_perp @ self.c_perp)
+        self.c_x0 = float(c @ base.x0)
+        self.dependent = (np.sqrt(self.c_perp_sq)
+                          <= DEPENDENT_ROW_REL * float(np.linalg.norm(c)))
+        eye = hv.vec(np.eye(hv.n, dtype=complex))
+        eye_perp = eye - base.Q @ (base.Q.T @ eye)
+        fixed = (np.linalg.norm(eye_perp)
+                 <= FIXED_TRACE_REL * np.linalg.norm(eye))
+        self.trace = float(eye @ base.x0) if fixed else None
+        self.upper = np.inf
+        self.count = 0
+
+    @property
+    def certified_upper(self) -> float | None:
+        return float(self.upper) if np.isfinite(self.upper) else None
+
+    def project(self, x: np.ndarray, t: float) -> np.ndarray:
+        xa = self.base.apply(x)
+        return xa - ((self.c @ xa - t) / self.c_perp_sq) * self.c_perp
+
+    def residual(self, x: np.ndarray, t: float) -> float:
+        return max(self.base.residual(x), abs(float(self.c @ x) - t))
+
+    def bound(self, Y: np.ndarray) -> float | None:
+        """The dual bound U from Y = y - P_t(y), or None when mu >= 0.
+
+        Rounding leaves w = Y - mu c slightly outside the row space, and
+        with mu small that error is strongly amplified, so the part e of w
+        outside it is charged explicitly: <e,b> <= |e| tr b for b >= 0.
+        """
+        mu = float(self.c_perp @ Y) / self.c_perp_sq
+        if mu >= 0.0:
+            return None
+        w = Y - mu * self.c
+        e = w - self.base.Q @ (self.base.Q.T @ w)
+        slack = float(np.linalg.norm(e)) - min(0.0, _min_eig_vec(self.hv, Y))
+        return (float(w @ self.base.x0) + self.trace * slack) / -mu
+
+    def _reject(self, y: np.ndarray, x: np.ndarray, t: float) -> bool:
+        U = self.bound(y - x)
+        if U is not None:
+            self.upper = min(self.upper, U)
+        return self.upper < t
+
+    def solve(self, t: float, tol: float, max_iter: int, warm: np.ndarray):
+        """(x, iterations) with x feasible at level t within tol, or
+        (None, iterations) when the level is rejected."""
+        self.count += 1
+        if self.dependent:
+            # <c,x> = <c,x0> on the whole affine set
+            scale = 1.0 + max(abs(t), float(np.max(np.abs(self.base.rhs),
+                                                    initial=0.0)))
+            if abs(self.c_x0 - t) > 1e-8 * scale:
+                return None, 0
+            affine, reject = self.base.apply, None
+        else:
+            def affine(v):
+                return self.project(v, t)
+
+            reject = None
+            if self.trace is not None:
+                def reject(y, x):
+                    return self._reject(y, x, t)
+        x, floor, it = _splitting(self.hv, affine, affine(warm), tol,
+                                  max_iter, reject)
+        if floor >= -tol and self.residual(x, t) <= tol:
+            return x, it
+        return None, it
 
 
 def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
@@ -392,18 +411,20 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
     """Maximize Re sum coef * b[row, col] over the feasible region by
     bisection on the objective level set.
 
-    The feasible region must be nonempty and bounded in the objective
-    direction; unboundedness is reported once the level exceeds 1/tol.
+    A level is rejected once the dual bound of _LevelSets drops below it,
+    and otherwise when its splitting stalls. The feasible region must be
+    nonempty and bounded in the objective direction; unboundedness is
+    reported once the level exceeds 1/tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if feas_tol is None:
         feas_tol = min(DEFAULT_FEAS_TOL, tol * 1e-3)
     hv = _HermitianVec(inst.n)
-    base_L, base_rhs = _build_system(hv, inst.constraints)
+    projector = _AffineProjector(*_build_system(hv, inst.constraints))
     obj_vec = hv.objective_vec(inst.objective)
 
-    base = solve_feasibility(inst, tol=feas_tol, max_iter=max_iter)
+    base = _solve(hv, projector, feas_tol, max_iter)
     total_iter = base.iterations
     if not base.feasible:
         raise InfeasibleError("no feasible point found for the base instance")
@@ -413,34 +434,35 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
     if np.max(np.abs(obj_vec)) < 1e-15:
         return MaximizeResult(0.0, base.b, total_iter, (0.0, 0.0))
 
+    # a rejected level t caps the bracket at min(t, upper), never below the
+    # best feasible level
+    levels = _LevelSets(hv, projector, obj_vec)
     # expand upward from the feasible value until a level is rejected
     step = max(1.0, abs(t_lo))
     t_hi = None
-    warm = x_lo
     while t_hi is None:
         cand = t_lo + step
-        x, floor, it = _feasibility_with_level(
-            hv, base_L, base_rhs, obj_vec, cand, feas_tol, max_iter, warm)
+        x, it = levels.solve(cand, feas_tol, max_iter, x_lo)
         total_iter += it
         if x is not None:
-            t_lo, x_lo, warm = cand, x, x
+            t_lo, x_lo = cand, x
             step *= 2.0
             if t_lo > 1.0 / tol:
                 raise UnboundedError("objective exceeds 1/tol; unbounded?")
         else:
-            t_hi = cand
+            t_hi = max(t_lo, min(cand, levels.upper))
 
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        x, floor, it = _feasibility_with_level(
-            hv, base_L, base_rhs, obj_vec, mid, feas_tol, max_iter, warm)
+        x, it = levels.solve(mid, feas_tol, max_iter, x_lo)
         total_iter += it
         if x is not None:
-            t_lo, x_lo, warm = mid, x, x
+            t_lo, x_lo = mid, x
         else:
-            t_hi = mid
+            t_hi = max(t_lo, min(mid, levels.upper))
 
-    return MaximizeResult(t_lo, hv.unvec(x_lo), total_iter, (t_lo, t_hi))
+    return MaximizeResult(t_lo, hv.unvec(x_lo), total_iter, (t_lo, t_hi),
+                          levels.certified_upper, levels.count)
 
 
 def instance_to_json(inst: SdpInstance) -> dict:

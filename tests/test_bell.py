@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -236,3 +239,18 @@ def test_inner_at_most_outer_random():
         inner = inner_bound(S22, f, dim=2, iters=40, seed=6, restarts=4)[0]
         outer = outer_bound(S22, f, "1ab")
         assert inner <= outer + 1e-6
+
+
+def test_outer_certificate_not_below_classical_maximum():
+    # a functional on which bisection rejects feasible levels by stalling:
+    # the bracket ends below the classical value, the dual bound does not
+    r = random.Random(1)
+    c = np.array([r.uniform(-1, 1) for _ in range(36)]).reshape(3, 3, 2, 2)
+    classical = max(
+        sum(c[k, l, a[k], b[l]] for k in range(3) for l in range(3))
+        for a in itertools.product(range(2), repeat=3)
+        for b in itertools.product(range(2), repeat=3))
+    assert classical == pytest.approx(1.820729, abs=1e-6)
+    _, info = outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab",
+                          return_info=True)
+    assert info["certified_upper"] >= classical

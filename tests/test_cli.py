@@ -185,6 +185,9 @@ def test_bell_outer_cli(tmp_path, capsys):
     assert code == 0
     result = json.loads(out)
     assert result["value"] == pytest.approx(2 * np.sqrt(2), abs=1e-3)
+    solver = result["solver"]
+    assert 2 * np.sqrt(2) <= solver["certified_upper"] <= 2 * np.sqrt(2) + 1e-5
+    assert solver["levels"] > 0
     sdp = json.loads(open(dump).read())
     assert sdp["n"] == 9
     assert sdp["constraints"]
@@ -208,6 +211,20 @@ def test_bell_inner_deterministic(tmp_path, capsys):
     _, out1 = run(capsys, argv)
     _, out2 = run(capsys, argv)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bell-inner", ["--seed", "1", "--restarts", "0"]),
+    ("bell-inner", ["--seed", "1", "--dim", "0"]),
+    ("bell-outer", ["--level", "0", "--dump-sdp", "{tmp}/sdp.json"]),
+])
+def test_bell_bad_arguments_exit_one(tmp_path, capsys, command, extra):
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    extra = [a.format(tmp=tmp_path) for a in extra]
+    code = main([command, "--scenario", spath, *extra])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_malformed_json_exit_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ import pytest
 from freecert.denselin import psd_floor
 from freecert.sdpcore import (
     AffineConstraint,
+    FeasibilityResult,
     InconsistentConstraintsError,
     InfeasibleError,
     SdpInstance,
@@ -103,6 +104,10 @@ def test_maximize_offdiagonal():
     res = maximize(inst, tol=1e-6)
     assert res.value == pytest.approx(2.0, abs=1e-5)
     assert res.b[0, 1].real == pytest.approx(1.0, abs=1e-4)
+    # the unit diagonal fixes the trace, so the levels carry a dual bound
+    assert 2.0 <= res.certified_upper <= 2.0 + 1e-6
+    assert res.certified_upper >= res.value
+    assert res.levels > 0
 
 
 def test_maximize_zero_objective():
@@ -120,10 +125,35 @@ def test_maximize_infeasible_raises():
         maximize(inst, tol=1e-4)
 
 
-def test_maximize_unbounded_raises():
+def test_maximize_unbounded_raises(monkeypatch):
+    import freecert.sdpcore as sc
+
+    made = []
+
+    class Recording(sc._LevelSets):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sc, "_LevelSets", Recording)
     inst = SdpInstance(2, [], ((0, 0, 1.0),))
     with pytest.raises(UnboundedError):
         maximize(inst, tol=1e-2)
+    # nothing fixes the trace: no dual bound may be formed
+    assert len(made) == 1 and made[0].trace is None
+    assert made[0].certified_upper is None
+
+
+def test_maximize_dependent_objective_row():
+    # the objective is an entry the constraints pin: every other level is
+    # affinely inconsistent and rejected without iterating
+    inst = SdpInstance(2, [con([(0, 0, 1.0)], 1.0), con([(1, 1, 1.0)], 1.0)],
+                       ((0, 0, 1.0),))
+    res = maximize(inst, tol=1e-6)
+    base = solve_feasibility(inst, tol=1e-9)
+    assert res.value == pytest.approx(1.0, abs=1e-9)
+    assert res.iterations == base.iterations
+    assert res.certified_upper is None
 
 
 def test_feasible_output_reverified():
@@ -169,19 +199,65 @@ def test_maximize_matches_levelset_bisection_surrogate():
     assert res.value == pytest.approx(best, abs=5e-3)
 
 
-def test_python_fallback_matches_compiled(monkeypatch):
-    import freecert.sdpcore as sc
+def _moment_like(rng, n):
+    """Unit diagonal, a few tied and pinned off-diagonal entries."""
+    cons = [con([(i, i, 1.0)], 1.0) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    pinned = pairs.pop()
+    for (i, j), (k, l) in zip(pairs[0::2][:n], pairs[1::2][:n]):
+        cons.append(con([(i, j, 1.0), (k, l, -1.0)], 0.0))
+    cons.append(con([(*pinned, 1.0)], complex(rng.uniform(-0.5, 0.5))))
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    objective = tuple((i, j, complex(C[i, j])) for i in range(n)
+                      for j in range(n) if i != j)
+    return SdpInstance(n, cons, objective)
 
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0)], 1.0),
-        con([(1, 1, 1.0)], 1.0),
-        con([(0, 1, 1.0)], 0.25 + 0.1j),
-    ])
-    res_fast = solve_feasibility(inst, tol=1e-9)
-    monkeypatch.setattr(sc, "_numba", None)
-    res_slow = sc.solve_feasibility(inst, tol=1e-9)
-    assert res_slow.feasible
-    assert np.max(np.abs(res_slow.b - res_fast.b)) <= 1e-8
+
+def test_level_projection_matches_stacked_svd():
+    from freecert.sdpcore import (
+        _AffineProjector,
+        _build_system,
+        _HermitianVec,
+        _LevelSets,
+    )
+
+    rng = np.random.default_rng(63)
+    for _ in range(10):
+        n = int(rng.integers(3, 7))
+        inst = _moment_like(rng, n)
+        hv = _HermitianVec(n)
+        L, rhs = _build_system(hv, inst.constraints)
+        c = hv.objective_vec(inst.objective)
+        levels = _LevelSets(hv, _AffineProjector(L, rhs), c)
+        assert not levels.dependent and levels.trace == pytest.approx(n)
+        for t in rng.uniform(-3, 3, size=3):
+            stacked = _AffineProjector(np.vstack([L, c[None, :]]),
+                                       np.append(rhs, t))
+            for _ in range(3):
+                x = 3 * rng.standard_normal(hv.dim)
+                assert np.max(np.abs(levels.project(x, t)
+                                     - stacked.apply(x))) <= 1e-10
+
+
+def test_certified_upper_bounds_every_feasible_value():
+    def objective(inst, b):
+        return sum(coef * b[r, c] for r, c, coef in inst.objective).real
+
+    rng = np.random.default_rng(64)
+    for _ in range(6):
+        inst = _moment_like(rng, int(rng.integers(3, 6)))
+        res = maximize(inst, tol=1e-4)
+        assert res.certified_upper is not None
+        assert res.certified_upper >= res.value
+        assert res.bracket[0] <= res.bracket[1] <= res.certified_upper + 1e-4
+        # an independent feasible point: the identity plus the pinned entry
+        b = np.eye(inst.n, dtype=complex)
+        (i, j, _), = inst.constraints[-1].entries
+        b[i, j] = b[j, i] = inst.constraints[-1].rhs
+        check_feasible(inst, FeasibilityResult(True, b, 0, 0, 0), 1e-12)
+        assert objective(inst, b) <= res.certified_upper
+        assert objective(inst, res.b) <= res.certified_upper + 1e-8
 
 
 def test_instance_json():
