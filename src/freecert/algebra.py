@@ -4,6 +4,7 @@ finite-dimensional unitary representations."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "tensor_rep",
     "element_to_json",
     "element_from_json",
+    "complex_from_json",
 ]
 
 # coefficients below this are treated as exact zeros and dropped
@@ -271,5 +273,14 @@ def element_from_json(obj: dict) -> GroupAlgebraElement:
     terms: dict[Word, complex] = {}
     for t in obj["terms"]:
         w = parse_word(spec, t["word"])
-        terms[w] = terms.get(w, 0j) + complex(float(t["re"]), float(t["im"]))
+        terms[w] = terms.get(w, 0j) + complex_from_json(t)
     return GroupAlgebraElement(spec, terms)
+
+
+def complex_from_json(t: dict) -> complex:
+    """The finite complex number {"re": x, "im": y}; NaN and infinities,
+    which JSON readers accept, are rejected rather than purged."""
+    z = complex(float(t["re"]), float(t["im"]))
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite coefficient {t['re']!r} + {t['im']!r}i")
+    return z

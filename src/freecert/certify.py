@@ -5,8 +5,8 @@ A certificate factors f + eps*delta_1 as sum_i xi_i^* * xi_i with supp xi_i
 inside a grounded set E. The Gram matrix b over E is found by SDP
 feasibility (the diagonal-sum constraints sum_{s^-1 t = a} b[s,t] = f(a) are
 the constructive replacement for the completely-positive extension step), and
-every certificate is re-verified by exact symbolic convolution, independent
-of the solver.
+every certificate is re-verified by symbolic (floating-point) convolution,
+independent of the solver.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "TraceCertificate",
     "NotCertified",
     "FalsifyReport",
+    "gram_instance",
     "certify_sos",
     "verify_sos",
     "certify_trace",
@@ -75,10 +76,17 @@ class TraceCertificate(SosCertificate):
 
 @dataclass
 class NotCertified:
+    """The last solve's residuals, iterations and stop reason, all in the
+    units of f's coefficients: `certified_gap` is the class-sum residual
+    below which a dual certificate excludes every PSD Gram matrix (None
+    without one)."""
+
     psd_residual: float
     affine_residual: float
     iterations: int
     message: str = ""
+    status: str = ""
+    certified_gap: float | None = None
 
 
 @dataclass
@@ -94,19 +102,40 @@ def _check_hermitian(f: GroupAlgebraElement):
         raise ValueError("element is not hermitian")
 
 
-def _gram_instance(E, constraints_for):
-    """Gram SDP over E: one affine constraint per right-hand-side key."""
+def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
+                  epsilon: float = 0.0, trace: bool = False):
+    """The normalized Gram SDP of f + eps*delta_1 over E and its scale
+    fscale = max(1, max|f| + |eps|): one constraint per word a of E^-1E
+    (per conjugacy class of E^-1E when `trace`), sum of b[s,t] over the
+    pairs with s^-1 t in that class = (f + eps*delta_1)(class) / fscale.
+    Returns (SdpInstance, fscale); b = G / fscale for the Gram matrix G."""
+    _check_hermitian(f)
+    key = conjugacy_canonical if trace else (lambda a: a)
+    reachable = {key(w) for w in double_set(E)}
+    outside = [w for w in f.terms if key(w) not in reachable]
+    if outside:
+        what = ("conjugacy classes of the support are not reachable from "
+                "E^-1E" if trace else "support not contained in E^-1E")
+        raise ValueError(f"{what}: {sorted(map(str, outside))}")
+
+    sums: dict[Word, complex] = {}
+    for w, c in f.terms.items():
+        a = key(w)
+        sums[a] = sums.get(a, 0j) + c
+    u = key(unit(E.spec))
+    sums[u] = sums.get(u, 0j) + epsilon
+    fscale = max(1.0, f.max_coeff() + abs(epsilon))
+
     elements = list(E)
-    n = len(elements)
-    pair_key: dict[tuple[int, int], Word] = {}
+    groups: dict[Word, list[tuple[int, int]]] = {}
     for i, s in enumerate(elements):
         si = inverse(s)
         for j, t in enumerate(elements):
-            pair_key[(i, j)] = multiply(si, t)
-    groups: dict[Word, list[tuple[int, int]]] = {}
-    for (i, j), key in pair_key.items():
-        groups.setdefault(constraints_for(key), []).append((i, j))
-    return n, groups
+            groups.setdefault(key(multiply(si, t)), []).append((i, j))
+    constraints = [AffineConstraint(tuple((i, j, 1.0) for i, j in pairs),
+                                    sums.get(a, 0j) / fscale)
+                   for a, pairs in groups.items()]
+    return SdpInstance(len(elements), constraints), fscale
 
 
 def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
@@ -140,22 +169,7 @@ def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
                 tol: float = 1e-9):
     """Search for a sum-of-hermitian-squares factorization of f + eps*delta_1
     with factors supported in E. Returns an SosCertificate or NotCertified."""
-    _check_hermitian(f)
-    dom = set(double_set(E))
-    outside = [w for w in f.terms if w not in dom]
-    if outside:
-        raise ValueError(
-            f"support not contained in E^-1E: {sorted(map(str, outside))}")
-    u = unit(E.spec)
-
-    n, groups = _gram_instance(E, lambda a: a)
-    fscale = max(1.0, f.max_coeff() + abs(epsilon))
-    constraints = []
-    for a, pairs in groups.items():
-        rhs = (f.coeff(a) + (epsilon if a == u else 0.0)) / fscale
-        constraints.append(AffineConstraint(
-            tuple((i, j, 1.0) for i, j in pairs), rhs))
-    inst = SdpInstance(n, constraints)
+    inst, fscale = gram_instance(f, E, epsilon)
     return _certify(inst, fscale, tol,
                     lambda b: _build_sos(E, epsilon, b, f),
                     "Gram SDP found no PSD solution within tolerance")
@@ -163,20 +177,28 @@ def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
 
 def _certify(inst, fscale, tol, build, fail_message):
     """Solve the (normalized) Gram SDP and let the symbolic verifier decide;
-    the solver verdict only gates the retry, never the acceptance."""
+    the solver verdict only gates the retry, never the acceptance.
+
+    A verified certificate is a PSD Gram matrix whose class sums are within
+    tol of f, i.e. a point b = G / fscale with affine residual within
+    tol / fscale. A first solve whose dual certificate excludes all such
+    points leaves nothing for the retry to find, so it is skipped."""
     solver_tol = max(tol * 1e-2, 1e-13)
     res = solve_feasibility(inst, tol=solver_tol)
     cert = build(fscale * res.b)
     if cert.residual <= tol:
         return cert
-    res = solve_feasibility(inst, tol=solver_tol * 1e-2, max_iter=400_000,
-                            start=res.b)
-    cert = build(fscale * res.b)
-    if cert.residual <= tol:
-        return cert
+    if res.certified_gap is None or res.certified_gap * fscale <= tol:
+        res = solve_feasibility(inst, tol=solver_tol * 1e-2,
+                                max_iter=400_000, start=res.b)
+        cert = build(fscale * res.b)
+        if cert.residual <= tol:
+            return cert
+    gap = res.certified_gap
     return NotCertified(res.psd_residual * fscale,
                         res.affine_residual * fscale,
-                        res.iterations, fail_message)
+                        res.iterations, fail_message, res.status,
+                        gap * fscale if gap is not None else None)
 
 
 def _build_sos(E, epsilon, b, f) -> SosCertificate:
@@ -187,8 +209,8 @@ def _build_sos(E, epsilon, b, f) -> SosCertificate:
 
 
 def verify_sos(cert: SosCertificate, f: GroupAlgebraElement) -> float:
-    """Independent symbolic check: recompute sum_i xi_i^* * xi_i by exact
-    convolution and return the max coefficient deviation from
+    """Independent symbolic check: recompute sum_i xi_i^* * xi_i by
+    floating-point convolution and return the max coefficient deviation from
     f + epsilon*delta_1. Never consults the SDP."""
     target = f + delta(unit(f.spec), cert.epsilon)
     diff = _sos_sum(cert.factors, f.spec) - target
@@ -200,32 +222,7 @@ def certify_trace(f: GroupAlgebraElement, E: GroundedSet,
     """Certify trace positivity: find a Gram matrix whose factorization
     matches f + eps*delta_1 on every conjugacy class sum. Words of supp f
     must be conjugate into E^-1E."""
-    _check_hermitian(f)
-    dom = double_set(E)
-    reachable = {conjugacy_canonical(w) for w in dom}
-    unreachable = [w for w in f.terms
-                   if conjugacy_canonical(w) not in reachable]
-    if unreachable:
-        raise ValueError(
-            "conjugacy classes of the support are not reachable from E^-1E: "
-            f"{sorted(map(str, unreachable))}")
-    u = unit(E.spec)
-    u_class = conjugacy_canonical(u)
-
-    class_sums: dict[Word, complex] = {}
-    for w, c in f.terms.items():
-        key = conjugacy_canonical(w)
-        class_sums[key] = class_sums.get(key, 0j) + c
-    class_sums[u_class] = class_sums.get(u_class, 0j) + epsilon
-
-    n, groups = _gram_instance(E, conjugacy_canonical)
-    fscale = max(1.0, f.max_coeff() + abs(epsilon))
-    constraints = []
-    for key, pairs in groups.items():
-        rhs = class_sums.get(key, 0j) / fscale
-        constraints.append(AffineConstraint(
-            tuple((i, j, 1.0) for i, j in pairs), rhs))
-    inst = SdpInstance(n, constraints)
+    inst, fscale = gram_instance(f, E, epsilon, trace=True)
     return _certify(inst, fscale, tol,
                     lambda b: _build_trace(E, epsilon, b, f),
                     "class-sum Gram SDP found no PSD solution")

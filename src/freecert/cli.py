@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import selftest
-from .algebra import element_from_json, element_to_json
+from .algebra import complex_from_json, element_from_json, element_to_json
 from .bell import (
     BellFunctional,
     BellScenario,
@@ -35,6 +35,7 @@ from .certify import (
     certify_sos,
     certify_trace,
     falsify,
+    gram_instance,
     verify_sos,
     verify_trace,
 )
@@ -116,8 +117,7 @@ def _load_partial(path) -> PartialPositiveType:
         E = grounded_set(spec, {parse_word(spec, s) for s in obj["domain"]})
         values = {}
         for t in obj["values"]:
-            values[parse_word(spec, t["word"])] = complex(
-                float(t["re"]), float(t["im"]))
+            values[parse_word(spec, t["word"])] = complex_from_json(t)
         return partial_positive_type(E, values)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
@@ -168,7 +168,8 @@ def _cmd_certify(args, trace: bool):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.dump_sdp:
-        _dump_sdp_for_certify(f, E, args, trace)
+        inst, _ = gram_instance(f, E, args.epsilon, trace)
+        _emit(instance_to_json(inst), args.dump_sdp)
     report = {
         "command": "certify-trace" if trace else "certify",
         "inputs": _digest([args.input],
@@ -184,6 +185,8 @@ def _cmd_certify(args, trace: bool):
             "affine_residual": result.affine_residual,
             "iterations": result.iterations,
             "message": result.message,
+            "status": result.status,
+            "certified_gap": result.certified_gap,
         }
         _emit(report, args.out)
         return 2
@@ -201,34 +204,6 @@ def _cmd_certify(args, trace: bool):
         report["certificate"] = certificate_to_json(result)
         _emit(report, None)
     return 0
-
-
-def _dump_sdp_for_certify(f, E, args, trace):
-    from .certify import _gram_instance
-    from .sdpcore import AffineConstraint, SdpInstance
-    from .words import conjugacy_canonical, unit
-
-    u = unit(E.spec)
-    key_fn = conjugacy_canonical if trace else (lambda a: a)
-    n, groups = _gram_instance(E, key_fn)
-    if trace:
-        sums = {}
-        for w, c in f.terms.items():
-            k = conjugacy_canonical(w)
-            sums[k] = sums.get(k, 0j) + c
-        sums[key_fn(u)] = sums.get(key_fn(u), 0j) + args.epsilon
-        constraints = [AffineConstraint(tuple((i, j, 1.0) for i, j in pairs),
-                                        sums.get(key, 0j))
-                       for key, pairs in groups.items()]
-    else:
-        constraints = [AffineConstraint(
-            tuple((i, j, 1.0) for i, j in pairs),
-            f.coeff(key) + (args.epsilon if key == u else 0.0))
-            for key, pairs in groups.items()]
-    with open(args.dump_sdp, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(SdpInstance(n, constraints)), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _cmd_verify(args):
@@ -294,8 +269,8 @@ def _cmd_complete(args):
 
 def _cmd_falsify(args):
     f = _load_element(args.input)
-    dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     try:
+        dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
         report = falsify(f, args.mode, dims, args.samples, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -347,10 +322,7 @@ def _cmd_bell_outer(args):
     try:
         if args.dump_sdp:
             inst, _ = moment_instance(scenario, functional, args.level)
-            with open(args.dump_sdp, "w", encoding="utf-8") as fh:
-                json.dump(instance_to_json(inst), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
+            _emit(instance_to_json(inst), args.dump_sdp)
         value, info = outer_bound(scenario, functional, args.level,
                                   tol=args.tol, return_info=True)
     except ValueError as exc:

@@ -8,12 +8,17 @@ shadow is the reported iterate. Plain Dykstra-corrected alternating
 projections only reach O(1/k) PSD floors on near-tangent moment instances,
 which is why the reflected update is used.
 
+When the constraints fix the trace, the gap between the cone point and its
+affine projection is a dual certificate (the infeasibility certificate of
+operator splitting, see _DualGap). A feasibility solve ends as "infeasible"
+as soon as one excludes every PSD point whose affine residual is within its
+tolerance; otherwise it ends "converged", "stalled" (the PSD floor stopped
+improving) or at "max_iter".
+
 Optimization bisects on the objective level set. Every level reuses the one
-base projector: the level row is a closed-form rank-one correction. When
-the constraints fix the trace, the splitting iterate of a level also carries
-a dual bound on the objective (the infeasibility certificate of operator
-splitting), and a level ends as soon as that bound falls below it. Levels
-without such a bound end when the PSD floor stalls.
+base projector: the level row is a closed-form rank-one correction. The
+same dual gap bounds the objective, and a level ends as soon as that bound
+falls below it. Levels without such a bound end when the PSD floor stalls.
 """
 
 from __future__ import annotations
@@ -83,12 +88,22 @@ class SdpInstance:
 
 @dataclass
 class FeasibilityResult:
+    """`status` says why the solve stopped: "converged", "infeasible" (a
+    dual certificate excludes every PSD point whose affine residual is
+    within tol), "stalled" or "max_iter". `certified_gap` is the largest
+    affine residual that the best certificate formed excludes (None without
+    one), and `dual` is that certificate, the hermitian matrix Y of
+    _DualGap."""
+
     feasible: bool
     b: np.ndarray | None
     psd_residual: float
     affine_residual: float
     iterations: int
     message: str = ""
+    status: str = "converged"
+    certified_gap: float | None = None
+    dual: np.ndarray | None = None
 
 
 @dataclass
@@ -180,6 +195,8 @@ class _AffineProjector:
         if L.shape[0] == 0:
             self.rank = 0
             self.Q = np.zeros((L.shape[1], 0))
+            self._U = np.zeros((0, 0))
+            self._S = np.zeros(0)
             self.x0 = np.zeros(L.shape[1])
             return
         U, S, Vt = np.linalg.svd(L, full_matrices=False)
@@ -198,6 +215,10 @@ class _AffineProjector:
         if self.rank == 0:
             return x
         return x - self.Q @ (self.Q.T @ x) + self.x0
+
+    def multipliers(self, Qx: np.ndarray) -> np.ndarray:
+        """lam with L^T lam = QQ^T x, from Qx = Q^T x."""
+        return self._U @ (Qx / self._S)
 
     def residual(self, x: np.ndarray) -> float:
         if self.L.shape[0] == 0:
@@ -242,19 +263,75 @@ DEPENDENT_ROW_REL = 1e-10
 FIXED_TRACE_REL = 1e-9
 
 
+class _DualGap:
+    """Dual certificates of {b >= 0 : Lb = r} (the infeasibility
+    certificate of operator splitting). They exist when the rows of `base`
+    fix the trace tr b = tau; `trace` is tau, or None when they do not.
+
+    Take Y, the gap between a cone point and its affine projection, and w,
+    a vector in the row space of L (up to rounding). Every b >= 0 with
+    Lb = r has <Y, b> >= tau min(0, lmin(Y)) and, with e the part of w
+    outside the row space, <w, b> <= <w, x0> + tau |e|. Hence
+
+        <Y - w, b> >= -g,   g = <w, x0> + tau slack,
+        slack = |e| - min(0, lmin(Y)).
+
+    With w = Y, g < 0 proves the set empty (`excluded`); with w = Y - mu c,
+    it bounds the objective <c, b> (_LevelSets.bound). The |e| charge
+    matters there: dividing g by a small -mu amplifies the rounding that
+    leaves w outside the row space.
+    """
+
+    def __init__(self, hv: _HermitianVec, base: _AffineProjector):
+        self.hv = hv
+        self.base = base
+        eye = hv.vec(np.eye(hv.n, dtype=complex))
+        Qe = base.Q.T @ eye
+        fixed = (np.linalg.norm(eye - base.Q @ Qe)
+                 <= FIXED_TRACE_REL * np.linalg.norm(eye))
+        self.trace = float(eye @ base.x0) if fixed else None
+        # tr b = nu^T Lb, so tr b <= tau + |nu|_1 delta when |Lb - r| <= delta
+        self._nu_l1 = (float(np.sum(np.abs(base.multipliers(Qe))))
+                       if fixed else 0.0)
+
+    def __call__(self, w: np.ndarray, Y: np.ndarray):
+        """(g, slack, Q^T w) for the pair (w, Y)."""
+        Qw = self.base.Q.T @ w
+        e = w - self.base.Q @ Qw
+        slack = float(np.linalg.norm(e)) - min(0.0, _min_eig_vec(self.hv, Y))
+        return float(w @ self.base.x0) + self.trace * slack, slack, Qw
+
+    def excluded(self, Y: np.ndarray) -> float:
+        """The largest delta such that no b >= 0 has |Lb - r| < delta,
+        as certified by Y (<= 0 when Y certifies nothing).
+
+        With Y - e = L^T lam, such a b has <Y - e, b> <= lam^T r
+        + |lam|_1 delta and tr b <= tau + |nu|_1 delta, so the bound on g
+        above becomes 0 <= g + delta (|lam|_1 + slack |nu|_1).
+        """
+        g, slack, QY = self(Y, Y)
+        if g >= 0.0:
+            return 0.0
+        lam_l1 = float(np.sum(np.abs(self.base.multipliers(QY))))
+        return -g / (lam_l1 + slack * self._nu_l1)
+
+
 def _splitting(hv, affine, start, tol, max_iter, reject=None):
     """Douglas-Rachford splitting between the PSD cone and the affine set
     that `affine` projects onto, started from the affine point `start`.
 
     Every CHECK_EVERY iterations the affine projection x of the cone point y
-    is scored by its PSD floor; the solve ends when the floor reaches -tol,
-    when `reject(y, x)` reports that the affine set misses the cone, or when
-    the floor stalls. Returns (best x, its floor, iterations).
+    is scored by its PSD floor; the solve ends "converged" when the floor
+    reaches -tol, "infeasible" when `reject(y, x)` reports that the affine
+    set misses the cone, "stalled" when the floor stalls, and "max_iter"
+    when the iterations run out. Returns (best x, its floor, iterations,
+    status).
     """
     z = start.copy()
     best_floor = -np.inf
     best_x = affine(_project_psd_vec(hv, z))
     window: list[float] = []
+    status = "max_iter"
     it = 0
     while it < max_iter:
         it += 1
@@ -267,8 +344,10 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
                 best_floor = floor
                 best_x = x.copy()
             if best_floor >= -tol:
+                status = "converged"
                 break
             if reject is not None and reject(y, x):
+                status = "infeasible"
                 break
             window.append(best_floor)
             if len(window) > STALL_WINDOW:
@@ -276,26 +355,46 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
                 if (it >= MIN_ITER_BEFORE_STALL
                         and window[-1] - window[0]
                         < STALL_REL * abs(window[0])):
+                    status = "stalled"
                     break
-    return best_x, best_floor, it
+    return best_x, best_floor, it, status
 
 
 def _solve(hv, projector, tol, max_iter, start_vec=None) -> FeasibilityResult:
     start = (projector.apply(start_vec) if start_vec is not None
              else projector.x0.copy())
-    x, floor, it = _splitting(hv, projector.apply, start, tol, max_iter)
+    gap = _DualGap(hv, projector)
+    best = [0.0, None]
+    reject = None
+    if gap.trace is not None:
+        def reject(y, x):
+            Y = y - x
+            delta = gap.excluded(Y)
+            if delta > best[0]:
+                best[:] = delta, Y
+            return delta > tol
+
+    x, floor, it, status = _splitting(hv, projector.apply, start, tol,
+                                      max_iter, reject)
     psd_res = max(0.0, -floor)
     aff_res = projector.residual(x)
     ok = psd_res <= tol and aff_res <= tol
-    msg = "" if ok else "no PSD point found within tolerance"
-    return FeasibilityResult(ok, hv.unvec(x), psd_res, aff_res, it, msg)
+    if not ok and status == "converged":
+        # the floor was reached but the affine residual was not
+        status = "stalled"
+    delta, Y = best
+    return FeasibilityResult(
+        ok, hv.unvec(x), psd_res, aff_res, it,
+        "" if ok else "no PSD point found within tolerance", status,
+        float(delta) if Y is not None else None,
+        hv.unvec(Y) if Y is not None else None)
 
 
 def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
                       max_iter: int = DEFAULT_MAX_ITER,
                       start: np.ndarray | None = None) -> FeasibilityResult:
     """Find b >= 0 satisfying every affine constraint within tol, or report
-    the best residuals reached.
+    the best residuals reached and why the solve stopped.
 
     Raises InconsistentConstraintsError when the affine system alone is
     unsolvable (distinct from PSD infeasibility, which yields a non-feasible
@@ -317,16 +416,16 @@ class _LevelSets:
     c~ = c - QQ^T c, so the level projection is the base projection plus
     the rank-one step P_t(x) = P_A(x) - ((<c,P_A(x)> - t)/|c~|^2) c~.
 
-    When the base rows fix the trace tr b = tau, each check of a level whose
-    PSD floor is still negative also yields a dual bound. With y the cone
-    point, Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the vector Y - mu c lies
-    in the row space of L, so for every feasible b
+    When the base rows fix the trace, each check of a level whose PSD floor
+    is still negative also yields a dual bound. With y the cone point,
+    Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the vector w = Y - mu c lies in
+    the row space of L, so _DualGap gives mu <c,b> >= -g for every feasible
+    b: level t is empty once g + mu t < 0, and whenever mu < 0
 
-        <Y,b> - mu <c,b> = <Y - mu c, x0>   and   <Y,b> >= tau min(0, lmin(Y)),
+        <c,b> <= U = g / (-mu).
 
-    hence <c,b> <= U = (<Y - mu c, x0> - tau min(0, lmin(Y))) / (-mu)
-    whenever mu < 0 (`bound` adds a rounding charge). `upper` keeps the
-    smallest U seen; a level t is rejected as soon as upper < t.
+    `upper` keeps the smallest U seen; a level t is rejected as soon as
+    upper < t.
     """
 
     def __init__(self, hv: _HermitianVec, base: _AffineProjector,
@@ -339,11 +438,8 @@ class _LevelSets:
         self.c_x0 = float(c @ base.x0)
         self.dependent = (np.sqrt(self.c_perp_sq)
                           <= DEPENDENT_ROW_REL * float(np.linalg.norm(c)))
-        eye = hv.vec(np.eye(hv.n, dtype=complex))
-        eye_perp = eye - base.Q @ (base.Q.T @ eye)
-        fixed = (np.linalg.norm(eye_perp)
-                 <= FIXED_TRACE_REL * np.linalg.norm(eye))
-        self.trace = float(eye @ base.x0) if fixed else None
+        self.gap = _DualGap(hv, base)
+        self.trace = self.gap.trace
         self.upper = np.inf
         self.count = 0
 
@@ -359,19 +455,12 @@ class _LevelSets:
         return max(self.base.residual(x), abs(float(self.c @ x) - t))
 
     def bound(self, Y: np.ndarray) -> float | None:
-        """The dual bound U from Y = y - P_t(y), or None when mu >= 0.
-
-        Rounding leaves w = Y - mu c slightly outside the row space, and
-        with mu small that error is strongly amplified, so the part e of w
-        outside it is charged explicitly: <e,b> <= |e| tr b for b >= 0.
-        """
+        """The dual bound U from Y = y - P_t(y), or None when mu >= 0."""
         mu = float(self.c_perp @ Y) / self.c_perp_sq
         if mu >= 0.0:
             return None
-        w = Y - mu * self.c
-        e = w - self.base.Q @ (self.base.Q.T @ w)
-        slack = float(np.linalg.norm(e)) - min(0.0, _min_eig_vec(self.hv, Y))
-        return (float(w @ self.base.x0) + self.trace * slack) / -mu
+        g, _, _ = self.gap(Y - mu * self.c, Y)
+        return g / -mu
 
     def _reject(self, y: np.ndarray, x: np.ndarray, t: float) -> bool:
         U = self.bound(y - x)
@@ -398,8 +487,8 @@ class _LevelSets:
             if self.trace is not None:
                 def reject(y, x):
                     return self._reject(y, x, t)
-        x, floor, it = _splitting(self.hv, affine, affine(warm), tol,
-                                  max_iter, reject)
+        x, floor, it, _ = _splitting(self.hv, affine, affine(warm), tol,
+                                     max_iter, reject)
         if floor >= -tol and self.residual(x, t) <= tol:
             return x, it
         return None, it

@@ -292,3 +292,42 @@ def test_certificate_json_roundtrip():
     assert isinstance(backT, TraceCertificate)
     residuals = verify_trace(backT, fT)
     assert max((abs(v) for v in residuals.values()), default=0.0) <= 1e-9
+
+
+@pytest.mark.parametrize("runner", [certify_sos, certify_trace])
+@pytest.mark.parametrize("which", ["criterion3", "square_minus_unit"])
+def test_refutation_ends_at_first_certificate(monkeypatch, runner, which):
+    import freecert.certify as certify_mod
+
+    solves = []
+    solve = certify_mod.solve_feasibility
+
+    def counting(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(certify_mod, "solve_feasibility", counting)
+    xi = one(F2) - delta(g(1))
+    f = {"criterion3": delta(g(1)) + delta(g(1, -1)),
+         "square_minus_unit": convolve(involve(xi), xi) - delta(U, 0.25)}[which]
+    E = grounded_set(F2, {U, g(1)})
+    out = runner(f, E, tol=1e-9)
+    assert isinstance(out, NotCertified)
+    assert len(solves) == 1 and out.iterations < 200
+    assert out.status == "infeasible"
+    # reported in the units of f, beyond the verifier's tolerance
+    assert out.certified_gap == pytest.approx(
+        solves[0].certified_gap * max(1.0, f.max_coeff()))
+    assert out.certified_gap > 1e-9
+
+
+def test_gram_instance_is_normalized():
+    from freecert.certify import gram_instance
+
+    f = delta(U, 3.0) - delta(g(1)) - delta(g(1, -1))
+    E = grounded_set(F2, {U, g(1)})
+    for trace in (False, True):
+        inst, fscale = gram_instance(f, E, epsilon=0.5, trace=trace)
+        assert fscale == 3.5
+        rhs = sorted(c.rhs.real for c in inst.constraints)
+        assert rhs == pytest.approx([-1 / 3.5, -1 / 3.5, 1.0])

@@ -60,7 +60,36 @@ def test_certify_refuted_exit_code(tmp_path, capsys):
     code, out = run(capsys, ["certify", "--input", fpath,
                              "--support", "e,g1^1"])
     assert code == 2
-    assert json.loads(out)["certified"] is False
+    report = json.loads(out)
+    assert report["certified"] is False
+    assert report["solver"]["status"] == "infeasible"
+    assert report["solver"]["certified_gap"] > report["tol"]
+    # the stop reason is deterministic: the report repeats byte for byte
+    assert run(capsys, ["certify", "--input", fpath,
+                        "--support", "e,g1^1"]) == (code, out)
+
+
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+def test_dump_sdp_is_the_solved_instance(tmp_path, capsys, monkeypatch,
+                                         command):
+    import freecert.certify as certify_mod
+    from freecert.sdpcore import instance_to_json
+
+    solved = []
+    solve = certify_mod.solve_feasibility
+
+    def recording(inst, *args, **kwargs):
+        solved.append(instance_to_json(inst))
+        return solve(inst, *args, **kwargs)
+
+    monkeypatch.setattr(certify_mod, "solve_feasibility", recording)
+    f = one(F2) * 3.0 - delta(g(1)) - delta(g(1, -1))
+    fpath = write(tmp_path, "f.json", element_to_json(f))
+    dump = str(tmp_path / "sdp.json")
+    code, _ = run(capsys, [command, "--input", fpath, "--support", "e,g1^1",
+                           "--dump-sdp", dump])
+    assert code == 0
+    assert json.loads(open(dump).read()) == solved[0]
 
 
 def test_verify_tampered_certificate(tmp_path, capsys):
@@ -225,6 +254,70 @@ def test_bell_bad_arguments_exit_one(tmp_path, capsys, command, extra):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_falsify_bad_dims_exit_one(tmp_path, capsys):
+    fpath = write(tmp_path, "f.json", toy_json())
+    code = main(["falsify", "--input", fpath, "--dims", "1,x", "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _nan_element():
+    # 1 + NaN g1 + NaN g1^-1: the NaN terms must not be purged as zeros
+    f = toy_json()
+    for t in f["terms"]:
+        if t["word"] != "e":
+            t["re"] = float("nan")
+    return f
+
+
+def _inf_partial():
+    return {"group": {"kind": "free", "d": 2}, "domain": ["e", "g1^1"],
+            "values": [{"word": "e", "re": 1.0, "im": 0.0},
+                       {"word": "g1^1", "re": float("inf"), "im": 0.0},
+                       {"word": "g1^-1", "re": float("inf"), "im": 0.0}]}
+
+
+def _nan_functional():
+    scenario = chsh_scenario()
+    scenario["coeff"][0][1][1][0] = float("nan")
+    return scenario
+
+
+@pytest.mark.parametrize("command, blob, flag, extra", [
+    ("certify", _nan_element, "--input", []),
+    ("extend", _inf_partial, "--input", ["--target", "g1^2"]),
+    ("bell-outer", _nan_functional, "--scenario", []),
+])
+def test_non_finite_numbers_exit_one(tmp_path, capsys, command, blob, flag,
+                                     extra):
+    path = write(tmp_path, "in.json", blob())
+    code = main([command, flag, path, *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_python_m_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import freecert
+
+    src = str(Path(freecert.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "freecert", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: freecert")
 
 
 def test_malformed_json_exit_one(tmp_path, capsys):

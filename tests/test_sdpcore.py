@@ -267,3 +267,145 @@ def test_instance_json():
     assert blob["constraints"][0]["entries"] == [[0, 1, 1.0, 2.0]]
     assert blob["constraints"][0]["rhs"] == [0.5, 0.0]
     assert blob["objective"] == [[0, 0, 1.0, 0.0]]
+
+
+def certificate_excludes(inst, Y, tol):
+    """Recompute a dual certificate from the constraints alone: True when the
+    hermitian Y proves that no PSD b meets every constraint within tol.
+
+    Each complex constraint gives the real functionals Re and Im of
+    sum coef * b[r, c], written <A, b> = Re tr(A^* b) with A hermitian.
+    With Y = sum lam_k A_k + e and I = sum nu_k A_k + e_I, any PSD b within
+    tol has <Y - e, b> <= lam.r + |lam|_1 tol, tr b <= T =
+    (nu.r + |nu|_1 tol) / (1 - |e_I|) and <Y - e, b> >= (min(0, lmin(Y))
+    - |e|) T, since |b|_F <= tr b.
+    """
+    n = inst.n
+    rows, rhs = [], []
+    for c in inst.constraints:
+        for phase, val in ((1.0, c.rhs.real), (-1j, c.rhs.imag)):
+            A = np.zeros((n, n), dtype=complex)
+            for r, s, coef in c.entries:
+                A[r, s] += np.conj(phase * coef) / 2
+                A[s, r] += phase * coef / 2
+            if np.any(A):
+                rows.append(np.concatenate([A.real.ravel(), A.imag.ravel()]))
+                rhs.append(val)
+    M, rhs = np.array(rows).T, np.array(rhs)
+
+    def split(X):
+        v = np.concatenate([X.real.ravel(), X.imag.ravel()])
+        coef = np.linalg.lstsq(M, v, rcond=None)[0]
+        return coef, float(np.linalg.norm(v - M @ coef))
+
+    lam, e = split(np.asarray(Y))
+    nu, e_eye = split(np.eye(n))
+    assert e_eye < 1e-6, "the constraints do not fix the trace"
+    T = (nu @ rhs + np.sum(np.abs(nu)) * tol) / (1.0 - e_eye)
+    floor = min(0.0, float(np.linalg.eigvalsh(Y)[0])) - e
+    return lam @ rhs + np.sum(np.abs(lam)) * tol < floor * T
+
+
+def _fixed_trace_instance(rng, b0, k):
+    """The unit trace row and k random sparse complex rows, all met by b0."""
+    n = b0.shape[0]
+    cons = [con([(i, i, 1.0) for i in range(n)], np.trace(b0).real)]
+    for _ in range(k):
+        idx = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
+        entries = [(int(p // n), int(p % n),
+                    complex(rng.standard_normal(), rng.standard_normal()))
+                   for p in idx]
+        cons.append(con(entries, sum(c * b0[r, s] for r, s, c in entries)))
+    return SdpInstance(n, cons)
+
+
+@pytest.mark.parametrize("rank, seed", [("full", 65), ("full", 66),
+                                        ("one", 67), ("one", 68)])
+def test_feasible_fixed_trace_never_infeasible(rank, seed):
+    # few rows through a rank-one point leave a boundary face that takes
+    # the splitting hundreds of iterations, each check forming a certificate
+    rng = np.random.default_rng(seed)
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        Z = rng.standard_normal((n, n if rank == "full" else 1))
+        Z = Z + 1j * rng.standard_normal(Z.shape)
+        b0 = Z @ Z.conj().T
+        inst = _fixed_trace_instance(rng, b0 / np.trace(b0).real,
+                                     int(rng.integers(1, 2 * n)))
+        res = solve_feasibility(inst, tol=1e-12, max_iter=3000)
+        assert res.status != "infeasible"
+        assert res.certified_gap is None or res.certified_gap <= 1e-12
+        assert res.feasible == (res.status == "converged")
+
+
+def test_psd_infeasible_certified():
+    # the instance of test_psd_infeasible_reports_no_progress: the
+    # certificate is tight, as |b01| <= tr b / 2 forces a residual of 2/3
+    inst = SdpInstance(2, [
+        con([(0, 0, 1.0), (1, 1, 1.0)], 0.0),
+        con([(0, 1, 1.0)], 1.0),
+    ])
+    res = solve_feasibility(inst, tol=1e-9)
+    assert res.status == "infeasible" and res.iterations <= 25
+    assert res.certified_gap == pytest.approx(2.0 / 3.0, rel=1e-9)
+    assert certificate_excludes(inst, res.dual, 0.999 * res.certified_gap)
+    assert res.message
+
+
+def test_infeasible_only_beyond_tolerance():
+    # b01 = 1/2 + 1e-9 at unit trace: the nearest PSD points miss the rows
+    # by 1e-9 / 1.5, so a tolerance above that leaves nothing to exclude,
+    # while the PSD floor of every affine point stays below -1e-9
+    inst = SdpInstance(2, [
+        con([(0, 0, 1.0), (1, 1, 1.0)], 1.0),
+        con([(0, 1, 1.0)], 0.5 + 1e-9),
+    ])
+    res = solve_feasibility(inst, tol=8e-10)
+    assert res.status == "stalled"
+    assert res.certified_gap == pytest.approx(1e-9 / 1.5, rel=1e-6)
+    res = solve_feasibility(inst, tol=5e-10)
+    assert res.status == "infeasible" and res.certified_gap > 5e-10
+    assert certificate_excludes(inst, res.dual, 5e-10)
+
+
+def test_stop_reasons():
+    # nothing fixes the trace, so no certificate is formed: the infeasible
+    # solve ends by count or when the PSD floor stalls at -1
+    inst = SdpInstance(2, [con([(0, 0, 1.0)], -1.0)])
+    res = solve_feasibility(inst, tol=1e-9, max_iter=100)
+    assert (res.status, res.iterations) == ("max_iter", 100)
+    assert res.certified_gap is None and res.dual is None
+    res = solve_feasibility(inst, tol=1e-9, max_iter=20_000)
+    assert res.status == "stalled" and not res.feasible
+
+
+def _refuted_elements():
+    from freecert.algebra import delta, involve, one
+    from freecert.algebra import convolve as conv
+    from freecert.grounded import grounded_set
+    from freecert.words import free_group, generator, unit
+
+    F2 = free_group(2)
+    g1 = generator(F2, 1)
+    E = grounded_set(F2, {unit(F2), g1})
+    xi = one(F2) - delta(g1)
+    return E, [
+        # criterion 3: the unit coefficient is 0, so tr b = 0
+        delta(g1) + delta(generator(F2, 1, -1)),
+        conv(involve(xi), xi) - one(F2) * 0.25,
+    ]
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("trace", [False, True])
+def test_refuted_gram_instances_certified(index, trace):
+    from freecert.certify import gram_instance
+
+    E, elements = _refuted_elements()
+    inst, fscale = gram_instance(elements[index], E, trace=trace)
+    tol = 1e-11
+    res = solve_feasibility(inst, tol=tol)
+    assert res.status == "infeasible" and res.iterations < 200
+    assert res.certified_gap > tol
+    assert certificate_excludes(inst, res.dual, tol)
+    assert certificate_excludes(inst, res.dual, 0.999 * res.certified_gap)
