@@ -33,6 +33,7 @@ __all__ = [
     "convolve",
     "involve",
     "toeplitz_matrix",
+    "hermitian_toeplitz",
     "eval_rep",
     "rep_matrix",
     "random_rep",
@@ -154,16 +155,22 @@ def toeplitz_matrix(g, E: list[Word] | tuple[Word, ...]) -> np.ndarray:
 
     n = len(E)
     M = np.zeros((n, n), dtype=complex)
-    quotients: dict[tuple[int, int], Word] = {}
     for i, s in enumerate(E):
         s_inv = inverse(s)
         for j, t in enumerate(E):
-            w = multiply(s_inv, t)
-            quotients[(i, j)] = w
-            M[i, j] = lookup(w)
-    scale = 1.0 + float(np.max(np.abs(M))) if n else 1.0
-    if n and np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
-        raise ValueError("values break hermitian symmetry g(a^{-1}) = conj(g(a))")
+            M[i, j] = lookup(multiply(s_inv, t))
+    return hermitian_toeplitz(M)
+
+
+def hermitian_toeplitz(M: np.ndarray) -> np.ndarray:
+    """Check that the gathered compression M[s, t] = g(s^{-1}t) respects
+    g(a^{-1}) = conj(g(a)) within 1e-12 of its scale; return its hermitian
+    part."""
+    if M.size:
+        scale = 1.0 + float(np.max(np.abs(M)))
+        if np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
+            raise ValueError(
+                "values break hermitian symmetry g(a^{-1}) = conj(g(a))")
     return 0.5 * (M + M.conj().T)
 
 

@@ -10,8 +10,10 @@ byte-identical for identical inputs and seeds (wall time goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -371,11 +373,19 @@ def _cmd_bell_inner(args):
     return 0
 
 
+def _require_finite(args):
+    for name in ("tol", "epsilon"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise InputError(f"--{name} must be a finite number, got {value}")
+
+
 def _cmd_selftest(args):
     ok = selftest.run_all(write=print)
     return 0 if ok else 2
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="freecert",
@@ -464,10 +474,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        _require_finite(args)
         code = args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,12 @@ t0'' splits E into the words whose quotient against t0 is already known (E1)
 and the rest (E0), and the unknown entries are read off the canonical
 three-block completion with block order (E0, E1, {t0}).
 
+`extend_to` forms the |F|^2 word products s^-1 t over the target set F once,
+as a table of indices into one value vector; each step of the chain is then
+index arithmetic over that table, the block completion, and one
+eigendecomposition of the (|E|+1)-sized Toeplitz matrix for the PSD floor.
+`extend_one` is the one-step case.
+
 The construction needs the Cayley graph to be a tree, which is why only free
 groups are accepted: on groups with relations (already on the Z x Z lattice)
 partially defined positive-type functions exist that admit no positive-type
@@ -19,16 +25,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import random_rep, rep_matrix, toeplitz_matrix
+from .algebra import (
+    hermitian_toeplitz,
+    random_rep,
+    rep_matrix,
+    toeplitz_matrix,
+)
 from .denselin import PartialBlockMatrix, complete_block, psd_floor
 from .grounded import GroundedSet, double_set, extension_chain, grounded_set
 from .words import (
     FREE,
     Word,
+    drop_first,
     first_letter,
     generator,
     inverse,
     multiply,
+    sort_key,
     unit,
 )
 
@@ -113,63 +126,122 @@ def _split_sets(g: PartialPositiveType, t0: Word):
 def extend_one(g: PartialPositiveType, t0: Word) -> PartialPositiveType:
     """Extend g to the grounded set E u {t0}, filling the genuinely new
     quotients from the three-block completion."""
-    if t0 in g.E.as_set():
+    if t0 in g.E:
         raise ValueError("t0 already belongs to E")
-    new_elements = set(g.E) | {t0}
-    E_new = grounded_set(g.spec, new_elements)  # raises if not grounded
+    F = grounded_set(g.spec, g.E.as_set() | {t0})  # raises if not grounded
+    return extend_to(g, F)
 
-    E0, E1 = _split_sets(g, t0)
-    val = g.values
 
-    def block(rows, cols):
-        M = np.empty((len(rows), len(cols)), dtype=complex)
-        for i, s in enumerate(rows):
-            si = inverse(s)
-            for j, t in enumerate(cols):
-                M[i, j] = val[multiply(si, t)]
-        return M
-
-    A = block(E0, E0)
-    X = block(E0, E1)
-    B = block(E1, E1)
-    dom = set(val)
-    for s in E1:
-        if multiply(inverse(s), t0) not in dom:
-            raise AssertionError("split-set rule produced an unknown quotient")
-    Y = np.array([[val[multiply(inverse(s), t0)]] for s in E1],
-                 dtype=complex).reshape(len(E1), 1)
-    C = np.array([[val[unit(g.spec)]]], dtype=complex)
-
-    Z, _ = complete_block(PartialBlockMatrix(A, X, B, Y, C))
-
-    new_vals = dict(val)
-    for i, s in enumerate(E0):
-        q = multiply(inverse(s), t0)
-        if q in dom:
-            raise AssertionError("quotient for an E0 word is already known")
-        new_vals[q] = complex(Z[i, 0])
-        new_vals[inverse(q)] = complex(Z[i, 0]).conjugate()
-
-    out = PartialPositiveType(E_new, new_vals)
-    missing = set(double_set(E_new)) - set(new_vals)
-    if missing:
-        raise AssertionError(f"extension left undefined quotients: {missing}")
-    scale = out.scale()
-    floor = psd_floor(out.gram())
-    if floor < -OUTPUT_PSD_TOL * scale:
-        raise ValueError(
-            f"completion failed to stay PSD (floor {floor:g}); "
-            "input likely violated the PSD tolerance")
-    return out
+def _not_grounded():
+    return ValueError("set is not grounded (unit missing or suffix gap)")
 
 
 def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
-    """Extend g along the canonical chain from E to the grounded superset F."""
+    """Extend g along the canonical chain from E to the grounded superset F.
+
+    Every step keeps the checks of a single extension: the grown set stays
+    grounded, the split-set rule agrees with the known quotients, no
+    quotient is left undefined, and the Toeplitz matrix is hermitian and PSD
+    within OUTPUT_PSD_TOL."""
     chain = extension_chain(g.E, F)
-    out = g
+    if not chain:
+        return g
+    spec = g.spec
+    elements = tuple(sorted(F, key=sort_key))
+    if elements != F.elements:
+        F = GroundedSet(spec, elements)
+    pos = F.positions
+    n = len(elements)
+
+    # Q[i, j] indexes s_i^-1 s_j in `words`; conj[k] indexes words[k]^-1
+    qindex: dict[Word, int] = {}
+    Q = np.empty((n, n), dtype=np.intp)
+    for i, s in enumerate(elements):
+        s_inv = inverse(s)
+        row = Q[i]
+        for j, t in enumerate(elements):
+            row[j] = qindex.setdefault(multiply(s_inv, t), len(qindex))
+    conj = np.empty(len(qindex), dtype=np.intp)
+    conj[Q] = Q.T
+    # values off F^-1 F (only in unvalidated input) ride along unchanged
+    given = [qindex.setdefault(w, len(qindex)) for w in g.values]
+    words = list(qindex)
+    vals = np.zeros(len(words), dtype=complex)
+    vals[given] = list(g.values.values())
+    known = np.zeros(len(words), dtype=bool)
+    known[given] = True
+    written: list[int] = []  # new quotients, in the order they are filled
+
+    # tree parent (first letter dropped) of every non-unit element
+    parent = np.full(n, -1, dtype=np.intp)
+    for j in range(1, n):
+        parent[j] = pos.get(drop_first(elements[j]), -1)
+    in_E = np.zeros(n, dtype=bool)
+    in_E[[pos[s] for s in g.E]] = True
+    E_idx = np.flatnonzero(in_E)
+    above = parent[E_idx[1:]]  # the unit sorts first
+    if not (elements[0].is_unit and in_E[0]) or np.any(above < 0) \
+            or not np.all(in_E[above]):
+        raise _not_grounded()
+    if not known[Q[np.ix_(E_idx, E_idx)]].all():
+        raise ValueError("values missing on E^-1E")
+    C = vals[Q[:1, :1]]  # the value at the unit
+
+    # left[letter][j] = index of letter^-1 s_j in F, or -1
+    left: dict[tuple[int, int], np.ndarray] = {}
     for t0 in chain:
-        out = extend_one(out, t0)
-    return out
+        p = pos[t0]
+        if parent[p] < 0 or not in_E[parent[p]]:
+            raise _not_grounded()
+        letter = first_letter(t0)
+        if letter not in left:
+            step_inv = generator(spec, letter[0], -letter[1])
+            left[letter] = np.array(
+                [pos.get(multiply(step_inv, s), -1) for s in elements],
+                dtype=np.intp)
+        # split by the first-letter rule: s in E1 iff letter^-1 s in E
+        shifted = left[letter][E_idx]
+        in_E1 = (shifted >= 0) & in_E[shifted]
+        E1, E0 = E_idx[in_E1], E_idx[~in_E1]
+
+        if not known[Q[E1, p]].all():
+            raise AssertionError("split-set rule produced an unknown quotient")
+        A = vals[Q[np.ix_(E0, E0)]]
+        X = vals[Q[np.ix_(E0, E1)]]
+        B = vals[Q[np.ix_(E1, E1)]]
+        Y = vals[Q[E1, p]].reshape(len(E1), 1)
+
+        Z, _ = complete_block(PartialBlockMatrix(A, X, B, Y, C))
+
+        new_q = Q[E0, p]
+        if known[new_q].any():
+            raise AssertionError("quotient for an E0 word is already known")
+        for i, k in enumerate(new_q):
+            z = complex(Z[i, 0])
+            vals[k] = z
+            vals[conj[k]] = z.conjugate()
+            known[k] = known[conj[k]] = True
+            written.append(k)
+            written.append(conj[k])
+
+        in_E[p] = True
+        E_idx = np.flatnonzero(in_E)
+        gram_idx = Q[np.ix_(E_idx, E_idx)]
+        if not known[gram_idx].all():
+            missing = {words[k] for k in gram_idx.ravel() if not known[k]}
+            raise AssertionError(
+                f"extension left undefined quotients: {missing}")
+        scale = 1.0 + float(np.max(np.abs(vals[known])))
+        floor = psd_floor(hermitian_toeplitz(vals[gram_idx]))
+        if floor < -OUTPUT_PSD_TOL * scale:
+            raise ValueError(
+                f"completion failed to stay PSD (floor {floor:g}); "
+                "input likely violated the PSD tolerance")
+
+    out_vals = dict(g.values)
+    for k in written:
+        out_vals[words[k]] = complex(vals[k])
+    return PartialPositiveType(F, out_vals)
 
 
 def random_positive_type(E: GroundedSet, dim: int, seed) -> PartialPositiveType:

@@ -35,15 +35,16 @@ class GnsData:
 
     def vector(self, t: Word) -> np.ndarray:
         """Quotient coordinates of t-hat for t in E."""
-        idx = list(self.E).index(t)
-        return self.coords[:, idx]
+        if t not in self.E:
+            raise ValueError(f"{t} is not in E")
+        return self.coords[:, self.E.positions[t]]
 
 
 def gns(g: PartialPositiveType) -> GnsData:
     """Build the truncated GNS data of a partial positive-type function."""
     E = g.E
     elements = list(E)
-    index = {t: i for i, t in enumerate(elements)}
+    index = E.positions
     M = g.gram()
     w, U = eigh(M)
     lam_max = float(w[-1]) if w.size else 0.0

@@ -4,6 +4,7 @@ Cayley tree (equivalently closed under right suffixes)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .words import (
@@ -39,10 +40,19 @@ class GroundedSet:
         return iter(self.elements)
 
     def __contains__(self, w: Word) -> bool:
-        return w in set(self.elements)
+        return w in self._members
+
+    @cached_property
+    def _members(self) -> frozenset[Word]:
+        return frozenset(self.elements)
+
+    @cached_property
+    def positions(self) -> dict[Word, int]:
+        """Word -> its index in `elements`."""
+        return {w: i for i, w in enumerate(self.elements)}
 
     def as_set(self) -> frozenset[Word]:
-        return frozenset(self.elements)
+        return self._members
 
 
 def _require_free(spec: GroupSpec):

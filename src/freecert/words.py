@@ -1,7 +1,10 @@
 """Reduced-word arithmetic for free groups, free products of finite cyclic
 groups, and direct products of two such groups.
 
-Words are immutable and hashable; all operations return reduced words.
+Words are immutable and hashable; all operations return reduced words. The
+public constructor reduces and range-checks its letters; products and
+inverses of base-group words, whose factors are already reduced, only touch
+the letters at the junction.
 """
 
 from __future__ import annotations
@@ -146,6 +149,19 @@ class Word:
             if reduced != self.letters:
                 object.__setattr__(self, "letters", reduced)
 
+    def __hash__(self) -> int:
+        # words key every quotient table and value map; hash them once
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.spec, self.letters, self.pair))
+            self.__dict__["_hash"] = h
+            return h
+
+    def __getstate__(self):
+        # string hashes differ between processes: never pickle the cache
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def is_unit(self) -> bool:
         if self.spec.is_product:
@@ -184,25 +200,56 @@ def pair_word(spec: GroupSpec, left: Word, right: Word) -> Word:
     return Word(spec, pair=(left, right))
 
 
+def _from_reduced(spec: GroupSpec, letters: tuple) -> Word:
+    """A base-group word from letters that are already reduced and in range;
+    skips the validation of the public constructor."""
+    w = object.__new__(Word)
+    w.__dict__.update(spec=spec, letters=letters, pair=None)
+    return w
+
+
 def _check_specs(a: Word, b: Word):
-    if a.spec != b.spec:
+    if a.spec is not b.spec and a.spec != b.spec:
         raise ValueError("words live in different groups")
 
 
 def multiply(a: Word, b: Word) -> Word:
     _check_specs(a, b)
-    if a.spec.is_product:
-        return Word(a.spec, pair=(multiply(a.pair[0], b.pair[0]),
-                                  multiply(a.pair[1], b.pair[1])))
-    return Word(a.spec, a.letters + b.letters)
+    spec = a.spec
+    if spec.is_product:
+        return Word(spec, pair=(multiply(a.pair[0], b.pair[0]),
+                                multiply(a.pair[1], b.pair[1])))
+    x, y = a.letters, b.letters
+    if not x:
+        return b
+    if not y:
+        return a
+    # both factors are reduced, so letters can only cancel or merge where
+    # they meet: walk back from the junction
+    m = spec.m if spec.kind == CYCLIC else 0
+    i, j, ny = len(x), 0, len(y)
+    while i and j < ny:
+        g, e = x[i - 1]
+        h, f = y[j]
+        if g != h:
+            break
+        e += f
+        if m:
+            e %= m
+        if e:
+            return _from_reduced(spec, x[:i - 1] + ((g, e),) + y[j + 1:])
+        i -= 1
+        j += 1
+    return _from_reduced(spec, x[:i] + y[j:])
 
 
 def inverse(a: Word) -> Word:
-    if a.spec.is_product:
-        return Word(a.spec, pair=(inverse(a.pair[0]), inverse(a.pair[1])))
-    m = a.spec.m if a.spec.kind == CYCLIC else 0
-    inv = tuple((g, (m - e) if m else -e) for g, e in reversed(a.letters))
-    return Word(a.spec, inv)
+    spec = a.spec
+    if spec.is_product:
+        return Word(spec, pair=(inverse(a.pair[0]), inverse(a.pair[1])))
+    m = spec.m if spec.kind == CYCLIC else 0
+    return _from_reduced(spec, tuple((g, (m - e) if m else -e)
+                                for g, e in reversed(a.letters)))
 
 
 def conjugacy_canonical(a: Word) -> Word:

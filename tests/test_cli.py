@@ -338,3 +338,61 @@ def test_bad_support_exit_one(tmp_path, capsys):
 def test_missing_file_exit_one(tmp_path, capsys):
     code = main(["certify", "--input", str(tmp_path / "nope.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--tol", "nan"),
+    ("certify", "--epsilon", "nan"),
+    ("certify-trace", "--tol", "inf"),
+    ("certify-trace", "--epsilon", "-inf"),
+    ("verify", "--tol", "nan"),
+    ("falsify", "--tol", "inf"),
+    ("bell-outer", "--tol", "-inf"),
+])
+def test_non_finite_arguments_exit_one(tmp_path, capsys, command, flag,
+                                       value):
+    fpath = write(tmp_path, "f.json", toy_json())
+    inputs = {
+        "certify": ["--input", fpath],
+        "certify-trace": ["--input", fpath],
+        "verify": ["--cert", fpath, "--input", fpath],
+        "falsify": ["--input", fpath, "--seed", "1"],
+        "bell-outer": ["--scenario",
+                       write(tmp_path, "chsh.json", chsh_scenario())],
+    }
+    code = main([command, *inputs[command], f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import freecert
+
+    fpath = write(tmp_path, "f.json", toy_json())
+    calls = [
+        ["certify", "--input", fpath, "--support", "e,g1^1", "--tol", "1e-8",
+         "--epsilon", "1e-3"],
+        ["falsify", "--input", fpath, "--dims", "1", "--samples", "20",
+         "--seed", "3", "--tol", "1e-6"],
+        ["certify", "--input", fpath],  # defaults again after the flags
+    ]
+    in_process = [run(capsys, argv) for argv in calls]
+
+    src = str(Path(freecert.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    for argv, (code, out) in zip(calls, in_process):
+        proc = subprocess.run([sys.executable, "-m", "freecert", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, out)
+    assert json.loads(in_process[0][1])["epsilon"] == 1e-3
+    assert json.loads(in_process[2][1])["epsilon"] == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from freecert.extendpt import (
+    OUTPUT_PSD_TOL,
     PartialPositiveType,
     extend_one,
     extend_to,
@@ -11,12 +12,19 @@ from freecert.extendpt import (
     random_positive_type,
 )
 from freecert.denselin import psd_floor
-from freecert.grounded import double_set, grounded_hull, grounded_set
+from freecert.grounded import (
+    GroundedSet,
+    double_set,
+    extension_chain,
+    grounded_hull,
+    grounded_set,
+)
 from freecert.words import (
     free_group,
     generator,
     inverse,
     multiply,
+    parse_word,
     unit,
 )
 
@@ -211,3 +219,65 @@ def test_inverse_letter_extension():
     # E1 = {s in E : s1 s in E} = {1}; completion gives Z = 0.5 * 0.5 = 0.25
     assert out.values[multiply(inverse(g(1)), g(1, -1))] == pytest.approx(0.25)
     assert psd_floor(out.gram()) >= -1e-10
+
+
+def test_extend_to_equals_folded_extend_one():
+    # one quotient table for the whole chain must give exactly the values of
+    # extending one word at a time
+    rng = random.Random(75)
+    for trial in range(50):
+        E = random_grounded(rng, 7)
+        base = random_positive_type(E, dim=rng.randrange(1, 5),
+                                    seed=5000 + trial)
+        F = enlarge(rng, E, steps=rng.randrange(1, 9))
+        folded = base
+        for t0 in extension_chain(E, F):
+            folded = extend_one(folded, t0)
+        out = extend_to(base, F)
+        assert out.E == folded.E == F
+        assert out.values == folded.values  # exact, not approx
+
+
+def words(*texts):
+    return {parse_word(F2, t) for t in texts}
+
+
+def test_psd_failure_message_unchanged():
+    # a rank-2 function on five words; the near-singular middle block of
+    # the fifth step's completion amplifies rounding past the output floor
+    E = grounded_set(F2, words("e", "g2", "g1^-1 g2", "g2^-1",
+                               "g1^-1 g2^-1"))
+    F = grounded_set(F2, set(E) | words(
+        "g1^-1", "g2^-1 g1^-1", "g1^-2 g2", "g2^-1 g1^-1 g2^-1",
+        "g1^-1 g2^-1 g1^-1 g2^-1", "g2^-1 g1^-2 g2", "g2^-2 g1^-1 g2^-1"))
+    base = random_positive_type(E, dim=2, seed=575)
+    pattern = (r"^completion failed to stay PSD \(floor -[0-9.e+-]+\); "
+               r"input likely violated the PSD tolerance$")
+    with pytest.raises(ValueError, match=pattern) as whole:
+        extend_to(base, F)
+    current = base
+    with pytest.raises(ValueError, match=pattern) as stepwise:
+        for t0 in extension_chain(E, F):
+            current = extend_one(current, t0)
+    assert str(whole.value) == str(stepwise.value)
+    floor = float(str(whole.value).split("floor ")[1].split(")")[0])
+    assert floor < -OUTPUT_PSD_TOL * base.scale()
+
+
+def test_extend_to_checks_every_step():
+    E = grounded_set(F2, {U, g(1)})
+    base = partial_positive_type(E, {U: 1.0, g(1): 0.5, g(1, -1): 0.5})
+    # a superset with a suffix gap: g1 g2^2 without g2^2
+    gap = GroundedSet(F2, tuple(grounded_set(F2, {U, g(1), g(2)}))
+                      + (multiply(g(1), g(2, 2)),))
+    with pytest.raises(ValueError, match="not grounded"):
+        extend_to(base, gap)
+    # values missing on E^-1E are caught before the first step
+    holed = PartialPositiveType(E, {U: 1.0 + 0j, g(1): 0.5 + 0j})
+    with pytest.raises(ValueError, match="missing"):
+        extend_to(holed, grounded_set(F2, {U, g(1), g(1, 2)}))
+    # broken hermitian symmetry on E is caught by the first step's checks
+    skew = PartialPositiveType(E, {U: 1.0 + 0j, g(1): 0.5 + 0j,
+                                   g(1, -1): 0.5 + 1e-3j})
+    with pytest.raises(ValueError, match="hermitian"):
+        extend_to(skew, grounded_set(F2, {U, g(1), g(2)}))

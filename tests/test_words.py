@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freecert.words import (
     Word,
@@ -161,3 +163,75 @@ def test_sort_key_orders_by_length_then_lex():
     assert ordered[1] == g(1, -1)  # exponent -1 sorts before +1
     assert ordered[2] == g(1)
     assert ordered[-1] == multiply(g(1), g(2))
+
+
+# ------------------------------------------------- junction products
+
+F3 = free_group(3)
+Z3_2 = cyclic_free_product(2, 3)
+Z2_3 = cyclic_free_product(3, 2)
+BASE_SPECS = (F3, Z3_2, Z2_3)
+PRODUCT = direct_product(Z2, Z3)
+
+
+def _letters(spec):
+    exps = st.integers(-3, 3) if spec.kind == "free" else st.integers(1, 5)
+    return st.lists(st.tuples(st.integers(1, spec.d), exps), max_size=8)
+
+
+def _words(spec):
+    """Random reduced words: random letter runs through the validating
+    constructor, which reduces them."""
+    if spec.is_product:
+        return st.builds(lambda a, b: pair_word(spec, a, b),
+                         _words(spec.left), _words(spec.right))
+    return _letters(spec).map(lambda ls: Word(spec, tuple(ls)))
+
+
+def _word_pairs(spec):
+    return st.tuples(_words(spec), _words(spec))
+
+
+ALL_PAIRS = st.one_of(*(_word_pairs(s) for s in BASE_SPECS + (PRODUCT,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_PAIRS)
+def test_junction_product_matches_full_reduction(pair):
+    a, b = pair
+    got = multiply(a, b)
+    if a.spec.is_product:
+        want = Word(a.spec, pair=(Word(a.spec.left, a.pair[0].letters
+                                       + b.pair[0].letters),
+                                  Word(a.spec.right, a.pair[1].letters
+                                       + b.pair[1].letters)))
+    else:
+        want = Word(a.spec, a.letters + b.letters)
+    assert got == want
+    assert hash(got) == hash(want)
+    assert got.letters == want.letters and got.pair == want.pair
+
+
+@settings(max_examples=300, deadline=None)
+@given(ALL_PAIRS)
+def test_inverse_round_trip_and_cancellation(pair):
+    a, b = pair
+    assert inverse(inverse(a)) == a
+    assert hash(inverse(inverse(a))) == hash(a)
+    assert multiply(a, inverse(a)).is_unit
+    assert multiply(inverse(a), a).is_unit
+    ab = multiply(a, b)
+    assert inverse(ab) == multiply(inverse(b), inverse(a))
+    assert multiply(ab, inverse(b)) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(BASE_SPECS), st.integers(0, 3), st.integers(1, 3))
+def test_out_of_range_generator_still_raises(spec, k, e):
+    for g_bad in (-k, spec.d + 1 + k):
+        with pytest.raises(ValueError):
+            Word(spec, ((1, 1), (g_bad, e)))
+        with pytest.raises(ValueError):
+            generator(spec, g_bad, e)
+    with pytest.raises(ValueError):
+        parse_word(spec, f"g1 g{spec.d + 1 + k}^{e}")
