@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quotients import QuotientTable
 from .words import (
     CYCLIC,
     FREE,
@@ -135,31 +136,24 @@ def involve(f: GroupAlgebraElement) -> GroupAlgebraElement:
         f.spec, {inverse(w): c.conjugate() for w, c in f.terms.items()})
 
 
-def toeplitz_matrix(g, E: list[Word] | tuple[Word, ...]) -> np.ndarray:
+def toeplitz_matrix(g, E) -> np.ndarray:
     """The compression [g(s^{-1}t)]_{s,t in E} of the right regular
-    representation applied to g.
+    representation applied to g; E is a word list or its QuotientTable.
 
     g may be a GroupAlgebraElement (total: absent words are 0) or a plain
     dict (partial: a missing value for some s^{-1}t is an error).
     """
-    E = list(E)
+    table = E if isinstance(E, QuotientTable) else QuotientTable(E)
     if isinstance(g, GroupAlgebraElement):
         lookup = g.coeff
     else:
-        values = dict(g)
-
-        def lookup(w, _values=values):
+        def lookup(w, _values=g):
             if w not in _values:
                 raise KeyError(f"value missing for quotient {format_word(w)}")
             return _values[w]
 
-    n = len(E)
-    M = np.zeros((n, n), dtype=complex)
-    for i, s in enumerate(E):
-        s_inv = inverse(s)
-        for j, t in enumerate(E):
-            M[i, j] = lookup(multiply(s_inv, t))
-    return hermitian_toeplitz(M)
+    values = np.array([lookup(w) for w in table.classes], dtype=complex)
+    return hermitian_toeplitz(values[table.labels])
 
 
 def hermitian_toeplitz(M: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denselin import eigh, psd_floor, sqrt_psd
+from .quotients import QuotientTable, label_pairs
 from .sdpcore import AffineConstraint, SdpInstance, maximize
 from .words import (
     GroupSpec,
@@ -25,7 +26,6 @@ from .words import (
     cyclic_free_product,
     direct_product,
     generator,
-    inverse,
     multiply,
     pair_word,
     sort_key,
@@ -237,14 +237,11 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
     on equal quotients, and the Fourier-transformed functional as objective."""
     E = hierarchy_words(s, level)
     n = len(E)
-    classes: dict[Word, list[tuple[int, int]]] = {}
-    for i, x in enumerate(E):
-        xi = inverse(x)
-        for j, y in enumerate(E):
-            classes.setdefault(multiply(xi, y), []).append((i, j))
+    table = QuotientTable(E)
+    classes = label_pairs(table.labels)
 
     constraints = []
-    for q, pairs in classes.items():
+    for q, pairs in zip(table.classes, classes):
         if q.is_unit:
             for (i, j) in pairs:
                 constraints.append(AffineConstraint(((i, j, 1.0),), 1.0))
@@ -274,7 +271,7 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
                                 generator(cyc, l + 1, w % s.m))
                             weight = (coef / s.m ** 2
                                       * omega ** (-(i + 1) * v - (j + 1) * w))
-                            r0, c0 = classes[target][0]
+                            r0, c0 = classes[table.index[target]][0]
                             obj[(r0, c0)] = obj.get((r0, c0), 0j) + weight
     objective = tuple((r, c0, coef) for (r, c0), coef in sorted(obj.items()))
     return SdpInstance(n, constraints, objective), E

@@ -4,9 +4,13 @@ representation-based falsifiers for hermitian group algebra elements.
 A certificate factors f + eps*delta_1 as sum_i xi_i^* * xi_i with supp xi_i
 inside a grounded set E. The Gram matrix b over E is found by SDP
 feasibility (the diagonal-sum constraints sum_{s^-1 t = a} b[s,t] = f(a) are
-the constructive replacement for the completely-positive extension step), and
-every certificate is re-verified by symbolic (floating-point) convolution,
-independent of the solver.
+the constructive replacement for the completely-positive extension step).
+Every certificate is re-verified independently of the solver, without
+convolution: the coefficient of sum_i xi_i^* * xi_i at w is the sum of
+(Xi^* Xi)[s, t] over the pairs with s^-1 t = w, where Xi stacks the factor
+coefficients over the union S of their supports. The verifier forms S's
+quotient table from the factor words and the Gram product Xi^* Xi in
+floating point, and scatter-adds it by quotient label.
 """
 
 from __future__ import annotations
@@ -16,25 +20,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    COEFF_PURGE,
     FiniteRep,
     GroupAlgebraElement,
-    convolve,
     delta,
     element,
     eval_rep,
-    involve,
     random_rep,
     tensor_rep,
-    zero,
 )
 from .denselin import eigh, psd_floor
-from .grounded import GroundedSet, double_set
+from .grounded import GroundedSet
+from .quotients import QuotientTable, label_pairs
 from .sdpcore import (
     AffineConstraint,
     SdpInstance,
     solve_feasibility,
 )
-from .words import Word, conjugacy_canonical, inverse, multiply, sort_key, unit
+from .words import Word, conjugacy_canonical, sort_key, unit
 
 __all__ = [
     "SosCertificate",
@@ -110,8 +113,15 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
     pairs with s^-1 t in that class = (f + eps*delta_1)(class) / fscale.
     Returns (SdpInstance, fscale); b = G / fscale for the Gram matrix G."""
     _check_hermitian(f)
-    key = conjugacy_canonical if trace else (lambda a: a)
-    reachable = {key(w) for w in double_set(E)}
+    table = E.quotients
+    if trace:
+        of_class, keys = table.conjugacy
+        labels = of_class[table.labels]
+        key = conjugacy_canonical
+    else:
+        labels, keys = table.labels, table.classes
+        key = (lambda a: a)
+    reachable = set(keys)
     outside = [w for w in f.terms if key(w) not in reachable]
     if outside:
         what = ("conjugacy classes of the support are not reachable from "
@@ -126,16 +136,10 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
     sums[u] = sums.get(u, 0j) + epsilon
     fscale = max(1.0, f.max_coeff() + abs(epsilon))
 
-    elements = list(E)
-    groups: dict[Word, list[tuple[int, int]]] = {}
-    for i, s in enumerate(elements):
-        si = inverse(s)
-        for j, t in enumerate(elements):
-            groups.setdefault(key(multiply(si, t)), []).append((i, j))
     constraints = [AffineConstraint(tuple((i, j, 1.0) for i, j in pairs),
                                     sums.get(a, 0j) / fscale)
-                   for a, pairs in groups.items()]
-    return SdpInstance(len(elements), constraints), fscale
+                   for a, pairs in zip(keys, label_pairs(labels))]
+    return SdpInstance(len(table.words), constraints), fscale
 
 
 def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
@@ -156,13 +160,6 @@ def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
         col = U[:, k:k + 1]
         rebuilt += w[k] * (col @ col.conj().T)
     return factors, rebuilt
-
-
-def _sos_sum(factors, spec) -> GroupAlgebraElement:
-    total = zero(spec)
-    for xi in factors:
-        total = total + convolve(involve(xi), xi)
-    return total
 
 
 def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
@@ -208,13 +205,43 @@ def _build_sos(E, epsilon, b, f) -> SosCertificate:
     return cert
 
 
+def _residual_terms(cert: SosCertificate,
+                    f: GroupAlgebraElement) -> dict[Word, complex]:
+    """f + epsilon*delta_1 - sum_i xi_i^* * xi_i word by word, dropping
+    differences below COEFF_PURGE.
+
+    With Xi the factor coefficients stacked over the union S of their
+    supports, the coefficient of sum_i xi_i^* * xi_i at w is the sum of
+    (Xi^* Xi)[s, t] over the pairs with s^-1 t = w: one matrix product,
+    scattered by the labels of S's own quotient table."""
+    spec = f.spec
+    if cert.E.spec != spec or any(xi.spec != spec for xi in cert.factors):
+        raise ValueError("elements live in different group algebras")
+    table = QuotientTable(dict.fromkeys(
+        w for xi in cert.factors for w in xi.terms))
+    column = {w: j for j, w in enumerate(table.words)}
+    Xi = np.zeros((len(cert.factors), len(column)), dtype=complex)
+    for k, xi in enumerate(cert.factors):
+        for w, c in xi.terms.items():
+            Xi[k, column[w]] = c
+    G = (Xi.conj().T @ Xi).ravel()
+    labels = table.labels.ravel()
+    sums = (np.bincount(labels, G.real, len(table))
+            + 1j * np.bincount(labels, G.imag, len(table)))
+    diff = dict((f + delta(unit(spec), cert.epsilon)).terms)
+    for w, c in zip(table.classes, sums.tolist()):
+        diff[w] = diff.get(w, 0j) - c
+    return {w: c for w, c in diff.items() if abs(c) >= COEFF_PURGE}
+
+
 def verify_sos(cert: SosCertificate, f: GroupAlgebraElement) -> float:
-    """Independent symbolic check: recompute sum_i xi_i^* * xi_i by
-    floating-point convolution and return the max coefficient deviation from
-    f + epsilon*delta_1. Never consults the SDP."""
-    target = f + delta(unit(f.spec), cert.epsilon)
-    diff = _sos_sum(cert.factors, f.spec) - target
-    return diff.max_coeff()
+    """Independent symbolic check: the max coefficient deviation of
+    sum_i xi_i^* * xi_i from f + epsilon*delta_1. The sum is formed from the
+    factors alone, through the quotient table of their supports and one
+    Gram product of their coefficients, never from the SDP instance or the
+    solver's Gram matrix."""
+    return max((abs(c) for c in _residual_terms(cert, f).values()),
+               default=0.0)
 
 
 def certify_trace(f: GroupAlgebraElement, E: GroundedSet,
@@ -240,11 +267,10 @@ def _build_trace(E, epsilon, b, f) -> TraceCertificate:
 
 def verify_trace(cert: SosCertificate, f: GroupAlgebraElement) -> dict[Word, complex]:
     """Symbolic class-sum check: signed residual per conjugacy class of
-    f + epsilon*delta_1 - sum_i xi_i^* * xi_i."""
-    target = f + delta(unit(f.spec), cert.epsilon)
-    diff = target - _sos_sum(cert.factors, f.spec)
+    f + epsilon*delta_1 - sum_i xi_i^* * xi_i, summed from the word-by-word
+    residual of verify_sos."""
     residuals: dict[Word, complex] = {}
-    for w, c in diff.terms.items():
+    for w, c in _residual_terms(cert, f).items():
         key = conjugacy_canonical(w)
         residuals[key] = residuals.get(key, 0j) + c
     return {k: v for k, v in sorted(residuals.items(),

@@ -215,15 +215,18 @@ def _cmd_verify(args):
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{args.cert}: {exc}") from exc
     f = _load_element(args.input)
-    if isinstance(cert, TraceCertificate):
-        residuals = verify_trace(cert, f)
-        residual = max((abs(v) for v in residuals.values()), default=0.0)
-        detail = {format_word(w): [v.real, v.imag]
-                  for w, v in residuals.items()}
+    trace = isinstance(cert, TraceCertificate)
+    try:
+        checked = verify_trace(cert, f) if trace else verify_sos(cert, f)
+    except ValueError as exc:  # a certificate over another group than f
+        raise InputError(f"{args.cert}: {exc}") from exc
+    if trace:
+        residual = max((abs(v) for v in checked.values()), default=0.0)
+        detail = {format_word(w): [v.real, v.imag] for w, v in checked.items()}
         report = {"command": "verify", "kind": "trace", "residual": residual,
                   "class_residuals": detail}
     else:
-        residual = verify_sos(cert, f)
+        residual = checked
         report = {"command": "verify", "kind": "sos", "residual": residual}
     report["inputs"] = _digest([args.cert, args.input], str(args.tol))
     report["tol"] = args.tol

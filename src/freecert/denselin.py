@@ -54,6 +54,9 @@ def psd_floor(M: np.ndarray) -> float:
 
 
 def _clipped_spectral(M, fn, tol):
+    """fn on the spectrum of a PSD matrix; eigenvalues at or below
+    max(EIG_CUTOFF * top, tol) count as zero, so a near-singular direction
+    that the PSD check would forgive is never inverted."""
     w, U = eigh(M)
     if w.size == 0:
         return np.zeros_like(np.asarray(M, dtype=complex))
@@ -61,7 +64,7 @@ def _clipped_spectral(M, fn, tol):
     scale = 1.0 + max(top, 0.0)
     if w[0] < -tol * scale:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {w[0]:g})")
-    cut = EIG_CUTOFF * max(top, 0.0)
+    cut = max(EIG_CUTOFF * max(top, 0.0), tol)
     vals = np.array([fn(x) if x > cut else 0.0 for x in w])
     return (U * vals) @ U.conj().T
 

@@ -22,6 +22,7 @@ extension, so no analogous completion step is possible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,10 +73,14 @@ class PartialPositiveType:
         return 1.0 + max((abs(v) for v in self.values.values()), default=0.0)
 
     def gram(self) -> np.ndarray:
-        return toeplitz_matrix(self.values, list(self.E))
+        return self._gram.copy()
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        return toeplitz_matrix(self.values, self.E.quotients)
 
     def restrict_to(self, E: GroundedSet) -> "PartialPositiveType":
-        dom = set(double_set(E))
+        dom = E.quotients.index
         return PartialPositiveType(
             E, {w: v for w, v in self.values.items() if w in dom})
 
@@ -86,8 +91,7 @@ def partial_positive_type(E: GroundedSet, values: dict[Word, complex],
     hermitian symmetry, real at the unit, PSD Toeplitz compression."""
     if E.spec.kind != FREE:
         raise ValueError("positive-type extension requires a free group")
-    dom = double_set(E)
-    dom_set = set(dom)
+    dom_set = E.quotients.index.keys()
     extra = set(values) - dom_set
     if extra:
         raise ValueError(f"values outside E^-1E: {sorted(map(str, extra))}")
@@ -154,16 +158,10 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
     n = len(elements)
 
     # Q[i, j] indexes s_i^-1 s_j in `words`; conj[k] indexes words[k]^-1
-    qindex: dict[Word, int] = {}
-    Q = np.empty((n, n), dtype=np.intp)
-    for i, s in enumerate(elements):
-        s_inv = inverse(s)
-        row = Q[i]
-        for j, t in enumerate(elements):
-            row[j] = qindex.setdefault(multiply(s_inv, t), len(qindex))
-    conj = np.empty(len(qindex), dtype=np.intp)
-    conj[Q] = Q.T
+    table = F.quotients
+    Q, conj = table.labels, table.inverse
     # values off F^-1 F (only in unvalidated input) ride along unchanged
+    qindex = dict(table.index)
     given = [qindex.setdefault(w, len(qindex)) for w in g.values]
     words = list(qindex)
     vals = np.zeros(len(words), dtype=complex)

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .quotients import QuotientTable
 from .words import (
     FREE,
     GroupSpec,
     Word,
     drop_first,
-    inverse,
-    multiply,
     sort_key,
     unit,
 )
@@ -51,6 +50,11 @@ class GroundedSet:
         """Word -> its index in `elements`."""
         return {w: i for i, w in enumerate(self.elements)}
 
+    @cached_property
+    def quotients(self) -> QuotientTable:
+        """The quotient table of `elements`, formed on first use."""
+        return QuotientTable(self.elements)
+
     def as_set(self) -> frozenset[Word]:
         return self._members
 
@@ -83,8 +87,7 @@ def grounded_set(spec: GroupSpec, words: Iterable[Word]) -> GroundedSet:
 
 def double_set(E: GroundedSet) -> list[Word]:
     """E^{-1}E = {s^{-1}t : s,t in E}, deduplicated, in (length, lex) order."""
-    seen = {multiply(inverse(s), t) for s in E for t in E}
-    return sorted(seen, key=sort_key)
+    return sorted(E.quotients.classes, key=sort_key)
 
 
 def grounded_hull(spec: GroupSpec, words: Iterable[Word]) -> GroundedSet:

@@ -1,0 +1,70 @@
+"""The quotient table of a finite word list W: every product s^-1 t over
+W x W, formed once and labelled by the word it gives.
+
+Labels number the distinct quotients in row-major order of first
+appearance, so anything built class by class from the table keeps the order
+of a plain double loop over W. Gram and moment constraints, Toeplitz
+compressions and the extension chain read E^-1 E from the table of E; the
+certificate verifier builds one over the support of the factors.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
+
+from .words import Word, conjugacy_canonical, inverse, multiply
+
+__all__ = ["QuotientTable", "label_pairs"]
+
+
+class QuotientTable:
+    """`labels[i, j]` is the label of words[i]^-1 words[j]; `classes[k]` is
+    the quotient with label k, `index` its inverse map, and `inverse[k]`
+    the label of classes[k]^-1."""
+
+    def __init__(self, words: Iterable[Word]):
+        self.words = tuple(words)
+        n = len(self.words)
+        index: dict[Word, int] = {}
+        labels = np.empty((n, n), dtype=np.intp)
+        for i, s in enumerate(self.words):
+            s_inv = inverse(s)
+            row = labels[i]
+            for j, t in enumerate(self.words):
+                row[j] = index.setdefault(multiply(s_inv, t), len(index))
+        self.labels = labels
+        self.index = index
+        self.classes = tuple(index)
+        # (s^-1 t)^-1 = t^-1 s
+        self.inverse = np.empty(len(index), dtype=np.intp)
+        self.inverse[labels] = labels.T
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    @cached_property
+    def conjugacy(self) -> tuple[np.ndarray, tuple[Word, ...]]:
+        """(conjugacy label of every class, the canonical words of the
+        conjugacy classes in label order), labelled in order of first
+        appearance like the quotients themselves."""
+        index: dict[Word, int] = {}
+        of_class = np.array(
+            [index.setdefault(conjugacy_canonical(w), len(index))
+             for w in self.classes], dtype=np.intp)
+        return of_class, tuple(index)
+
+
+def label_pairs(labels: np.ndarray) -> list[list[tuple[int, int]]]:
+    """The (i, j) positions carrying each label, by label, each list in
+    row-major order; the labels must be numbered in row-major order of
+    first appearance, as the table's own and its conjugacy labels are."""
+    pairs: list[list[tuple[int, int]]] = []
+    for i, row in enumerate(labels.tolist()):
+        for j, k in enumerate(row):
+            if k == len(pairs):
+                pairs.append([])
+            pairs[k].append((i, j))
+    return pairs

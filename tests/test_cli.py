@@ -396,3 +396,45 @@ def test_reused_parser_matches_fresh_processes(tmp_path, capsys):
         assert (proc.returncode, proc.stdout) == (code, out)
     assert json.loads(in_process[0][1])["epsilon"] == 1e-3
     assert json.loads(in_process[2][1])["epsilon"] == 0.0
+
+
+def _run_process(argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import freecert
+
+    src = str(Path(freecert.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "freecert", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+@pytest.mark.parametrize("mismatch", ["element", "factor"])
+def test_verify_group_mismatch_exit_one(tmp_path, capsys, command, mismatch):
+    F3 = free_group(3)
+    fpath = write(tmp_path, "f.json", toy_json())
+    cert_path = str(tmp_path / "cert.json")
+    code, _ = run(capsys, [command, "--input", fpath, "--support", "e,g1^1",
+                           "--out", cert_path])
+    assert code == 0
+    if mismatch == "element":
+        # a certificate over F2 checked against an element of F3
+        h = one(F3) - delta(generator(F3, 1), 0.5) \
+            - delta(generator(F3, 1, -1), 0.5)
+        fpath = write(tmp_path, "f3.json", element_to_json(h))
+    else:
+        cert = json.loads(open(cert_path).read())
+        cert["factors"][0]["group"] = F3.to_json()
+        cert_path = write(tmp_path, "mixed.json", cert)
+    proc = _run_process(["verify", "--cert", cert_path, "--input", fpath])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "different group" in proc.stderr

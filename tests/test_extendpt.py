@@ -242,15 +242,24 @@ def words(*texts):
     return {parse_word(F2, t) for t in texts}
 
 
-def test_psd_failure_message_unchanged():
-    # a rank-2 function on five words; the near-singular middle block of
-    # the fifth step's completion amplifies rounding past the output floor
+def chain_575():
+    # E, and a target F whose chain runs through near-singular middle blocks
     E = grounded_set(F2, words("e", "g2", "g1^-1 g2", "g2^-1",
                                "g1^-1 g2^-1"))
     F = grounded_set(F2, set(E) | words(
         "g1^-1", "g2^-1 g1^-1", "g1^-2 g2", "g2^-1 g1^-1 g2^-1",
         "g1^-1 g2^-1 g1^-1 g2^-1", "g2^-1 g1^-2 g2", "g2^-2 g1^-1 g2^-1"))
-    base = random_positive_type(E, dim=2, seed=575)
+    return E, F
+
+
+def test_psd_failure_message_unchanged():
+    # an unvalidated function just outside the cone: a rank-2 function with
+    # its unit value lowered by 5e-9, so that its Toeplitz floor is -5e-9
+    E, F = chain_575()
+    good = random_positive_type(E, dim=2, seed=2)
+    base = PartialPositiveType(E, {**good.values,
+                                   U: good.values[U] - 5e-9})
+    assert psd_floor(base.gram()) < 0.0
     pattern = (r"^completion failed to stay PSD \(floor -[0-9.e+-]+\); "
                r"input likely violated the PSD tolerance$")
     with pytest.raises(ValueError, match=pattern) as whole:
@@ -262,6 +271,21 @@ def test_psd_failure_message_unchanged():
     assert str(whole.value) == str(stepwise.value)
     floor = float(str(whole.value).split("floor ")[1].split(")")[0])
     assert floor < -OUTPUT_PSD_TOL * base.scale()
+
+
+def test_rank_deficient_chain_extends():
+    # a rank-2 function from a 2-dimensional representation; the 4th step
+    # meets an eigenvalue of B of 2.3e-11, which the pseudo-inverse must
+    # treat as zero rather than invert
+    E, F = chain_575()
+    base = random_positive_type(E, dim=2, seed=575)
+    out = extend_to(base, F)
+    assert out.E == F
+    assert psd_floor(out.gram()) >= -1e-10 * out.scale()
+    current = base
+    for t0 in extension_chain(E, F):
+        current = extend_one(current, t0)
+    assert current.values == out.values
 
 
 def test_extend_to_checks_every_step():
