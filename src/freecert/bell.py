@@ -295,6 +295,7 @@ def outer_bound(s: BellScenario, functional: BellFunctional, level,
             "psd_floor": psd_floor(res.b),
             "certified_upper": res.certified_upper,
             "levels": res.levels,
+            "level_status": res.level_status,
         }
         return value, info
     return value

@@ -12,10 +12,13 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .denselin import PartialBlockMatrix, complete_block, psd_floor
 from .extendpt import PartialPositiveType, extend_to, partial_positive_type
 from .gnsrep import gns
 from .grounded import grounded_hull, grounded_set
-from .sdpcore import instance_to_json
+from .sdpcore import SdpError, instance_to_json
 from .words import GroupSpec, format_word, parse_word
 
 __all__ = ["main"]
@@ -77,8 +80,129 @@ def _digest(paths, extra=""):
     return h.hexdigest()
 
 
+_SEQUENCES = (list, tuple)
+# json's spelling of the floats whose repr is not a JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@functools.cache
+def _newline(level: int) -> str:
+    return "\n" + "  " * level
+
+
+def _float_array_text(seq, level: int) -> str | None:
+    """The text of a regular nested list (or tuple) of floats that starts
+    at indentation `level`, or None when `seq` is anything else.
+
+    The leaves are formatted by one map of float.__repr__ and joined with
+    their separators in one pass: the separator after a leaf that ends r
+    innermost lists closes them, writes the comma and reopens r lists.
+    The separators hold no letters, so non-finite leaves can be respelled
+    afterwards.
+    """
+    shape = []
+    x = seq
+    while isinstance(x, _SEQUENCES):
+        if not x:
+            return None
+        shape.append(len(x))
+        x = x[0]
+    flat = seq
+    for d in shape[1:]:
+        if (not all(issubclass(t, _SEQUENCES) for t in set(map(type, flat)))
+                or set(map(len, flat)) != {d}):
+            return None
+        flat = list(itertools.chain.from_iterable(flat))
+    try:
+        leaves = list(map(float.__repr__, flat))
+    except TypeError:  # a leaf that is not a float
+        return None
+    k = len(shape)
+    nl = [_newline(level + j) for j in range(k + 1)]
+    opens = ["".join("[" + nl[j] for j in range(k - r + 1, k + 1))
+             for r in range(k + 1)]
+    closes = ["".join(nl[k - 1 - j] + "]" for j in range(r))
+              for r in range(k + 1)]
+    seps: tuple = ()
+    for r, d in enumerate(reversed(shape)):
+        seps = ((*seps, closes[r] + "," + nl[k - r] + opens[r]) * d)[:-1]
+    text = opens[k] + "".join(map(operator.add, leaves,
+                                  (*seps, closes[k])))
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _scalar_text(obj) -> str | None:
+    """The JSON text of a str, None, bool, int or float (subclasses
+    included, as json reads them), or None for anything else."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    return None
+
+
+def _encode(obj, level: int, out: list):
+    text = _scalar_text(obj)
+    if text is None and isinstance(obj, _SEQUENCES):
+        text = _float_array_text(obj, level) if obj else "[]"
+    if text is not None:
+        out.append(text)
+        return
+    if not isinstance(obj, (list, tuple, dict)):
+        raise TypeError(f"Object of type {obj.__class__.__name__} "
+                        f"is not JSON serializable")
+    if not obj:  # an empty dict: empty lists were written above
+        out.append("{}")
+        return
+    sep = "," + _newline(level + 1)
+    if isinstance(obj, dict):
+        out.append("{" + _newline(level + 1))
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            text = key if isinstance(key, str) else _scalar_text(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {key.__class__.__name__}")
+            if i:
+                out.append(sep)
+            out.append(encode_basestring_ascii(text) + ": ")
+            _encode(value, level + 1, out)
+        out.append(_newline(level) + "}")
+    else:
+        out.append("[" + _newline(level + 1))
+        for i, value in enumerate(obj):
+            if i:
+                out.append(sep)
+            _encode(value, level + 1, out)
+        out.append(_newline(level) + "]")
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2, sort_keys=True), the format of
+    every report and file the CLI writes.
+
+    json runs its pure-Python encoder once `indent` is set; this writer
+    recurses only over dicts and lists and formats each regular nested
+    list of floats (matrix rows, [re, im] pairs, stacks of matrices) in
+    bulk. Objects are assumed acyclic.
+    """
+    out: list[str] = []
+    _encode(obj, 0, out)
+    return "".join(out)
+
+
 def _emit(report: dict, out_path: str | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json_text(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -137,7 +261,8 @@ def _partial_to_json(g: PartialPositiveType) -> dict:
 
 
 def _matrix_to_json(M):
-    return [[[z.real, z.imag] for z in row] for row in np.atleast_2d(M)]
+    A = np.atleast_2d(M)
+    return np.stack((A.real, A.imag), axis=-1).tolist()
 
 
 def _matrix_from_json(rows, what):
@@ -196,15 +321,11 @@ def _cmd_certify(args, trace: bool):
     report["residual"] = result.residual
     report["factors"] = len(result.factors)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(certificate_to_json(result), fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        _emit(certificate_to_json(result), args.out)
         report["certificate"] = args.out
-        _emit(report, None)
     else:
         report["certificate"] = certificate_to_json(result)
-        _emit(report, None)
+    _emit(report, None)
     return 0
 
 
@@ -332,6 +453,9 @@ def _cmd_bell_outer(args):
                                   tol=args.tol, return_info=True)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except SdpError as exc:
+        raise InputError(f"the moment relaxation was not solved at --tol "
+                         f"{args.tol:g}: {exc}") from exc
     report = {
         "command": "bell-outer",
         "inputs": _digest([args.scenario], f"{args.level}|{args.tol}"),

@@ -19,6 +19,7 @@ Optimization bisects on the objective level set. Every level reuses the one
 base projector: the level row is a closed-form rank-one correction. The
 same dual gap bounds the objective, and a level ends as soon as that bound
 falls below it. Levels without such a bound end when the PSD floor stalls.
+Every level ends with one of LEVEL_STATUSES, and maximize counts them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,15 @@ __all__ = [
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_OPT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
+
+# why a bisection level ended. "converged": feasible, the level is kept;
+# "rejected_by_bound": the dual bound fell below the level; "stalled" and
+# "max_iter": the splitting stopped without a feasible point;
+# "inconsistent": the level row depends on the base rows and contradicts
+# them; "affine_residual": the PSD floor was reached but the affine residual
+# stayed above tol. Every status but "converged" rejects the level.
+LEVEL_STATUSES = ("converged", "rejected_by_bound", "stalled", "max_iter",
+                  "inconsistent", "affine_residual")
 
 
 class SdpError(Exception):
@@ -110,8 +120,8 @@ class FeasibilityResult:
 class MaximizeResult:
     """`value` and `b` are the best feasible level and its point; the
     bracket top is the lowest rejected level. `certified_upper` is the
-    smallest dual bound formed (None without one) and `levels` counts the
-    level solves."""
+    smallest dual bound formed (None without one), `levels` counts the
+    level solves and `level_status` counts them by LEVEL_STATUSES."""
 
     value: float
     b: np.ndarray
@@ -119,6 +129,8 @@ class MaximizeResult:
     bracket: tuple[float, float]
     certified_upper: float | None = None
     levels: int = 0
+    level_status: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(LEVEL_STATUSES, 0))
 
 
 class _HermitianVec:
@@ -261,6 +273,9 @@ MIN_ITER_BEFORE_STALL = 2000
 # fixed by the base rows below this relative norm of its orthogonal part
 DEPENDENT_ROW_REL = 1e-10
 FIXED_TRACE_REL = 1e-9
+# an affine residual within this many ulps of the magnitudes it is computed
+# from is rounding, which no tol can ask to beat (_LevelSets.meets)
+ROUNDING_ULPS = 4
 
 
 class _DualGap:
@@ -441,7 +456,11 @@ class _LevelSets:
         self.gap = _DualGap(hv, base)
         self.trace = self.gap.trace
         self.upper = np.inf
-        self.count = 0
+        # the magnitudes that bound the rounding of each residual
+        self._row_l1 = float(np.max(np.sum(np.abs(base.L), axis=1),
+                                    initial=0.0))
+        self._rhs_max = float(np.max(np.abs(base.rhs), initial=0.0))
+        self._c_l1 = float(np.sum(np.abs(c)))
 
     @property
     def certified_upper(self) -> float | None:
@@ -451,8 +470,16 @@ class _LevelSets:
         xa = self.base.apply(x)
         return xa - ((self.c @ xa - t) / self.c_perp_sq) * self.c_perp
 
-    def residual(self, x: np.ndarray, t: float) -> float:
-        return max(self.base.residual(x), abs(float(self.c @ x) - t))
+    def meets(self, x: np.ndarray, t: float, tol: float) -> bool:
+        """Whether x satisfies the base rows and the level row, each within
+        tol or within ROUNDING_ULPS of the magnitudes its residual is
+        computed from (1 + |rhs| + |row|_1 |x|_max)."""
+        ulp = ROUNDING_ULPS * np.finfo(float).eps
+        x_max = float(np.max(np.abs(x)))
+        base_tol = max(tol, ulp * (1.0 + self._rhs_max + self._row_l1 * x_max))
+        row_tol = max(tol, ulp * (1.0 + abs(t) + self._c_l1 * x_max))
+        return (self.base.residual(x) <= base_tol
+                and abs(float(self.c @ x) - t) <= row_tol)
 
     def bound(self, Y: np.ndarray) -> float | None:
         """The dual bound U from Y = y - P_t(y), or None when mu >= 0."""
@@ -469,15 +496,13 @@ class _LevelSets:
         return self.upper < t
 
     def solve(self, t: float, tol: float, max_iter: int, warm: np.ndarray):
-        """(x, iterations) with x feasible at level t within tol, or
-        (None, iterations) when the level is rejected."""
-        self.count += 1
+        """(x, iterations, status) with x feasible at level t within tol, or
+        None when the level is rejected; status is one of LEVEL_STATUSES."""
         if self.dependent:
             # <c,x> = <c,x0> on the whole affine set
-            scale = 1.0 + max(abs(t), float(np.max(np.abs(self.base.rhs),
-                                                    initial=0.0)))
+            scale = 1.0 + max(abs(t), self._rhs_max)
             if abs(self.c_x0 - t) > 1e-8 * scale:
-                return None, 0
+                return None, 0, "inconsistent"
             affine, reject = self.base.apply, None
         else:
             def affine(v):
@@ -487,11 +512,15 @@ class _LevelSets:
             if self.trace is not None:
                 def reject(y, x):
                     return self._reject(y, x, t)
-        x, floor, it, _ = _splitting(self.hv, affine, affine(warm), tol,
-                                     max_iter, reject)
-        if floor >= -tol and self.residual(x, t) <= tol:
-            return x, it
-        return None, it
+        x, _, it, status = _splitting(self.hv, affine, affine(warm), tol,
+                                      max_iter, reject)
+        if status == "infeasible":
+            return None, it, "rejected_by_bound"
+        if status != "converged":
+            return None, it, status
+        if not self.meets(x, t, tol):
+            return None, it, "affine_residual"
+        return x, it, "converged"
 
 
 def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
@@ -526,13 +555,15 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
     # a rejected level t caps the bracket at min(t, upper), never below the
     # best feasible level
     levels = _LevelSets(hv, projector, obj_vec)
+    status = dict.fromkeys(LEVEL_STATUSES, 0)
     # expand upward from the feasible value until a level is rejected
     step = max(1.0, abs(t_lo))
     t_hi = None
     while t_hi is None:
         cand = t_lo + step
-        x, it = levels.solve(cand, feas_tol, max_iter, x_lo)
+        x, it, why = levels.solve(cand, feas_tol, max_iter, x_lo)
         total_iter += it
+        status[why] += 1
         if x is not None:
             t_lo, x_lo = cand, x
             step *= 2.0
@@ -543,15 +574,16 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
 
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        x, it = levels.solve(mid, feas_tol, max_iter, x_lo)
+        x, it, why = levels.solve(mid, feas_tol, max_iter, x_lo)
         total_iter += it
+        status[why] += 1
         if x is not None:
             t_lo, x_lo = mid, x
         else:
             t_hi = max(t_lo, min(mid, levels.upper))
 
     return MaximizeResult(t_lo, hv.unvec(x_lo), total_iter, (t_lo, t_hi),
-                          levels.certified_upper, levels.count)
+                          levels.certified_upper, sum(status.values()), status)
 
 
 def instance_to_json(inst: SdpInstance) -> dict:

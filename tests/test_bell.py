@@ -17,6 +17,7 @@ from freecert.bell import (
     outer_bound,
     pvm_unitary,
 )
+from freecert.sdpcore import LEVEL_STATUSES
 
 CHSH = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
 S22 = BellScenario(2, 2)
@@ -254,3 +255,8 @@ def test_outer_certificate_not_below_classical_maximum():
     _, info = outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab",
                           return_info=True)
     assert info["certified_upper"] >= classical
+    # every level says why it ended; here the stall rule rejects some
+    status = info["level_status"]
+    assert set(status) == set(LEVEL_STATUSES)
+    assert sum(status.values()) == info["levels"]
+    assert status["stalled"] >= 1

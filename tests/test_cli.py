@@ -217,6 +217,7 @@ def test_bell_outer_cli(tmp_path, capsys):
     solver = result["solver"]
     assert 2 * np.sqrt(2) <= solver["certified_upper"] <= 2 * np.sqrt(2) + 1e-5
     assert solver["levels"] > 0
+    assert sum(solver["level_status"].values()) == solver["levels"]
     sdp = json.loads(open(dump).read())
     assert sdp["n"] == 9
     assert sdp["constraints"]
@@ -438,3 +439,89 @@ def test_verify_group_mismatch_exit_one(tmp_path, capsys, command, mismatch):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "different group" in proc.stderr
+
+
+def _partial_json():
+    return {"group": {"kind": "free", "d": 2}, "domain": ["e", "g1^1"],
+            "values": [{"word": "e", "re": 1.0, "im": 0.0},
+                       {"word": "g1^1", "re": 0.5, "im": 0.25},
+                       {"word": "g1^-1", "re": 0.5, "im": -0.25}]}
+
+
+def test_every_written_json_is_canonical(tmp_path, capsys):
+    # each report and file must read back to the exact text that json.dumps
+    # (indent=2, sort_keys=True) gives for what it holds
+    from freecert.words import multiply
+
+    fpath = write(tmp_path, "f.json", toy_json())
+    w = multiply(multiply(g(2), g(1)), g(2, -1))
+    wi = multiply(multiply(g(2), g(1, -1)), g(2, -1))
+    tpath = write(tmp_path, "t.json", element_to_json(
+        (delta(g(1)) + delta(g(1, -1))) - (delta(w) + delta(wi))))
+    refuted = write(tmp_path, "r.json",
+                    element_to_json(delta(g(1)) + delta(g(1, -1))))
+    ppath = write(tmp_path, "p.json", _partial_json())
+    bpath = write(tmp_path, "blocks.json", {
+        "A": [[1.0]], "X": [[0.5, 0.25]], "B": [[1.0, 0.0], [0.0, 1.0]],
+        "Y": [[0.5], [0.1]], "C": [[1.0]]})
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    files = {name: str(tmp_path / name) for name in (
+        "cert.json", "sdp.json", "tcert.json", "tsdp.json", "verify.json",
+        "bsdp.json", "inner.json")}
+    calls = [
+        ["certify", "--input", fpath, "--support", "e,g1^1",
+         "--out", files["cert.json"], "--dump-sdp", files["sdp.json"]],
+        ["certify", "--input", fpath, "--epsilon", "1e-3"],
+        ["certify", "--input", refuted, "--support", "e,g1^1"],
+        ["certify-trace", "--input", tpath, "--support", "e,g1^1",
+         "--out", files["tcert.json"], "--dump-sdp", files["tsdp.json"]],
+        ["verify", "--cert", files["cert.json"], "--input", fpath,
+         "--out", files["verify.json"]],
+        ["verify", "--cert", files["tcert.json"], "--input", tpath],
+        ["extend", "--input", ppath, "--target", "g1^2,g2^1"],
+        ["gns", "--input", ppath],
+        ["complete", "--blocks", bpath],
+        ["falsify", "--input", fpath, "--dims", "1,2", "--samples", "20",
+         "--seed", "3"],
+        ["bell-outer", "--scenario", spath, "--dump-sdp", files["bsdp.json"]],
+        ["bell-inner", "--scenario", spath, "--restarts", "2", "--seed", "1"],
+        ["bell-inner", "--scenario", spath, "--restarts", "1", "--seed", "2",
+         "--out", files["inner.json"]],
+    ]
+    texts = []
+    for argv in calls:
+        code, out = run(capsys, argv)
+        assert code in (0, 2), argv
+        if out:
+            texts.append(out)
+    texts.extend(open(path).read() for path in files.values())
+    assert len(texts) == len(calls) - 2 + len(files)
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("tol", ["10", "100"])
+def test_bell_outer_coarse_tol_exit_one(tmp_path, tol):
+    # the relaxation is bounded, but 1/tol caps the level below 2 sqrt 2
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    proc = _run_process(["bell-outer", "--scenario", spath, "--level", "1",
+                         "--tol", tol])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "--tol" in proc.stderr
+
+
+def test_bell_outer_fine_tol_is_a_bound(tmp_path, capsys):
+    # feas_tol = 1e-16 is below the rounding of the level row: levels that
+    # reach the cone must not be rejected for it
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    code, out = run(capsys, ["bell-outer", "--scenario", spath, "--level",
+                             "1", "--tol", "1e-13"])
+    assert code == 0
+    result = json.loads(out)
+    lo, hi = result["solver"]["bracket"]
+    assert hi - lo <= 1e-13
+    assert result["value"] >= 2 * np.sqrt(2) - 1e-12
+    assert result["solver"]["level_status"]["affine_residual"] == 0

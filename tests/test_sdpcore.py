@@ -154,6 +154,7 @@ def test_maximize_dependent_objective_row():
     assert res.value == pytest.approx(1.0, abs=1e-9)
     assert res.iterations == base.iterations
     assert res.certified_upper is None
+    assert res.level_status["inconsistent"] == res.levels > 0
 
 
 def test_feasible_output_reverified():
@@ -409,3 +410,16 @@ def test_refuted_gram_instances_certified(index, trace):
     assert res.certified_gap > tol
     assert certificate_excludes(inst, res.dual, tol)
     assert certificate_excludes(inst, res.dual, 0.999 * res.certified_gap)
+
+
+def test_level_status_counts_every_level():
+    from freecert.sdpcore import LEVEL_STATUSES
+
+    rng = np.random.default_rng(66)
+    for _ in range(4):
+        res = maximize(_moment_like(rng, int(rng.integers(3, 6))), tol=1e-4)
+        assert list(res.level_status) == list(LEVEL_STATUSES)
+        assert sum(res.level_status.values()) == res.levels > 0
+        assert res.level_status["converged"] > 0
+    res = maximize(SdpInstance(2, [con([(0, 0, 1.0)], 1.0)]), tol=1e-6)
+    assert res.levels == 0 and not any(res.level_status.values())
