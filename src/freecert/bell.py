@@ -388,9 +388,10 @@ def _update_two_outcome(G1: np.ndarray, G2: np.ndarray) -> list[np.ndarray]:
     return [P1, np.eye(P1.shape[0]) - P1]
 
 
-def _update_povm_sdp(G: list[np.ndarray], tol: float) -> list[np.ndarray]:
+def _update_povm_sdp(G: list[np.ndarray], tol: float):
     """POVM relaxation for m >= 3 outcomes: maximize sum_i tr(G_i M_i) over
-    M_i >= 0, sum M_i = I, via a block-diagonal SDP."""
+    M_i >= 0, sum M_i = I, via a block-diagonal SDP. Returns the effects
+    and the splitting iterations spent."""
     m = len(G)
     n = G[0].shape[0]
     N = m * n
@@ -422,20 +423,22 @@ def _update_povm_sdp(G: list[np.ndarray], tol: float) -> list[np.ndarray]:
     # tight feasibility slack keeps the blocks inside the dilation tolerance
     res = maximize(inst, tol=tol, feas_tol=1e-10)
     return [np.array(res.b[bi * n:(bi + 1) * n, bi * n:(bi + 1) * n])
-            for bi in range(m)]
+            for bi in range(m)], res.iterations
 
 
 def _bell_operator(functional: BellFunctional, A: PvmFamily, B: PvmFamily):
+    """sum c[k,l,i,j] (P_i^k (x) Q_j^l), the terms added in row-major order
+    of c. All d^2 m^2 Kronecker products come from one broadcast product,
+    which multiplies the same entry pairs as np.kron."""
     c = functional.coeff
     d, m = c.shape[0], c.shape[2]
-    W = np.zeros((A.dim * B.dim, A.dim * B.dim), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            for i in range(m):
-                for j in range(m):
-                    if c[k][l][i][j] != 0.0:
-                        W += c[k][l][i][j] * np.kron(A.settings[k][i],
-                                                     B.settings[l][j])
+    N = A.dim * B.dim
+    P = np.asarray(A.settings)[:, None, :, None, :, None, :, None]
+    Q = np.asarray(B.settings)[None, :, None, :, None, :, None, :]
+    kron = (P * Q).reshape(d, d, m, m, N, N)
+    W = np.zeros((N, N), dtype=complex)
+    for k, l, i, j in zip(*np.nonzero(c)):
+        W += c[k, l, i, j] * kron[k, l, i, j]
     return W
 
 
@@ -491,19 +494,24 @@ def _effect_multipliers(functional, other: PvmFamily, Xi, party: str):
 
 
 def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
-                iters: int = 50, seed=0, restarts: int = 8):
+                iters: int = 50, seed=0, restarts: int = 8,
+                return_info: bool = False):
     """See-saw lower bound over tensor-model strategies on dim x dim.
 
     Alternates the state step (top eigenvector of the Bell operator) with
     per-setting measurement updates (POVM relaxation, restored to PVM form);
     updates are accepted only when the exactly re-evaluated value does not
-    decrease. Returns (value, A, B, xi) for the best run.
+    decrease. Returns (value, A, B, xi) for the best run, and with
+    return_info a fifth entry: the SDP solves of the measurement updates
+    over all restarts, {"sdp_calls", "iterations"} (both 0 for m = 2,
+    whose updates are closed-form).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     best = None
+    info = {"sdp_calls": 0, "iterations": 0}
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])
         A = _random_pvm_family(dim, s, rng)
@@ -521,7 +529,9 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                     if s.m == 2:
                         new_povm = _update_two_outcome(G[k][0], G[k][1])
                     else:
-                        new_povm = _update_povm_sdp(G[k], tol=1e-6)
+                        new_povm, it = _update_povm_sdp(G[k], tol=1e-6)
+                        info["sdp_calls"] += 1
+                        info["iterations"] += it
                     new_settings.append(_pvmify(new_povm))
                 candidate = PvmFamily(dim, new_settings)
                 if party == "A":
@@ -544,4 +554,4 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                 break
         if best is None or value > best[0]:
             best = (value, A, B, xi)
-    return best
+    return best + (info,) if return_info else best

@@ -471,11 +471,14 @@ def _cmd_bell_outer(args):
 def _cmd_bell_inner(args):
     scenario, functional = _load_functional(args.scenario)
     try:
-        value, A, B, xi = inner_bound(scenario, functional, dim=args.dim,
-                                      iters=args.iters, seed=args.seed,
-                                      restarts=args.restarts)
+        value, A, B, xi, info = inner_bound(
+            scenario, functional, dim=args.dim, iters=args.iters,
+            seed=args.seed, restarts=args.restarts, return_info=True)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    except SdpError as exc:
+        raise InputError(f"a see-saw measurement update was not solved: "
+                         f"{exc}") from exc
     corr = correlation_of(A, B, xi)
     pvm_residual = max(
         float(np.max(np.abs(P @ P - P)))
@@ -489,6 +492,7 @@ def _cmd_bell_inner(args):
         "iters": args.iters,
         "seed": args.seed,
         "value": value,
+        "solver": info,
         "pvm_residual": pvm_residual,
         "state_norm_error": abs(float(np.linalg.norm(xi)) - 1.0),
         "correlation": corr.data.tolist(),

@@ -114,19 +114,6 @@ def partial_positive_type(E: GroundedSet, values: dict[Word, complex],
     return g
 
 
-def _split_sets(g: PartialPositiveType, t0: Word):
-    """E1 = words of E whose quotient with t0 already lies in E^-1E, computed
-    by the first-letter rule; E0 is the rest."""
-    gen, sign = first_letter(t0)
-    e_set = g.E.as_set()
-    step = generator(g.spec, gen, sign)
-    # t0 = step * t0'' with t0'' in E; s in E1 iff step^{-1} s in E
-    step_inv = inverse(step)
-    E1 = [s for s in g.E if multiply(step_inv, s) in e_set]
-    E0 = [s for s in g.E if multiply(step_inv, s) not in e_set]
-    return E0, E1
-
-
 def extend_one(g: PartialPositiveType, t0: Word) -> PartialPositiveType:
     """Extend g to the grounded set E u {t0}, filling the genuinely new
     quotients from the three-block completion."""

@@ -20,6 +20,13 @@ base projector: the level row is a closed-form rank-one correction. The
 same dual gap bounds the objective, and a level ends as soon as that bound
 falls below it. Levels without such a bound end when the PSD floor stalls.
 Every level ends with one of LEVEL_STATUSES, and maximize counts them.
+
+The splitting loop works on the real parametrization of _HermitianVec,
+whose vec and unvec are one gather each through precomputed index maps:
+at these sizes a step's cost is numpy call overhead. The maps repeat the
+float operations of the plain formulas, so every iterate is bit-identical
+to them; the see-saw's rounding of eigenvalue-1/2 ties
+(bell._round_to_pvm) turns any last-bit change into a different path.
 """
 
 from __future__ import annotations
@@ -135,32 +142,57 @@ class MaximizeResult:
 
 class _HermitianVec:
     """Isometric real parametrization of hermitian n x n matrices:
-    [diag; sqrt2*Re upper; sqrt2*Im upper]."""
+    [diag; sqrt2*Re upper; sqrt2*Im upper].
+
+    vec and unvec are one gather each through index maps formed here, over
+    the float view of a C-ordered complex matrix (Re and Im of each entry
+    in turn). vec multiplies the gathered entries by 1 (diagonal) or sqrt2;
+    unvec gathers from [v + pad, 0] and multiplies by 1 (diagonal) or
+    1/sqrt2, negated for the imaginary parts below the diagonal.
+
+    These are the float operations of the plain formulas, so splitting
+    iterates stay bit-identical to them (bell._round_to_pvm turns a
+    last-bit change into another see-saw path): the plain unvec's
+    (re + 1j*im) / sqrt2 is a numpy complex division, which multiplies by
+    1/sqrt2. Adding pad (+0.0 off the diagonal, -0.0 on it) signs zeros as
+    that complex sum did, except that an off-diagonal -0.0 real part beside
+    a negative imaginary part now comes out +0.0. unvec refills a buffer
+    of the instance, so an instance serves one thread.
+    """
 
     def __init__(self, n: int):
         self.n = n
         self.iu = np.triu_indices(n, 1)
-        self.k = len(self.iu[0])
-        self.dim = n + 2 * self.k
+        self.k = k = len(self.iu[0])
+        self.dim = n + 2 * k
         self.pos = {(int(i), int(j)): p
                     for p, (i, j) in enumerate(zip(*self.iu))}
-        self._s2 = np.sqrt(2.0)
+        self._s2 = s2 = np.sqrt(2.0)
+        diag = np.arange(n) * (n + 1)
+        upper = self.iu[0] * n + self.iu[1]
+        lower = self.iu[1] * n + self.iu[0]
+        self._vec_src = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
+        self._vec_weight = np.repeat([1.0, s2], [n, 2 * k])
+        re, im = np.arange(n, n + k), np.arange(n + k, self.dim)
+        src = np.full(2 * n * n, self.dim)
+        weight = np.ones(2 * n * n)
+        src[2 * diag] = np.arange(n)
+        for flat, sign in ((upper, 1.0), (lower, -1.0)):
+            src[2 * flat], src[2 * flat + 1] = re, im
+            weight[2 * flat], weight[2 * flat + 1] = 1.0 / s2, sign / s2
+        self._unvec_src, self._unvec_weight = src, weight
+        self._pad = np.repeat([-0.0, 0.0], [n, 2 * k])
+        self._buf = np.zeros(self.dim + 1)
+        self._head = self._buf[:self.dim]
 
     def vec(self, M: np.ndarray) -> np.ndarray:
-        v = np.empty(self.dim)
-        v[:self.n] = np.diagonal(M).real
-        upper = M[self.iu]
-        v[self.n:self.n + self.k] = self._s2 * upper.real
-        v[self.n + self.k:] = self._s2 * upper.imag
-        return v
+        flat = np.ascontiguousarray(M, dtype=complex).reshape(-1)
+        return flat.view(np.float64)[self._vec_src] * self._vec_weight
 
     def unvec(self, v: np.ndarray) -> np.ndarray:
-        M = np.zeros((self.n, self.n), dtype=complex)
-        M[np.arange(self.n), np.arange(self.n)] = v[:self.n]
-        upper = (v[self.n:self.n + self.k] + 1j * v[self.n + self.k:]) / self._s2
-        M[self.iu] = upper
-        M[self.iu[1], self.iu[0]] = upper.conj()
-        return M
+        np.add(v, self._pad, out=self._head)
+        M = self._buf[self._unvec_src] * self._unvec_weight
+        return M.view(complex).reshape(self.n, self.n)
 
     def constraint_rows(self, con: AffineConstraint):
         """Realify one complex constraint into up to two real rows."""
@@ -249,13 +281,6 @@ def _build_system(hv: _HermitianVec, constraints):
     return np.zeros((0, hv.dim)), np.zeros(0)
 
 
-def _project_psd_vec(hv: _HermitianVec, v: np.ndarray):
-    M = hv.unvec(v)
-    w, U = np.linalg.eigh(M)
-    clipped = (U * np.maximum(w, 0.0)) @ U.conj().T
-    return hv.vec(clipped)
-
-
 def _min_eig_vec(hv: _HermitianVec, v: np.ndarray) -> float:
     M = hv.unvec(v)
     return float(np.linalg.eigvalsh(M)[0])
@@ -335,22 +360,29 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
     """Douglas-Rachford splitting between the PSD cone and the affine set
     that `affine` projects onto, started from the affine point `start`.
 
-    Every CHECK_EVERY iterations the affine projection x of the cone point y
-    is scored by its PSD floor; the solve ends "converged" when the floor
-    reaches -tol, "infeasible" when `reject(y, x)` reports that the affine
-    set misses the cone, "stalled" when the floor stalls, and "max_iter"
-    when the iterations run out. Returns (best x, its floor, iterations,
-    status).
+    Each step maps z to the cone point y = vec(clip(eigh(unvec(z)))) and
+    then updates z <- z + affine(2y - z) - y. Every CHECK_EVERY iterations
+    the affine projection x of the cone point y is scored by its PSD floor;
+    the solve ends "converged" when the floor reaches -tol, "infeasible"
+    when `reject(y, x)` reports that the affine set misses the cone,
+    "stalled" when the floor stalls, and "max_iter" when the iterations run
+    out. Returns (best x, its floor, iterations, status).
     """
+    unvec, vec, eigh, maximum = hv.unvec, hv.vec, np.linalg.eigh, np.maximum
+
+    def cone(v):
+        w, U = eigh(unvec(v))
+        return vec((U * maximum(w, 0.0)) @ U.conj().T)
+
     z = start.copy()
+    y = cone(z)
     best_floor = -np.inf
-    best_x = affine(_project_psd_vec(hv, z))
+    best_x = affine(y)
     window: list[float] = []
     status = "max_iter"
     it = 0
     while it < max_iter:
         it += 1
-        y = _project_psd_vec(hv, z)
         z = z + affine(2.0 * y - z) - y
         if it % CHECK_EVERY == 0 or it == max_iter:
             x = affine(y)
@@ -372,6 +404,7 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
                         < STALL_REL * abs(window[0])):
                     status = "stalled"
                     break
+        y = cone(z)
     return best_x, best_floor, it, status
 
 
@@ -419,7 +452,7 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
         raise ValueError("tol must be positive")
     hv = _HermitianVec(inst.n)
     projector = _AffineProjector(*_build_system(hv, inst.constraints))
-    start_vec = hv.vec(np.asarray(start, dtype=complex)) if start is not None else None
+    start_vec = hv.vec(start) if start is not None else None
     return _solve(hv, projector, tol, max_iter, start_vec)
 
 

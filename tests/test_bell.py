@@ -260,3 +260,24 @@ def test_outer_certificate_not_below_classical_maximum():
     assert set(status) == set(LEVEL_STATUSES)
     assert sum(status.values()) == info["levels"]
     assert status["stalled"] >= 1
+
+
+@pytest.mark.parametrize("d, m, dims", [(3, 2, (2, 2)), (2, 3, (2, 3)),
+                                        (1, 2, (1, 3))])
+def test_bell_operator_matches_kron_loop(d, m, dims):
+    # the same floats as adding c * np.kron(P, Q) term by term, in order
+    from freecert.bell import _bell_operator, _random_pvm_family
+
+    rng = np.random.default_rng(106)
+    s = BellScenario(d, m)
+    A = _random_pvm_family(dims[0], s, rng)
+    B = _random_pvm_family(dims[1], s, rng)
+    c = rng.uniform(-1, 1, size=(d, d, m, m))
+    c[rng.uniform(size=c.shape) < 0.3] = 0.0
+    c.flat[0] = -0.0
+    W = np.zeros((dims[0] * dims[1],) * 2, dtype=complex)
+    for k, l, i, j in itertools.product(range(d), range(d), range(m),
+                                        range(m)):
+        if c[k][l][i][j] != 0.0:
+            W += c[k][l][i][j] * np.kron(A.settings[k][i], B.settings[l][j])
+    assert _bell_operator(BellFunctional(c), A, B).tobytes() == W.tobytes()

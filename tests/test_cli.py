@@ -525,3 +525,57 @@ def test_bell_outer_fine_tol_is_a_bound(tmp_path, capsys):
     assert hi - lo <= 1e-13
     assert result["value"] >= 2 * np.sqrt(2) - 1e-12
     assert result["solver"]["level_status"]["affine_residual"] == 0
+
+
+def cglmp_scenario(scale=1.0):
+    """The CGLMP functional for two settings and three outcomes."""
+    m = 3
+    c = np.zeros((2, 2, m, m))
+    for a in range(m):
+        for b in range(m):
+            c[0, 0, a, b] += (a == b) - (b == (a - 1) % m)
+            c[1, 0, a, b] += (b == (a + 1) % m) - (b == a)
+            c[1, 1, a, b] += (a == b) - (a == (b - 1) % m)
+            c[0, 1, a, b] += (b == a) - (b == (a - 1) % m)
+    return {"d": 2, "m": m, "coeff": (scale * c).tolist()}
+
+
+def test_bell_inner_failed_povm_solve_exit_one(tmp_path):
+    # scaled by 1e7, the first POVM update's level passes 1/tol
+    spath = write(tmp_path, "cglmp.json", cglmp_scenario(1e7))
+    proc = _run_process(["bell-inner", "--scenario", spath, "--dim", "2",
+                         "--iters", "1", "--restarts", "1", "--seed", "2"])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
+    import freecert.bell as bell
+
+    seen = []
+
+    def counted(*args, **kwargs):
+        res = maximize(*args, **kwargs)
+        seen.append(res.iterations)
+        return res
+
+    maximize = bell.maximize
+    monkeypatch.setattr(bell, "maximize", counted)
+    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
+                             "--iters", "2", "--restarts", "1", "--seed",
+                             "2"])
+    assert code == 0
+    # two iterations of two parties with two settings each
+    assert len(seen) == 8
+    assert json.loads(out)["solver"] == {"sdp_calls": 8,
+                                         "iterations": sum(seen)}
+
+    # two-outcome updates are closed-form
+    seen.clear()
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
+                             "--restarts", "2", "--seed", "3"])
+    assert code == 0 and not seen
+    assert json.loads(out)["solver"] == {"sdp_calls": 0, "iterations": 0}

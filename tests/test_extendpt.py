@@ -151,26 +151,6 @@ def test_new_entries_depend_only_on_quotient():
                     seen[q] = M[i, j]
 
 
-def test_split_set_matches_brute_force():
-    from freecert.extendpt import _split_sets
-    from freecert.grounded import extension_chain
-
-    rng = random.Random(74)
-    for trial in range(100):
-        E = random_grounded(rng, 7)
-        F = enlarge(rng, E, steps=3)
-        base = random_positive_type(E, dim=2, seed=4000 + trial)
-        current = base
-        for t0 in extension_chain(E, F):
-            dom = set(double_set(current.E))
-            brute = [s for s in current.E
-                     if multiply(inverse(s), t0) in dom]
-            E0, E1 = _split_sets(current, t0)
-            assert set(E1) == set(brute)
-            assert set(E0) == set(current.E) - set(brute)
-            current = extend_one(current, t0)
-
-
 def test_validation_errors():
     E = grounded_set(F2, {U, g(1)})
     with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from freecert.denselin import psd_floor
 from freecert.sdpcore import (
@@ -423,3 +426,213 @@ def test_level_status_counts_every_level():
         assert res.level_status["converged"] > 0
     res = maximize(SdpInstance(2, [con([(0, 0, 1.0)], 1.0)]), tol=1e-6)
     assert res.levels == 0 and not any(res.level_status.values())
+
+
+# --- the index-map kernel against the formulas it replaced ---------------
+
+def reference_vec(hv, M):
+    v = np.empty(hv.dim)
+    v[:hv.n] = np.diagonal(M).real
+    upper = M[hv.iu]
+    v[hv.n:hv.n + hv.k] = np.sqrt(2.0) * upper.real
+    v[hv.n + hv.k:] = np.sqrt(2.0) * upper.imag
+    return v
+
+
+def reference_unvec(hv, v):
+    n, k = hv.n, hv.k
+    M = np.zeros((n, n), dtype=complex)
+    M[np.arange(n), np.arange(n)] = v[:n]
+    upper = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2.0)
+    M[hv.iu] = upper
+    M[hv.iu[1], hv.iu[0]] = upper.conj()
+    return M
+
+
+def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
+    """The splitting loop as it was written before the index maps."""
+    from freecert.sdpcore import (
+        CHECK_EVERY,
+        MIN_ITER_BEFORE_STALL,
+        STALL_REL,
+        STALL_WINDOW,
+    )
+
+    def project_psd(v):
+        w, U = np.linalg.eigh(reference_unvec(hv, v))
+        return reference_vec(hv, (U * np.maximum(w, 0.0)) @ U.conj().T)
+
+    def min_eig(v):
+        return float(np.linalg.eigvalsh(reference_unvec(hv, v))[0])
+
+    z = start.copy()
+    best_floor = -np.inf
+    best_x = affine(project_psd(z))
+    window = []
+    status = "max_iter"
+    it = 0
+    while it < max_iter:
+        it += 1
+        y = project_psd(z)
+        z = z + affine(2.0 * y - z) - y
+        if it % CHECK_EVERY == 0 or it == max_iter:
+            x = affine(y)
+            floor = min_eig(x)
+            if floor > best_floor:
+                best_floor = floor
+                best_x = x.copy()
+            if best_floor >= -tol:
+                status = "converged"
+                break
+            if reject is not None and reject(y, x):
+                status = "infeasible"
+                break
+            window.append(best_floor)
+            if len(window) > STALL_WINDOW:
+                window.pop(0)
+                if (it >= MIN_ITER_BEFORE_STALL
+                        and window[-1] - window[0]
+                        < STALL_REL * abs(window[0])):
+                    status = "stalled"
+                    break
+    return best_x, best_floor, it, status
+
+
+_magnitudes = st.floats(1e-12, 1e6)
+_entries = st.one_of(_magnitudes, _magnitudes.map(lambda x: -x),
+                     st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def _sized_vectors(draw, length):
+    n = draw(st.integers(1, 17))
+    return n, draw(hnp.arrays(np.float64, length(n), elements=_entries))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sized_vectors(lambda n: 2 * n * n))
+def test_vec_matches_reference_bytes(case):
+    from freecert.sdpcore import _HermitianVec
+
+    n, raw = case
+    hv = _HermitianVec(n)
+    M = raw.view(complex).reshape(n, n)
+    for A in (M, M.T, M.real):
+        assert (hv.vec(A).tobytes()
+                == reference_vec(hv, A).tobytes())
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sized_vectors(lambda n: n * n))
+def test_unvec_matches_reference_bytes(case):
+    from freecert.sdpcore import _HermitianVec
+
+    n, v = case
+    hv = _HermitianVec(n)
+    # the one documented difference: an off-diagonal real part -0.0 beside
+    # a negative imaginary part (see test_unvec_signed_zeros)
+    re, im = v[n:n + hv.k], v[n + hv.k:]
+    re[(re == 0.0) & (im < 0.0)] = 0.0
+    assert hv.unvec(v).tobytes() == reference_unvec(hv, v).tobytes()
+    assert (hv.vec(hv.unvec(v)).tobytes()
+            == reference_vec(hv, reference_unvec(hv, v)).tobytes())
+
+
+def test_unvec_signed_zeros():
+    from freecert.sdpcore import _HermitianVec
+
+    hv = _HermitianVec(2)
+    for d in (0.0, -0.0, 1.0):
+        for re in (0.0, -0.0, 1.0, -1.0):
+            for im in (0.0, -0.0, 1.0, -1.0):
+                v = np.array([d, -d, re, im])
+                new, old = hv.unvec(v), reference_unvec(hv, v)
+                if np.signbit(re) and re == 0.0 and im < 0.0:
+                    assert old[0, 1].real == 0.0 and np.signbit(old[0, 1].real)
+                    new[0, 1], new[1, 0] = old[0, 1], old[1, 0]
+                assert new.tobytes() == old.tobytes()
+
+
+def _povm_instance():
+    """The SDP of one see-saw measurement update, m = 3 on dim 2."""
+    import freecert.bell as bell
+
+    rng = np.random.default_rng(81)
+    G = []
+    for _ in range(3):
+        Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        G.append(Z + Z.conj().T)
+    seen = []
+
+    def capture(inst, **kwargs):
+        seen.append(inst)
+        return maximize(inst, **kwargs)
+
+    real = bell.maximize
+    bell.maximize = capture
+    try:
+        bell._update_povm_sdp(G, tol=1e-6)
+    finally:
+        bell.maximize = real
+    return seen[0]
+
+
+def _chsh_1ab_instance():
+    from freecert.bell import BellFunctional, BellScenario, moment_instance
+
+    chsh = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
+    return moment_instance(BellScenario(2, 2), chsh, "1ab")[0]
+
+
+@pytest.mark.parametrize("which", ["chsh_1ab", "povm"])
+def test_splitting_matches_reference_bits(which):
+    from freecert.sdpcore import (
+        _AffineProjector,
+        _build_system,
+        _DualGap,
+        _HermitianVec,
+        _LevelSets,
+        _splitting,
+    )
+
+    inst = _chsh_1ab_instance() if which == "chsh_1ab" else _povm_instance()
+    hv = _HermitianVec(inst.n)
+    P = _AffineProjector(*_build_system(hv, inst.constraints))
+    c = hv.objective_vec(inst.objective)
+    top = maximize(inst, tol=1e-6, feas_tol=1e-10).value
+    assert _DualGap(hv, P).trace is not None
+
+    def base():
+        # a fresh certificate check for every run
+        gap = _DualGap(hv, P)
+        return P.apply, P.x0, lambda y, x: gap.excluded(y - x) > 1e-10
+
+    def level(t):
+        levels = _LevelSets(hv, P, c)
+
+        def affine(v):
+            return levels.project(v, t)
+
+        def reject(y, x):
+            return levels._reject(y, x, t)
+
+        return affine, affine(P.x0), reject
+
+    def unbounded_level():
+        # without the dual bound the level above the top runs to max_iter
+        return level(top + 1e-3)[:2] + (None,)
+
+    runs = [lambda: (P.apply, P.x0, None), base, unbounded_level]
+    runs += [lambda t=t: level(t) for t in (top - 1e-3, top + 1e-3, top + 0.5)]
+    statuses = set()
+    for run in runs:
+        for max_iter in (0, 1, 3000):
+            affine, start, reject = run()
+            new = _splitting(hv, affine, start, 1e-10, max_iter, reject)
+            affine, start, reject = run()
+            old = reference_splitting(hv, affine, start, 1e-10, max_iter,
+                                      reject)
+            assert new[0].tobytes() == old[0].tobytes()
+            assert new[1:] == old[1:]
+            statuses.add(new[3])
+    assert {"converged", "infeasible", "max_iter"} <= statuses
