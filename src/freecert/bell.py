@@ -9,6 +9,15 @@ generator: p_i = (1/m) sum_v omega^{-iv} s^v, so
     gamma[k,l,i,j] = (1/m^2) sum_{v,w=1..m} omega^(-iv-jw) h(s_k^v t_l^w)
 
 for the state h of the moment matrix.
+
+The see-saw's measurement update for m >= 3 outcomes is a small SDP over
+POVMs, max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I. It is solved
+here by its own primal-dual interior-point step (_povm_step), which returns
+an interior primal point, a dual point and the duality gap they certify;
+the see-saw does not go through sdpcore, so it does not depend on the last
+bits of sdpcore's splitting iterates. Rounding the POVM back to a PVM
+(_round_to_pvm) settles weights and scores within TIE_TOL of a tie by a
+fixed rule, so a last-bit change in the step does not change the path.
 """
 
 from __future__ import annotations
@@ -17,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denselin import eigh, psd_floor, sqrt_psd
+from .denselin import eigh, psd_floor
 from .quotients import QuotientTable, label_pairs
-from .sdpcore import AffineConstraint, SdpInstance, maximize
+from .sdpcore import AffineConstraint, SdpError, SdpInstance, maximize
 from .words import (
     GroupSpec,
     Word,
@@ -48,6 +57,13 @@ __all__ = [
 
 PVM_TOL = 1e-9
 OUTER_DEFAULT_TOL = 2e-7
+# the POVM step: relative duality gap, iteration cap, and the share of the
+# distance to the cone boundary that one step may cover
+POVM_GAP_TOL = 1e-9
+POVM_MAX_ITER = 50
+STEP_FRACTION = 0.95
+# effect weights and scores closer than this count as tied when rounding
+TIE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -313,7 +329,11 @@ def naimark_dilate(povm: list[np.ndarray]) -> tuple[PvmFamily, np.ndarray]:
         total += M
     if np.max(np.abs(total - np.eye(n))) > PVM_TOL:
         raise ValueError("effects do not sum to the identity")
-    V = np.vstack([sqrt_psd(M, tol=PVM_TOL) for M in povm])
+    roots = []
+    for M in povm:
+        w, U = eigh(M)
+        roots.append((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
+    V = np.vstack(roots)
     if np.max(np.abs(V.conj().T @ V - np.eye(n))) > PVM_TOL:
         raise ValueError("dilation isometry check failed")
     projections = []
@@ -325,8 +345,11 @@ def naimark_dilate(povm: list[np.ndarray]) -> tuple[PvmFamily, np.ndarray]:
 
 
 def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
-    """Eigen-rounding: collect each effect's >= 1/2 eigenvectors, orthogonalize
-    them in order, and hand leftover directions to the best-scoring effect."""
+    """Eigen-rounding: collect each effect's eigenvectors above 1/2 + TIE_TOL,
+    orthogonalize them in order, and hand leftover directions to the
+    best-scoring effect, the lowest index among scores within TIE_TOL of the
+    best. A direction an optimal POVM splits evenly between effects thus goes
+    to the same effect whatever the last bits of the solve."""
     n = povm[0].shape[0]
     m = len(povm)
     basis: list[np.ndarray] = []
@@ -340,7 +363,7 @@ def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
     for i, M in enumerate(povm):
         w, U = eigh(M)
         for k in range(len(w) - 1, -1, -1):
-            if w[k] < 0.5:
+            if w[k] <= 0.5 + TIE_TOL:
                 break
             v = orthogonalize(U[:, k])
             norm = np.linalg.norm(v)
@@ -361,9 +384,10 @@ def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
             if norm < 1e-8:
                 continue
             v = v / norm
-            scores = [float(np.vdot(v, M @ v).real) for M in povm]
+            scores = np.array([np.vdot(v, M @ v).real for M in povm])
             basis.append(v)
-            owner.append(int(np.argmax(scores)))
+            owner.append(int(np.flatnonzero(
+                scores >= scores.max() - TIE_TOL)[0]))
     out = [np.zeros((n, n), dtype=complex) for _ in range(m)]
     for u, i in zip(basis, owner):
         out[i] += np.outer(u, u.conj())
@@ -388,42 +412,115 @@ def _update_two_outcome(G1: np.ndarray, G2: np.ndarray) -> list[np.ndarray]:
     return [P1, np.eye(P1.shape[0]) - P1]
 
 
-def _update_povm_sdp(G: list[np.ndarray], tol: float):
-    """POVM relaxation for m >= 3 outcomes: maximize sum_i tr(G_i M_i) over
-    M_i >= 0, sum M_i = I, via a block-diagonal SDP. Returns the effects
-    and the splitting iterations spent."""
-    m = len(G)
-    n = G[0].shape[0]
-    N = m * n
-    constraints = []
-    # off-diagonal blocks vanish
-    for bi in range(m):
-        for bj in range(m):
-            if bi == bj:
-                continue
-            for a in range(n):
-                for b in range(n):
-                    if bi < bj or a != b:  # hermitian closure adds the rest
-                        constraints.append(AffineConstraint(
-                            ((bi * n + a, bj * n + b, 1.0),), 0.0))
-    # blocks sum to the identity
-    for a in range(n):
-        for b in range(n):
-            entries = tuple((bi * n + a, bi * n + b, 1.0) for bi in range(m))
-            constraints.append(AffineConstraint(entries,
-                                                1.0 if a == b else 0.0))
-    objective = []
-    for bi in range(m):
-        for a in range(n):
-            for b in range(n):
-                coef = G[bi][a, b]
-                if abs(coef) > 1e-15:
-                    objective.append((bi * n + a, bi * n + b, complex(coef)))
-    inst = SdpInstance(N, constraints, tuple(objective))
-    # tight feasibility slack keeps the blocks inside the dilation tolerance
-    res = maximize(inst, tol=tol, feas_tol=1e-10)
-    return [np.array(res.b[bi * n:(bi + 1) * n, bi * n:(bi + 1) * n])
-            for bi in range(m)], res.iterations
+def _hermitian_part(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+
+
+def _step_bound(chol: np.ndarray, D: np.ndarray) -> float:
+    """Largest a with C + a D PSD for every block C = chol chol* of a stack:
+    1 / max(0, -lmin(chol^-1 D chol^-*)), inf when D keeps every block
+    PSD."""
+    Li = np.linalg.inv(chol)
+    lo = float(np.linalg.eigvalsh(Li @ D @ np.conj(np.swapaxes(Li, -1, -2)))
+               .min())
+    return np.inf if lo >= 0.0 else -1.0 / lo
+
+
+def _normalized(M: np.ndarray) -> np.ndarray:
+    """Congruence with (sum_i M_i)^-1/2: the blocks then sum to I to
+    rounding, and each stays positive definite."""
+    w, U = np.linalg.eigh(_hermitian_part(M.sum(axis=0)))
+    T = (U / np.sqrt(w)) @ U.conj().T
+    return _hermitian_part(T @ M @ T)
+
+
+def _interior(candidate, a: float, shift=0.0) -> np.ndarray:
+    """candidate(b) for the largest b in a, a/2, a/4, ... at which every
+    block of candidate(b) - shift has a Cholesky factor; candidate(0) if 64
+    halvings do not get there."""
+    for _ in range(64):
+        X = candidate(a)
+        try:
+            np.linalg.cholesky(X - shift)
+            return X
+        except np.linalg.LinAlgError:
+            a *= 0.5
+    return candidate(0.0)
+
+
+@dataclass(frozen=True)
+class PovmStep:
+    """One m >= 3 measurement update: the effects M_i (strictly positive
+    definite, summing to I to rounding), the dual point Y (every Y - G_i
+    positive definite), the duality gap tr Y - sum_i tr(G_i M_i) they
+    certify, and the interior-point iterations spent."""
+
+    effects: np.ndarray
+    dual: np.ndarray
+    gap: float
+    iterations: int
+
+
+def _povm_step(G) -> PovmStep:
+    """max sum_i tr(G_i M_i) over M_i >= 0, sum_i M_i = I, for hermitian
+    G_i stacked as (m, n, n); the dual is min tr Y over Y - G_i >= 0.
+
+    Primal-dual path following in the HKM direction (Helmberg, Rendl,
+    Vanderbei and Wolkowicz 1996) with Mehrotra's predictor-corrector, from
+    M_i = I/m and a multiple of I for Y. Complementarity M_i S_i = mu I,
+    S_i = Y - G_i, linearized as dM_i = mu S_i^-1 - M_i - H(M_i dY S_i^-1)
+    (H the hermitian part), leaves one equation for the common dual step:
+    sum_i H(M_i dY S_i^-1) = mu sum_i S_i^-1 - I, an n^2 x n^2 complex
+    system. Every iterate is strictly interior: every M_i and every S_i has
+    a Cholesky factor. The step ends at the first iterate whose gap
+    tr Y - sum_i tr(G_i M_i) is at most POVM_GAP_TOL * max(1, n max_i
+    |G_i|_2), and raises SdpError if POVM_MAX_ITER iterations do not get
+    there.
+    """
+    G = _hermitian_part(np.asarray(G, dtype=complex))
+    m, n, _ = G.shape
+    eye = np.eye(n)
+    wG = np.linalg.eigvalsh(G)
+    gmax = float(np.max(np.abs(wG)))
+    tol = POVM_GAP_TOL * max(1.0, n * gmax)
+    M = np.repeat((eye / m)[None].astype(complex), m, axis=0)
+    Y = (float(wG.max()) + max(1.0, gmax)) * eye + 0j
+    for it in range(POVM_MAX_ITER + 1):
+        gap = float(np.trace(Y).real - np.einsum("iab,iba->", G, M).real)
+        if gap <= tol:
+            return PovmStep(M, Y, gap, it)
+        if it == POVM_MAX_ITER:
+            raise SdpError(f"POVM step stopped at duality gap {gap:.3g} "
+                           f"after {it} iterations (tolerance {tol:.3g})")
+        S = Y - G
+        Sinv = _hermitian_part(np.linalg.inv(S))
+        mu = float(np.einsum("iab,iba->", M, S).real) / (m * n)
+        # sum_i H(M_i X S_i^-1) on row-major vec(X)
+        K = np.einsum("iac,idb->abcd", M, Sinv)
+        K = (0.5 * (K + np.einsum("iac,idb->abcd", Sinv, M))
+             ).reshape(n * n, n * n)
+        Ssum = Sinv.sum(axis=0)
+
+        def direction(target, extra):
+            rhs = target * Ssum - eye - extra.sum(axis=0)
+            dY = np.linalg.solve(K, rhs.reshape(-1)).reshape(n, n)
+            dY = _hermitian_part(dY)
+            dM = _hermitian_part(target * Sinv - M - M @ dY @ Sinv - extra)
+            return dM, dY
+
+        LM, LS = np.linalg.cholesky(M), np.linalg.cholesky(S)
+        dM, dY = direction(0.0, np.zeros_like(M))
+        ap = min(1.0, _step_bound(LM, dM))
+        ad = min(1.0, _step_bound(LS, np.broadcast_to(dY, S.shape)))
+        mu_aff = float(np.einsum("iab,iba->", M + ap * dM,
+                                 S + ad * dY).real) / (m * n)
+        sigma = (mu_aff / mu) ** 3
+        dM, dY = direction(sigma * mu, _hermitian_part(dM @ dY @ Sinv))
+        ap = min(1.0, STEP_FRACTION * _step_bound(LM, dM))
+        ad = min(1.0, STEP_FRACTION * _step_bound(
+            LS, np.broadcast_to(dY, S.shape)))
+        M = _interior(lambda b: _normalized(M + b * dM), ap)
+        Y = _interior(lambda b: Y + b * dY, ad, G)
 
 
 def _bell_operator(functional: BellFunctional, A: PvmFamily, B: PvmFamily):
@@ -502,16 +599,17 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     per-setting measurement updates (POVM relaxation, restored to PVM form);
     updates are accepted only when the exactly re-evaluated value does not
     decrease. Returns (value, A, B, xi) for the best run, and with
-    return_info a fifth entry: the SDP solves of the measurement updates
-    over all restarts, {"sdp_calls", "iterations"} (both 0 for m = 2,
-    whose updates are closed-form).
+    return_info a fifth entry on the POVM steps (_povm_step) over all
+    restarts: {"sdp_calls", "iterations", "max_gap"}, their number, their
+    interior-point iterations and the largest duality gap they certified
+    (0, 0 and None for m = 2, whose updates are closed-form).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     best = None
-    info = {"sdp_calls": 0, "iterations": 0}
+    info = {"sdp_calls": 0, "iterations": 0, "max_gap": None}
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])
         A = _random_pvm_family(dim, s, rng)
@@ -529,9 +627,13 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                     if s.m == 2:
                         new_povm = _update_two_outcome(G[k][0], G[k][1])
                     else:
-                        new_povm, it = _update_povm_sdp(G[k], tol=1e-6)
+                        step = _povm_step(G[k])
+                        new_povm = list(step.effects)
                         info["sdp_calls"] += 1
-                        info["iterations"] += it
+                        info["iterations"] += step.iterations
+                        if info["max_gap"] is None:
+                            info["max_gap"] = step.gap
+                        info["max_gap"] = max(info["max_gap"], step.gap)
                     new_settings.append(_pvmify(new_povm))
                 candidate = PvmFamily(dim, new_settings)
                 if party == "A":

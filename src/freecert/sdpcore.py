@@ -25,8 +25,9 @@ The splitting loop works on the real parametrization of _HermitianVec,
 whose vec and unvec are one gather each through precomputed index maps:
 at these sizes a step's cost is numpy call overhead. The maps repeat the
 float operations of the plain formulas, so every iterate is bit-identical
-to them; the see-saw's rounding of eigenvalue-1/2 ties
-(bell._round_to_pvm) turns any last-bit change into a different path.
+to them. The Bell see-saw solves its POVM updates with its own
+interior-point step (bell._povm_step), so a change that moves iterates in
+their last bits moves reported values in their last bits only.
 """
 
 from __future__ import annotations
@@ -151,8 +152,7 @@ class _HermitianVec:
     1/sqrt2, negated for the imaginary parts below the diagonal.
 
     These are the float operations of the plain formulas, so splitting
-    iterates stay bit-identical to them (bell._round_to_pvm turns a
-    last-bit change into another see-saw path): the plain unvec's
+    iterates stay bit-identical to them: the plain unvec's
     (re + 1j*im) / sqrt2 is a numpy complex division, which multiplies by
     1/sqrt2. Adding pad (+0.0 off the diagonal, -0.0 on it) signs zeros as
     that complex sum did, except that an off-diagonal -0.0 real part beside

@@ -281,3 +281,86 @@ def test_bell_operator_matches_kron_loop(d, m, dims):
         if c[k][l][i][j] != 0.0:
             W += c[k][l][i][j] * np.kron(A.settings[k][i], B.settings[l][j])
     assert _bell_operator(BellFunctional(c), A, B).tobytes() == W.tobytes()
+
+
+def _random_hermitian_stack(rng, m, n):
+    Z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return Z + np.conj(np.swapaxes(Z, 1, 2))
+
+
+@pytest.mark.parametrize("n, m", list(itertools.product((2, 3, 4), (3, 4))))
+def test_povm_step_certifies_its_optimum(n, m, povm_sdp):
+    # each optimality condition is checked here, none taken from the step
+    from freecert.bell import POVM_GAP_TOL, PVM_TOL, _povm_step
+    from freecert.sdpcore import maximize
+
+    rng = np.random.default_rng([107, n, m])
+    G = _random_hermitian_stack(rng, m, n)
+    step = _povm_step(G)
+    M, Y = step.effects, step.dual
+    assert M.shape == (m, n, n)
+    assert np.linalg.eigvalsh(M).min() >= -PVM_TOL
+    assert np.max(np.abs(M.sum(axis=0) - np.eye(n))) <= PVM_TOL
+    assert np.linalg.eigvalsh(Y - G).min() >= 0.0
+    value = sum(np.trace(G[i] @ M[i]).real for i in range(m))
+    scale = max(1.0, n * max(np.linalg.norm(Gi, 2) for Gi in G))
+    assert np.trace(Y).real - value <= POVM_GAP_TOL * scale
+    if n * m <= 9:
+        # sdpcore maximizes sum tr(conj(G_i) M_i) over this instance, so
+        # the conjugated instance has the same optimum
+        res = maximize(povm_sdp(np.conj(G)), tol=1e-6, feas_tol=1e-10)
+        blocks = [res.b[i * n:(i + 1) * n, i * n:(i + 1) * n]
+                  for i in range(m)]
+        reference = sum(np.trace(G[i] @ blocks[i]).real for i in range(m))
+        assert value == pytest.approx(reference, abs=1e-6)
+
+
+def test_povm_step_zero_and_tied_objectives():
+    from freecert.bell import _povm_step
+
+    step = _povm_step(np.zeros((3, 2, 2), dtype=complex))
+    assert np.allclose(step.effects, np.eye(2) / 3)
+    # a direction every effect values alike is split evenly
+    step = _povm_step(np.array([[[0.3]], [[0.3]], [[-1.0]]]))
+    assert step.effects[:, 0, 0] == pytest.approx([0.5, 0.5, 0.0], abs=1e-6)
+
+
+def test_naimark_dilate_tiny_effect_eigenvalues():
+    # three effects carry 5e-10 on one direction: dropping it would miss
+    # the identity by 1.5e-9 > PVM_TOL
+    rng = np.random.default_rng(109)
+    Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    Q, _ = np.linalg.qr(Z)
+    diags = [(5e-10, 0.25), (5e-10, 0.25), (5e-10, 0.5), (1 - 1.5e-9, 0.0)]
+    povm = [Q @ np.diag(d) @ Q.conj().T for d in diags]
+    family, V = naimark_dilate(povm)
+    assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-12
+    for i, P in enumerate(family.settings[0]):
+        assert np.max(np.abs(V.conj().T @ P @ V - povm[i])) <= 1e-12
+
+
+def test_round_to_pvm_ignores_last_bits_of_a_tie():
+    # effect 0 and effect 1 share v evenly; noise of 1e-12 must not decide
+    # which of them gets it
+    from freecert.bell import _round_to_pvm
+
+    rng = np.random.default_rng(110)
+    for n in (2, 3):
+        Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        Q, _ = np.linalg.qr(Z)
+        v = Q[:, 0]
+        rest = Q[:, 1:] @ Q[:, 1:].conj().T
+        share = 0.5 * np.outer(v, v.conj())
+        povm = [share, share.copy(), rest]
+        clean = _round_to_pvm(povm)
+        assert np.allclose(clean[0], np.outer(v, v.conj()), atol=1e-12)
+        for _ in range(50):
+            noisy = []
+            for M in povm:
+                E = _random_hermitian_stack(rng, 1, n)[0]
+                noisy.append(M + 1e-12 * E)
+            w, U = np.linalg.eigh(sum(noisy))
+            isqrt = (U / np.sqrt(w)) @ U.conj().T
+            noisy = [isqrt @ M @ isqrt for M in noisy]
+            for P, P0 in zip(_round_to_pvm(noisy), clean):
+                assert np.max(np.abs(P - P0)) <= 1e-9

@@ -540,14 +540,53 @@ def cglmp_scenario(scale=1.0):
     return {"d": 2, "m": m, "coeff": (scale * c).tolist()}
 
 
-def test_bell_inner_failed_povm_solve_exit_one(tmp_path):
-    # scaled by 1e7, the first POVM update's level passes 1/tol
+@pytest.fixture(scope="module")
+def cglmp_outer():
+    """The level-1 outer bound of the CGLMP functional."""
+    from freecert.bell import BellFunctional, BellScenario, outer_bound
+
+    c = np.array(cglmp_scenario()["coeff"])
+    return outer_bound(BellScenario(2, 3), BellFunctional(c), 1)
+
+
+def test_bell_inner_scaled_cglmp_solves(tmp_path, capsys, cglmp_outer):
+    # the POVM step's gap tolerance scales with the objective
     spath = write(tmp_path, "cglmp.json", cglmp_scenario(1e7))
-    proc = _run_process(["bell-inner", "--scenario", spath, "--dim", "2",
-                         "--iters", "1", "--restarts", "1", "--seed", "2"])
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
+                             "--iters", "1", "--restarts", "1", "--seed",
+                             "2"])
+    assert code == 0
+    assert json.loads(out)["value"] <= 1e7 * cglmp_outer
+
+
+@pytest.mark.parametrize("dim, iters, restarts", [(2, 3, 1), (2, 10, 2),
+                                                  (3, 3, 1)])
+def test_bell_inner_cglmp_dilates(tmp_path, capsys, cglmp_outer, dim, iters,
+                                  restarts):
+    # POVM steps leave effect eigenvalues below PVM_TOL, which the
+    # dilation must keep
+    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim",
+                             str(dim), "--iters", str(iters), "--restarts",
+                             str(restarts), "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["value"] <= cglmp_outer + 1e-6
+
+
+def test_bell_inner_failed_povm_solve_exit_one(tmp_path, capsys,
+                                               monkeypatch):
+    # one interior-point iteration does not reach the duality gap
+    import freecert.bell as bell
+
+    monkeypatch.setattr(bell, "POVM_MAX_ITER", 1)
+    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    code = main(["bell-inner", "--scenario", spath, "--dim", "2", "--iters",
+                 "1", "--restarts", "1", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
@@ -555,22 +594,26 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
 
     seen = []
 
-    def counted(*args, **kwargs):
-        res = maximize(*args, **kwargs)
-        seen.append(res.iterations)
-        return res
+    def counted(G):
+        step = povm_step(G)
+        seen.append(step)
+        return step
 
-    maximize = bell.maximize
-    monkeypatch.setattr(bell, "maximize", counted)
+    povm_step = bell._povm_step
+    monkeypatch.setattr(bell, "_povm_step", counted)
     spath = write(tmp_path, "cglmp.json", cglmp_scenario())
-    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
-                             "--iters", "2", "--restarts", "1", "--seed",
-                             "2"])
+    argv = ["bell-inner", "--scenario", spath, "--dim", "2", "--iters", "2",
+            "--restarts", "1", "--seed", "2"]
+    code, out = run(capsys, argv)
     assert code == 0
     # two iterations of two parties with two settings each
     assert len(seen) == 8
-    assert json.loads(out)["solver"] == {"sdp_calls": 8,
-                                         "iterations": sum(seen)}
+    assert json.loads(out)["solver"] == {
+        "sdp_calls": 8,
+        "iterations": sum(step.iterations for step in seen),
+        "max_gap": max(step.gap for step in seen)}
+    assert 0.0 < max(step.gap for step in seen) <= 1e-6
+    assert run(capsys, argv) == (0, out)
 
     # two-outcome updates are closed-form
     seen.clear()
@@ -578,4 +621,5 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
                              "--restarts", "2", "--seed", "3"])
     assert code == 0 and not seen
-    assert json.loads(out)["solver"] == {"sdp_calls": 0, "iterations": 0}
+    assert json.loads(out)["solver"] == {"sdp_calls": 0, "iterations": 0,
+                                         "max_gap": None}

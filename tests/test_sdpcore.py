@@ -553,28 +553,14 @@ def test_unvec_signed_zeros():
                 assert new.tobytes() == old.tobytes()
 
 
-def _povm_instance():
-    """The SDP of one see-saw measurement update, m = 3 on dim 2."""
-    import freecert.bell as bell
-
+def _povm_instance(povm_sdp):
+    """A block-diagonal POVM SDP, m = 3 on dim 2."""
     rng = np.random.default_rng(81)
     G = []
     for _ in range(3):
         Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         G.append(Z + Z.conj().T)
-    seen = []
-
-    def capture(inst, **kwargs):
-        seen.append(inst)
-        return maximize(inst, **kwargs)
-
-    real = bell.maximize
-    bell.maximize = capture
-    try:
-        bell._update_povm_sdp(G, tol=1e-6)
-    finally:
-        bell.maximize = real
-    return seen[0]
+    return povm_sdp(G)
 
 
 def _chsh_1ab_instance():
@@ -585,7 +571,7 @@ def _chsh_1ab_instance():
 
 
 @pytest.mark.parametrize("which", ["chsh_1ab", "povm"])
-def test_splitting_matches_reference_bits(which):
+def test_splitting_matches_reference_bits(which, povm_sdp):
     from freecert.sdpcore import (
         _AffineProjector,
         _build_system,
@@ -595,7 +581,8 @@ def test_splitting_matches_reference_bits(which):
         _splitting,
     )
 
-    inst = _chsh_1ab_instance() if which == "chsh_1ab" else _povm_instance()
+    inst = (_chsh_1ab_instance() if which == "chsh_1ab"
+            else _povm_instance(povm_sdp))
     hv = _HermitianVec(inst.n)
     P = _AffineProjector(*_build_system(hv, inst.constraints))
     c = hv.objective_vec(inst.objective)
