@@ -28,7 +28,7 @@ import numpy as np
 
 from .denselin import eigh, psd_floor
 from .quotients import QuotientTable, label_pairs
-from .sdpcore import AffineConstraint, SdpError, SdpInstance, maximize
+from .sdpcore import SdpError, SdpInstance, maximize
 from .words import (
     GroupSpec,
     Word,
@@ -249,23 +249,13 @@ def hierarchy_words(s: BellScenario, level) -> list[Word]:
 
 
 def moment_instance(s: BellScenario, functional: BellFunctional, level):
-    """The hierarchy SDP: moment matrix over E_n with h(1) = 1, entries tied
-    on equal quotients, and the Fourier-transformed functional as objective."""
+    """The hierarchy SDP: moment matrix over E_n, one tie class per quotient
+    (labelled by the quotient table of E_n) with h(1) = 1 pinned, and the
+    Fourier-transformed functional as objective on the first entry of each
+    class."""
     E = hierarchy_words(s, level)
-    n = len(E)
     table = QuotientTable(E)
     classes = label_pairs(table.labels)
-
-    constraints = []
-    for q, pairs in zip(table.classes, classes):
-        if q.is_unit:
-            for (i, j) in pairs:
-                constraints.append(AffineConstraint(((i, j, 1.0),), 1.0))
-            continue
-        i0, j0 = pairs[0]
-        for (i, j) in pairs[1:]:
-            constraints.append(
-                AffineConstraint(((i, j, 1.0), (i0, j0, -1.0)), 0.0))
 
     spec = _product_spec(s)
     cyc = spec.left
@@ -290,7 +280,8 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
                             r0, c0 = classes[table.index[target]][0]
                             obj[(r0, c0)] = obj.get((r0, c0), 0j) + weight
     objective = tuple((r, c0, coef) for (r, c0), coef in sorted(obj.items()))
-    return SdpInstance(n, constraints, objective), E
+    pinned = [1.0 if q.is_unit else None for q in table.classes]
+    return SdpInstance(table.labels, pinned, False, objective), E
 
 
 def outer_bound(s: BellScenario, functional: BellFunctional, level,
@@ -563,30 +554,21 @@ def _random_pvm_family(dim: int, s: BellScenario, rng) -> PvmFamily:
     return PvmFamily(dim, settings)
 
 
-def _effect_multipliers(functional, other: PvmFamily, Xi, party: str):
-    """G_i^(k): hermitian matrices so that the party's objective is
-    sum_{k,i} tr(P_i^(k) G_i^(k)) at fixed state and fixed other party."""
-    c = functional.coeff
+def _effect_multipliers(c: np.ndarray, other: PvmFamily, Xi):
+    """G_i^(k): hermitian matrices so that party A's objective is
+    sum_{k,i} tr(P_i^(k) G_i^(k)) at the fixed state Xi (as a dim_A x dim_B
+    matrix) and fixed party B (`other`), for the coefficients c[k, l, i, j].
+    Party B's are party A's for c.transpose(1, 0, 3, 2) and Xi.T."""
     d, m = c.shape[0], c.shape[2]
+    K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in other.settings]
     G = [[None] * m for _ in range(d)]
-    if party == "A":
-        K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in other.settings]
-        for k in range(d):
-            for i in range(m):
-                acc = np.zeros_like(K[0][0])
-                for l in range(d):
-                    for j in range(m):
-                        acc += c[k][l][i][j] * K[l][j]
-                G[k][i] = 0.5 * (acc + acc.conj().T)
-    else:
-        K = [[Xi.T @ P.T @ Xi.conj() for P in pvm] for pvm in other.settings]
-        for l in range(d):
-            for j in range(m):
-                acc = np.zeros_like(K[0][0])
-                for k in range(d):
-                    for i in range(m):
-                        acc += c[k][l][i][j] * K[k][i]
-                G[l][j] = 0.5 * (acc + acc.conj().T)
+    for k in range(d):
+        for i in range(m):
+            acc = np.zeros_like(K[0][0])
+            for l in range(d):
+                for j in range(m):
+                    acc += c[k][l][i][j] * K[l][j]
+            G[k][i] = 0.5 * (acc + acc.conj().T)
     return G
 
 
@@ -608,6 +590,8 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
         raise ValueError("dim must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    c = functional.coeff
+    c_swapped = c.transpose(1, 0, 3, 2)
     best = None
     info = {"sdp_calls": 0, "iterations": 0, "max_gap": None}
     for r in range(restarts):
@@ -618,10 +602,11 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
         value = functional.value(correlation_of(A, B, xi))
         for _ in range(iters):
             improved = False
-            for party in ("A", "B"):
-                other = B if party == "A" else A
+            for party in (0, 1):
+                # party B is party A of the swapped functional and state
                 Xi = xi.reshape(A.dim, B.dim)
-                G = _effect_multipliers(functional, other, Xi, party)
+                G = (_effect_multipliers(c, B, Xi) if party == 0 else
+                     _effect_multipliers(c_swapped, A, Xi.T))
                 new_settings = []
                 for k in range(s.d):
                     if s.m == 2:
@@ -635,23 +620,13 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                             info["max_gap"] = step.gap
                         info["max_gap"] = max(info["max_gap"], step.gap)
                     new_settings.append(_pvmify(new_povm))
-                candidate = PvmFamily(dim, new_settings)
-                if party == "A":
-                    W = _bell_operator(functional, candidate, B)
-                    xi_new = _top_state(W)
-                    val_new = functional.value(
-                        correlation_of(candidate, B, xi_new))
-                    if val_new > value + 1e-12:
-                        A, xi, value = candidate, xi_new, val_new
-                        improved = True
-                else:
-                    W = _bell_operator(functional, A, candidate)
-                    xi_new = _top_state(W)
-                    val_new = functional.value(
-                        correlation_of(A, candidate, xi_new))
-                    if val_new > value + 1e-12:
-                        B, xi, value = candidate, xi_new, val_new
-                        improved = True
+                pair = [A, B]
+                pair[party] = PvmFamily(dim, new_settings)
+                xi_new = _top_state(_bell_operator(functional, *pair))
+                val_new = functional.value(correlation_of(*pair, xi_new))
+                if val_new > value + 1e-12:
+                    (A, B), xi, value = pair, xi_new, val_new
+                    improved = True
             if not improved:
                 break
         if best is None or value > best[0]:

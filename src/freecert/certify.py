@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    COEFF_PURGE,
     FiniteRep,
     GroupAlgebraElement,
     delta,
@@ -31,12 +30,8 @@ from .algebra import (
 )
 from .denselin import eigh, psd_floor
 from .grounded import GroundedSet
-from .quotients import QuotientTable, label_pairs
-from .sdpcore import (
-    AffineConstraint,
-    SdpInstance,
-    solve_feasibility,
-)
+from .quotients import QuotientTable
+from .sdpcore import SdpInstance, solve_feasibility
 from .words import Word, conjugacy_canonical, sort_key, unit
 
 __all__ = [
@@ -108,10 +103,11 @@ def _check_hermitian(f: GroupAlgebraElement):
 def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
                   epsilon: float = 0.0, trace: bool = False):
     """The normalized Gram SDP of f + eps*delta_1 over E and its scale
-    fscale = max(1, max|f| + |eps|): one constraint per word a of E^-1E
-    (per conjugacy class of E^-1E when `trace`), sum of b[s,t] over the
-    pairs with s^-1 t in that class = (f + eps*delta_1)(class) / fscale.
-    Returns (SdpInstance, fscale); b = G / fscale for the Gram matrix G."""
+    fscale = max(1, max|f| + |eps|): one sum class per word a of E^-1E
+    (per conjugacy class of E^-1E when `trace`), labelled by the quotient
+    table of E, whose entries b[s,t] add up to
+    (f + eps*delta_1)(class) / fscale. Returns (SdpInstance, fscale);
+    b = G / fscale for the Gram matrix G."""
     _check_hermitian(f)
     table = E.quotients
     if trace:
@@ -135,11 +131,8 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
     u = key(unit(E.spec))
     sums[u] = sums.get(u, 0j) + epsilon
     fscale = max(1.0, f.max_coeff() + abs(epsilon))
-
-    constraints = [AffineConstraint(tuple((i, j, 1.0) for i, j in pairs),
-                                    sums.get(a, 0j) / fscale)
-                   for a, pairs in zip(keys, label_pairs(labels))]
-    return SdpInstance(len(table.words), constraints), fscale
+    rhs = [sums.get(a, 0j) / fscale for a in keys]
+    return SdpInstance(labels, rhs), fscale
 
 
 def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
@@ -207,13 +200,14 @@ def _build_sos(E, epsilon, b, f) -> SosCertificate:
 
 def _residual_terms(cert: SosCertificate,
                     f: GroupAlgebraElement) -> dict[Word, complex]:
-    """f + epsilon*delta_1 - sum_i xi_i^* * xi_i word by word, dropping
-    differences below COEFF_PURGE.
+    """f + epsilon*delta_1 - sum_i xi_i^* * xi_i at every word of S^-1 S,
+    of supp f and at the unit, S the union of the factors' supports: the
+    words depend on the supports alone, never on rounding.
 
-    With Xi the factor coefficients stacked over the union S of their
-    supports, the coefficient of sum_i xi_i^* * xi_i at w is the sum of
-    (Xi^* Xi)[s, t] over the pairs with s^-1 t = w: one matrix product,
-    scattered by the labels of S's own quotient table."""
+    With Xi the factor coefficients stacked over S, the coefficient of
+    sum_i xi_i^* * xi_i at w is the sum of (Xi^* Xi)[s, t] over the pairs
+    with s^-1 t = w: one matrix product, scattered by the labels of S's own
+    quotient table."""
     spec = f.spec
     if cert.E.spec != spec or any(xi.spec != spec for xi in cert.factors):
         raise ValueError("elements live in different group algebras")
@@ -229,9 +223,10 @@ def _residual_terms(cert: SosCertificate,
     sums = (np.bincount(labels, G.real, len(table))
             + 1j * np.bincount(labels, G.imag, len(table)))
     diff = dict((f + delta(unit(spec), cert.epsilon)).terms)
+    diff.setdefault(unit(spec), 0j)
     for w, c in zip(table.classes, sums.tolist()):
         diff[w] = diff.get(w, 0j) - c
-    return {w: c for w, c in diff.items() if abs(c) >= COEFF_PURGE}
+    return diff
 
 
 def verify_sos(cert: SosCertificate, f: GroupAlgebraElement) -> float:
@@ -268,7 +263,8 @@ def _build_trace(E, epsilon, b, f) -> TraceCertificate:
 def verify_trace(cert: SosCertificate, f: GroupAlgebraElement) -> dict[Word, complex]:
     """Symbolic class-sum check: signed residual per conjugacy class of
     f + epsilon*delta_1 - sum_i xi_i^* * xi_i, summed from the word-by-word
-    residual of verify_sos."""
+    residual of verify_sos, for every conjugacy class of S^-1 S, of supp f
+    and of the unit (S the union of the factors' supports), zero or not."""
     residuals: dict[Word, complex] = {}
     for w, c in _residual_terms(cert, f).items():
         key = conjugacy_canonical(w)

@@ -58,13 +58,12 @@ class QuotientTable:
 
 
 def label_pairs(labels: np.ndarray) -> list[list[tuple[int, int]]]:
-    """The (i, j) positions carrying each label, by label, each list in
-    row-major order; the labels must be numbered in row-major order of
-    first appearance, as the table's own and its conjugacy labels are."""
-    pairs: list[list[tuple[int, int]]] = []
-    for i, row in enumerate(labels.tolist()):
-        for j, k in enumerate(row):
-            if k == len(pairs):
-                pairs.append([])
-            pairs[k].append((i, j))
-    return pairs
+    """The (i, j) positions carrying each label 0, 1, ..., max label, by
+    label, each list in row-major order."""
+    labels = np.asarray(labels)
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    rows, cols = np.divmod(order, labels.shape[1] if labels.ndim == 2 else 1)
+    ends = np.cumsum(np.bincount(flat)).tolist() if flat.size else []
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    return [pairs[a:b] for a, b in zip([0] + ends, ends)]

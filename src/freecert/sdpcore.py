@@ -1,12 +1,21 @@
 """Small dense semidefinite feasibility and linear optimization over affine
-sections of the PSD cone.
+sections of the PSD cone, for instances given as a class partition of the
+entries of a hermitian matrix.
 
-Feasibility runs Douglas-Rachford projection splitting between the PSD cone
-(eigenvalue clipping) and the affine subspace (orthogonal projection via a
-precomputed SVD of the constraint system); the affine projection of the cone
-shadow is the reported iterate. Plain Dykstra-corrected alternating
-projections only reach O(1/k) PSD floors on near-tangent moment instances,
-which is why the reflected update is used.
+Every entry b[i, j] belongs to one class. The entries of a sum class add up
+to its right-hand side (the Gram constraints of certify); the entries of a
+tie class are equal, and equal to its right-hand side when it has one (the
+moment constraints of bell). Distinct classes constrain distinct entries,
+so the orthogonal projection onto the affine set is a per-class mean
+correction: one scatter-add of the class sums and one gather (_Partition).
+The level row, the fixed-trace test and the multipliers of the dual
+certificates are closed forms of the same projection.
+
+Feasibility runs Douglas-Rachford projection splitting on hermitian n x n
+matrices, between the PSD cone (eigenvalue clipping) and the affine set;
+the affine projection of the cone shadow is the reported iterate. Plain
+Dykstra-corrected alternating projections only reach O(1/k) PSD floors on
+near-tangent moment instances, which is why the reflected update is used.
 
 When the constraints fix the trace, the gap between the cone point and its
 affine projection is a dual certificate (the infeasibility certificate of
@@ -16,28 +25,26 @@ tolerance; otherwise it ends "converged", "stalled" (the PSD floor stopped
 improving) or at "max_iter".
 
 Optimization bisects on the objective level set. Every level reuses the one
-base projector: the level row is a closed-form rank-one correction. The
+base projection: the level row is a closed-form rank-one correction. The
 same dual gap bounds the objective, and a level ends as soon as that bound
 falls below it. Levels without such a bound end when the PSD floor stalls.
 Every level ends with one of LEVEL_STATUSES, and maximize counts them.
 
-The splitting loop works on the real parametrization of _HermitianVec,
-whose vec and unvec are one gather each through precomputed index maps:
-at these sizes a step's cost is numpy call overhead. The maps repeat the
-float operations of the plain formulas, so every iterate is bit-identical
-to them. The Bell see-saw solves its POVM updates with its own
-interior-point step (bell._povm_step), so a change that moves iterates in
-their last bits moves reported values in their last bits only.
+The Bell see-saw solves its POVM updates with its own interior-point step
+(bell._povm_step), so a change that moves splitting iterates in their last
+bits moves reported values in their last bits only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
+from .quotients import label_pairs
+
 __all__ = [
-    "AffineConstraint",
     "SdpInstance",
     "FeasibilityResult",
     "MaximizeResult",
@@ -80,28 +87,41 @@ class UnboundedError(SdpError):
     pass
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """sum over (row, col, coeff) of coeff * b[row, col] == rhs."""
-
-    entries: tuple[tuple[int, int, complex], ...]
-    rhs: complex
-
-    def __post_init__(self):
-        merged: dict[tuple[int, int], complex] = {}
-        for r, c, coef in self.entries:
-            merged[(r, c)] = merged.get((r, c), 0j) + complex(coef)
-        object.__setattr__(
-            self, "entries",
-            tuple((r, c, coef) for (r, c), coef in sorted(merged.items())))
-        object.__setattr__(self, "rhs", complex(self.rhs))
-
-
 @dataclass
 class SdpInstance:
-    n: int
-    constraints: list[AffineConstraint] = field(default_factory=list)
+    """A class partition of the entries of a hermitian n x n matrix b.
+
+    `labels[i, j]` is the class of b[i, j], numbered 0, 1, ... A sum class
+    (`sums[k]`, one flag for every class or one per class) asks that its
+    entries add up to `rhs[k]`. A tie class asks that its entries be equal,
+    and equal to `rhs[k]` unless that is None. The transposed entries of a
+    class must form one class of the same kind, whose right-hand side is
+    the conjugate. `objective` lists (row, col, coef) for the objective
+    Re sum coef * b[row, col].
+    """
+
+    labels: np.ndarray
+    rhs: Sequence[complex | None]
+    sums: bool | Sequence[bool] = True
     objective: tuple[tuple[int, int, complex], ...] = ()
+
+    def __post_init__(self):
+        self.labels = np.asarray(self.labels, dtype=np.intp)
+        self.rhs = tuple(None if r is None else complex(r) for r in self.rhs)
+        k = len(self.rhs)
+        self.sums = tuple(bool(s) for s in np.broadcast_to(self.sums, (k,)))
+        shape = self.labels.shape
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError("labels must be a square matrix")
+        if self.labels.size and not (0 <= self.labels.min()
+                                     and self.labels.max() < k):
+            raise ValueError(f"labels must lie in 0..{k - 1}")
+        if any(s and r is None for s, r in zip(self.sums, self.rhs)):
+            raise ValueError("a sum class needs a right-hand side")
+
+    @property
+    def n(self) -> int:
+        return self.labels.shape[0]
 
 
 @dataclass
@@ -141,149 +161,136 @@ class MaximizeResult:
         default_factory=lambda: dict.fromkeys(LEVEL_STATUSES, 0))
 
 
-class _HermitianVec:
-    """Isometric real parametrization of hermitian n x n matrices:
-    [diag; sqrt2*Re upper; sqrt2*Im upper].
+def _hermitian(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + X.conj().T)
 
-    vec and unvec are one gather each through index maps formed here, over
-    the float view of a C-ordered complex matrix (Re and Im of each entry
-    in turn). vec multiplies the gathered entries by 1 (diagonal) or sqrt2;
-    unvec gathers from [v + pad, 0] and multiplies by 1 (diagonal) or
-    1/sqrt2, negated for the imaginary parts below the diagonal.
 
-    These are the float operations of the plain formulas, so splitting
-    iterates stay bit-identical to them: the plain unvec's
-    (re + 1j*im) / sqrt2 is a numpy complex division, which multiplies by
-    1/sqrt2. Adding pad (+0.0 off the diagonal, -0.0 on it) signs zeros as
-    that complex sum did, except that an off-diagonal -0.0 real part beside
-    a negative imaginary part now comes out +0.0. unvec refills a buffer
-    of the instance, so an instance serves one thread.
+def _inner(A: np.ndarray, B: np.ndarray) -> float:
+    """<A, B> = Re tr(A^* B), the real inner product of hermitian
+    matrices."""
+    return float(np.vdot(A, B).real)
+
+
+def _lmin(X: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(X)[0])
+
+
+class _Partition:
+    """The affine set of an instance and the orthogonal projection onto it,
+    over hermitian matrices with <A, B> = Re tr(A^* B).
+
+    With S_k(X) the sum of the entries of class k and |P_k| their number,
+    the projection adds (r_k - S_k)/|P_k| to every entry of a sum class,
+    and writes the mean S_k/|P_k|, or r_k when the tie class is pinned, to
+    every entry of a tie class. A class and its transpose carry conjugate
+    sums, and a self-transposed class a real one, so the image of a
+    hermitian X is hermitian up to rounding. Hence
+
+        apply(X) = X keep + (beta S(X) + x0)[labels],
+
+    keep = 1 on sum classes and 0 on tie classes, and null(X), the same
+    without x0, projects onto the directions of the affine set. S(X) is one
+    np.bincount over the float view of X, with labels 2k (real parts) and
+    2k + 1 (imaginary parts), so every matrix passed in is a C-contiguous
+    complex array.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.iu = np.triu_indices(n, 1)
-        self.k = k = len(self.iu[0])
-        self.dim = n + 2 * k
-        self.pos = {(int(i), int(j)): p
-                    for p, (i, j) in enumerate(zip(*self.iu))}
-        self._s2 = s2 = np.sqrt(2.0)
-        diag = np.arange(n) * (n + 1)
-        upper = self.iu[0] * n + self.iu[1]
-        lower = self.iu[1] * n + self.iu[0]
-        self._vec_src = np.concatenate([2 * diag, 2 * upper, 2 * upper + 1])
-        self._vec_weight = np.repeat([1.0, s2], [n, 2 * k])
-        re, im = np.arange(n, n + k), np.arange(n + k, self.dim)
-        src = np.full(2 * n * n, self.dim)
-        weight = np.ones(2 * n * n)
-        src[2 * diag] = np.arange(n)
-        for flat, sign in ((upper, 1.0), (lower, -1.0)):
-            src[2 * flat], src[2 * flat + 1] = re, im
-            weight[2 * flat], weight[2 * flat + 1] = 1.0 / s2, sign / s2
-        self._unvec_src, self._unvec_weight = src, weight
-        self._pad = np.repeat([-0.0, 0.0], [n, 2 * k])
-        self._buf = np.zeros(self.dim + 1)
-        self._head = self._buf[:self.dim]
-
-    def vec(self, M: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(M, dtype=complex).reshape(-1)
-        return flat.view(np.float64)[self._vec_src] * self._vec_weight
-
-    def unvec(self, v: np.ndarray) -> np.ndarray:
-        np.add(v, self._pad, out=self._head)
-        M = self._buf[self._unvec_src] * self._unvec_weight
-        return M.view(complex).reshape(self.n, self.n)
-
-    def constraint_rows(self, con: AffineConstraint):
-        """Realify one complex constraint into up to two real rows."""
-        row_re = np.zeros(self.dim)
-        row_im = np.zeros(self.dim)
-        for r, c, coef in con.entries:
-            if not (0 <= r < self.n and 0 <= c < self.n):
-                raise ValueError("constraint index out of range")
-            if r == c:
-                row_re[r] += coef.real
-                row_im[r] += coef.imag
-            else:
-                i, j = (r, c) if r < c else (c, r)
-                s = 1.0 if r < c else -1.0
-                px = self.n + self.pos[(i, j)]
-                py = self.n + self.k + self.pos[(i, j)]
-                row_re[px] += coef.real / self._s2
-                row_re[py] += -s * coef.imag / self._s2
-                row_im[px] += coef.imag / self._s2
-                row_im[py] += s * coef.real / self._s2
-        rows, rhs = [], []
-        for row, val in ((row_re, con.rhs.real), (row_im, con.rhs.imag)):
-            if np.max(np.abs(row)) > 1e-14 or abs(val) > 1e-14:
-                rows.append(row)
-                rhs.append(val)
-        return rows, rhs
-
-    def objective_vec(self, objective) -> np.ndarray:
-        """Realified gradient of b -> Re sum coef * b[row, col] (the same
-        entrywise reading as AffineConstraint)."""
-        C = np.zeros((self.n, self.n), dtype=complex)
-        for r, c, coef in objective:
-            C[r, c] += np.conj(coef)
-        C = 0.5 * (C + C.conj().T)
-        return self.vec(C)
-
-
-class _AffineProjector:
-    """Orthogonal projection onto {x : Lx = r} with a rank-revealing SVD."""
-
-    def __init__(self, L: np.ndarray, rhs: np.ndarray):
-        self.L = L
-        self.rhs = rhs
-        if L.shape[0] == 0:
-            self.rank = 0
-            self.Q = np.zeros((L.shape[1], 0))
-            self._U = np.zeros((0, 0))
-            self._S = np.zeros(0)
-            self.x0 = np.zeros(L.shape[1])
-            return
-        U, S, Vt = np.linalg.svd(L, full_matrices=False)
-        cut = (S[0] * 1e-12) if S.size and S[0] > 0 else 0.0
-        self.rank = int(np.sum(S > cut))
-        self.Q = Vt[:self.rank].T
-        self._U = U[:, :self.rank]
-        self._S = S[:self.rank]
-        self.x0 = self.Q @ ((self._U.T @ rhs) / self._S)
-        resid = float(np.max(np.abs(L @ self.x0 - rhs)))
-        if resid > 1e-8 * (1.0 + float(np.max(np.abs(rhs)))):
+    def __init__(self, inst: SdpInstance):
+        labels = inst.labels
+        k = len(inst.rhs)
+        self.n, self.labels = inst.n, labels
+        size = np.bincount(labels.ravel(), minlength=k)
+        sums = np.array(inst.sums, dtype=bool)
+        pinned = np.array([not s and r is not None
+                           for s, r in zip(inst.sums, inst.rhs)], dtype=bool)
+        rhs = np.array([0j if r is None else r for r in inst.rhs],
+                       dtype=complex)
+        transpose = np.zeros(k, dtype=np.intp)
+        transpose[labels] = labels.T
+        if (np.any(size == 0) or np.any(transpose[labels] != labels.T)
+                or np.any(sums[transpose] != sums)
+                or np.any(pinned[transpose] != pinned)):
+            raise ValueError("every class must be nonempty, and the "
+                             "transposed entries of a class one class of "
+                             "the same kind")
+        fixed = sums | pinned
+        self.rhs_max = float(np.max(np.abs(rhs[fixed].view(np.float64)),
+                                     initial=0.0))
+        mismatch = float(np.max(np.abs(rhs[transpose] - rhs.conj())[fixed],
+                                initial=0.0))
+        if mismatch > 1e-8 * (1.0 + self.rhs_max):
             raise InconsistentConstraintsError(
-                f"affine system is inconsistent (residual {resid:g})")
+                f"affine system is inconsistent: a class and its transpose "
+                f"carry values that are not conjugate (residual "
+                f"{mismatch:g})")
+        mean = 0.5 * (rhs + rhs[transpose].conj())
+        self._beta = np.where(sums, -1.0 / size, np.where(pinned, 0.0,
+                                                           1.0 / size))
+        self._offset = np.where(sums, mean / size,
+                                np.where(pinned, mean, 0j))
+        self.x0 = self._offset[labels]
+        self._keep = sums[labels].astype(float) if sums.any() else None
+        self._lab2 = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
+        self._k2 = 2 * k
+        self._size, self._sums, self._pinned, self._rhs = (
+            size, sums, pinned, rhs)
+        flat = labels.ravel()
+        _, first = np.unique(flat, return_index=True)
+        self._ties = np.flatnonzero(~sums[flat])
+        self._tie_labels = flat[self._ties]
+        self._ref = first[self._tie_labels]
+        # the multipliers of a tie class live on its entries but the first
+        # (instance_to_json writes no row for it)
+        self._lam_weight = np.where(sums[flat], 0.0, 1.0)
+        self._lam_weight[first[~sums & ~pinned]] = 0.0
+        self._tie_mean = np.where(sums | pinned, 0.0, 1.0 / size)
+        # the largest l1 norm of a residual's coefficients in the entries
+        self.row_l1 = float(max(np.max(size[sums], initial=0),
+                                 2 if np.any(~fixed & (size > 1)) else 0,
+                                 1 if pinned.any() else 0))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.rank == 0:
-            return x
-        return x - self.Q @ (self.Q.T @ x) + self.x0
+    def class_sums(self, X: np.ndarray) -> np.ndarray:
+        return np.bincount(self._lab2, X.view(np.float64).ravel(),
+                           self._k2).view(complex)
 
-    def multipliers(self, Qx: np.ndarray) -> np.ndarray:
-        """lam with L^T lam = QQ^T x, from Qx = Q^T x."""
-        return self._U @ (Qx / self._S)
+    def _corrected(self, X: np.ndarray, offset) -> np.ndarray:
+        out = (self._beta * self.class_sums(X) + offset)[self.labels]
+        if self._keep is not None:
+            out += X * self._keep
+        return out
 
-    def residual(self, x: np.ndarray) -> float:
-        if self.L.shape[0] == 0:
-            return 0.0
-        return float(np.max(np.abs(self.L @ x - self.rhs)))
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        return self._corrected(X, self._offset)
 
+    def null(self, X: np.ndarray) -> np.ndarray:
+        return self._corrected(X, 0.0)
 
-def _build_system(hv: _HermitianVec, constraints):
-    rows, rhs = [], []
-    for con in constraints:
-        r, v = hv.constraint_rows(con)
-        rows.extend(r)
-        rhs.extend(v)
-    if rows:
-        return np.array(rows), np.array(rhs)
-    return np.zeros((0, hv.dim)), np.zeros(0)
+    def residual(self, X: np.ndarray) -> float:
+        """The largest real or imaginary part of a row residual, for the
+        rows of instance_to_json: S_k - r_k for a sum class, an entry minus
+        r_k for a pinned class, and an entry minus the first entry of its
+        class for the other tie classes."""
+        flat = X.ravel()
+        S = self.class_sums(X)
+        lab = self._tie_labels
+        ref = np.where(self._pinned[lab], self._rhs[lab], flat[self._ref])
+        dev = np.concatenate([(S - self._rhs)[self._sums],
+                              flat[self._ties] - ref])
+        return float(np.max(np.abs(dev.view(np.float64)), initial=0.0))
 
-
-def _min_eig_vec(hv: _HermitianVec, v: np.ndarray) -> float:
-    M = hv.unvec(v)
-    return float(np.linalg.eigvalsh(M)[0])
+    def multiplier_l1(self, w: np.ndarray) -> float:
+        """|lam|_1 for real multipliers lam of the real and imaginary parts
+        of the rows of instance_to_json with sum_r lam_r A_r equal to the
+        projection of w onto their span (A_r the hermitian matrix of row
+        r): S_k(w)/|P_k| on the rows of a sum class (the least-norm choice),
+        the deviation of w from the class mean on the rows of a tie class,
+        and w itself on the rows of a pinned class."""
+        S = self.class_sums(w)
+        dev = w.ravel() - (self._tie_mean * S)[self.labels.ravel()]
+        entries = np.abs(dev.view(np.float64)).reshape(-1, 2).sum(axis=1)
+        classes = np.abs(S.view(np.float64)).reshape(-1, 2).sum(axis=1)
+        return float(entries @ self._lam_weight
+                     + np.sum(classes[self._sums] / self._size[self._sums]))
 
 
 # stall detection: every CHECK_EVERY iterations the PSD floor of the
@@ -305,13 +312,14 @@ ROUNDING_ULPS = 4
 
 class _DualGap:
     """Dual certificates of {b >= 0 : Lb = r} (the infeasibility
-    certificate of operator splitting). They exist when the rows of `base`
-    fix the trace tr b = tau; `trace` is tau, or None when they do not.
+    certificate of operator splitting), L the rows of the partition. They
+    exist when the rows fix the trace tr b = tau; `trace` is tau, or None
+    when they do not.
 
     Take Y, the gap between a cone point and its affine projection, and w,
-    a vector in the row space of L (up to rounding). Every b >= 0 with
-    Lb = r has <Y, b> >= tau min(0, lmin(Y)) and, with e the part of w
-    outside the row space, <w, b> <= <w, x0> + tau |e|. Hence
+    a matrix in the row space of L (up to rounding). Every b >= 0 with
+    Lb = r has <Y, b> >= tau min(0, lmin(Y)) and, with e = null(w) the part
+    of w outside the row space, <w, b> <= <w, x0> + tau |e|. Hence
 
         <Y - w, b> >= -g,   g = <w, x0> + tau slack,
         slack = |e| - min(0, lmin(Y)).
@@ -322,24 +330,19 @@ class _DualGap:
     leaves w outside the row space.
     """
 
-    def __init__(self, hv: _HermitianVec, base: _AffineProjector):
-        self.hv = hv
+    def __init__(self, base: _Partition):
         self.base = base
-        eye = hv.vec(np.eye(hv.n, dtype=complex))
-        Qe = base.Q.T @ eye
-        fixed = (np.linalg.norm(eye - base.Q @ Qe)
-                 <= FIXED_TRACE_REL * np.linalg.norm(eye))
-        self.trace = float(eye @ base.x0) if fixed else None
+        eye = np.eye(base.n, dtype=complex)
+        fixed = (np.linalg.norm(base.null(eye))
+                 <= FIXED_TRACE_REL * np.sqrt(base.n))
+        self.trace = float(np.trace(base.x0).real) if fixed else None
         # tr b = nu^T Lb, so tr b <= tau + |nu|_1 delta when |Lb - r| <= delta
-        self._nu_l1 = (float(np.sum(np.abs(base.multipliers(Qe))))
-                       if fixed else 0.0)
+        self._nu_l1 = base.multiplier_l1(eye) if fixed else 0.0
 
     def __call__(self, w: np.ndarray, Y: np.ndarray):
-        """(g, slack, Q^T w) for the pair (w, Y)."""
-        Qw = self.base.Q.T @ w
-        e = w - self.base.Q @ Qw
-        slack = float(np.linalg.norm(e)) - min(0.0, _min_eig_vec(self.hv, Y))
-        return float(w @ self.base.x0) + self.trace * slack, slack, Qw
+        """(g, slack) for the pair (w, Y)."""
+        slack = float(np.linalg.norm(self.base.null(w))) - min(0.0, _lmin(Y))
+        return _inner(w, self.base.x0) + self.trace * slack, slack
 
     def excluded(self, Y: np.ndarray) -> float:
         """The largest delta such that no b >= 0 has |Lb - r| < delta,
@@ -349,30 +352,29 @@ class _DualGap:
         + |lam|_1 delta and tr b <= tau + |nu|_1 delta, so the bound on g
         above becomes 0 <= g + delta (|lam|_1 + slack |nu|_1).
         """
-        g, slack, QY = self(Y, Y)
+        g, slack = self(Y, Y)
         if g >= 0.0:
             return 0.0
-        lam_l1 = float(np.sum(np.abs(self.base.multipliers(QY))))
-        return -g / (lam_l1 + slack * self._nu_l1)
+        return -g / (self.base.multiplier_l1(Y) + slack * self._nu_l1)
 
 
-def _splitting(hv, affine, start, tol, max_iter, reject=None):
+def _splitting(affine, start, tol, max_iter, reject=None):
     """Douglas-Rachford splitting between the PSD cone and the affine set
     that `affine` projects onto, started from the affine point `start`.
 
-    Each step maps z to the cone point y = vec(clip(eigh(unvec(z)))) and
-    then updates z <- z + affine(2y - z) - y. Every CHECK_EVERY iterations
-    the affine projection x of the cone point y is scored by its PSD floor;
-    the solve ends "converged" when the floor reaches -tol, "infeasible"
-    when `reject(y, x)` reports that the affine set misses the cone,
-    "stalled" when the floor stalls, and "max_iter" when the iterations run
-    out. Returns (best x, its floor, iterations, status).
+    Each step maps z to the cone point y = clip(eigh(z)) and then updates
+    z <- z + affine(2y - z) - y. Every CHECK_EVERY iterations the affine
+    projection x of the cone point y is scored by its PSD floor; the solve
+    ends "converged" when the floor reaches -tol, "infeasible" when
+    `reject(y, x)` reports that the affine set misses the cone, "stalled"
+    when the floor stalls, and "max_iter" when the iterations run out.
+    Returns (best x, its floor, iterations, status).
     """
-    unvec, vec, eigh, maximum = hv.unvec, hv.vec, np.linalg.eigh, np.maximum
+    eigh, maximum = np.linalg.eigh, np.maximum
 
-    def cone(v):
-        w, U = eigh(unvec(v))
-        return vec((U * maximum(w, 0.0)) @ U.conj().T)
+    def cone(Z):
+        w, U = eigh(Z)
+        return (U * maximum(w, 0.0)) @ U.conj().T
 
     z = start.copy()
     y = cone(z)
@@ -386,10 +388,10 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
         z = z + affine(2.0 * y - z) - y
         if it % CHECK_EVERY == 0 or it == max_iter:
             x = affine(y)
-            floor = _min_eig_vec(hv, x)
+            floor = _lmin(x)
             if floor > best_floor:
                 best_floor = floor
-                best_x = x.copy()
+                best_x = x
             if best_floor >= -tol:
                 status = "converged"
                 break
@@ -405,13 +407,12 @@ def _splitting(hv, affine, start, tol, max_iter, reject=None):
                     status = "stalled"
                     break
         y = cone(z)
-    return best_x, best_floor, it, status
+    return _hermitian(best_x), best_floor, it, status
 
 
-def _solve(hv, projector, tol, max_iter, start_vec=None) -> FeasibilityResult:
-    start = (projector.apply(start_vec) if start_vec is not None
-             else projector.x0.copy())
-    gap = _DualGap(hv, projector)
+def _solve(base: _Partition, tol, max_iter, start=None) -> FeasibilityResult:
+    start = base.apply(start) if start is not None else base.x0.copy()
+    gap = _DualGap(base)
     best = [0.0, None]
     reject = None
     if gap.trace is not None:
@@ -422,20 +423,20 @@ def _solve(hv, projector, tol, max_iter, start_vec=None) -> FeasibilityResult:
                 best[:] = delta, Y
             return delta > tol
 
-    x, floor, it, status = _splitting(hv, projector.apply, start, tol,
-                                      max_iter, reject)
+    x, floor, it, status = _splitting(base.apply, start, tol, max_iter,
+                                      reject)
     psd_res = max(0.0, -floor)
-    aff_res = projector.residual(x)
+    aff_res = base.residual(x)
     ok = psd_res <= tol and aff_res <= tol
     if not ok and status == "converged":
         # the floor was reached but the affine residual was not
         status = "stalled"
     delta, Y = best
     return FeasibilityResult(
-        ok, hv.unvec(x), psd_res, aff_res, it,
+        ok, x, psd_res, aff_res, it,
         "" if ok else "no PSD point found within tolerance", status,
         float(delta) if Y is not None else None,
-        hv.unvec(Y) if Y is not None else None)
+        _hermitian(Y) if Y is not None else None)
 
 
 def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
@@ -450,23 +451,22 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    hv = _HermitianVec(inst.n)
-    projector = _AffineProjector(*_build_system(hv, inst.constraints))
-    start_vec = hv.vec(start) if start is not None else None
-    return _solve(hv, projector, tol, max_iter, start_vec)
+    if start is not None:
+        start = _hermitian(np.asarray(start, dtype=complex))
+    return _solve(_Partition(inst), tol, max_iter, start)
 
 
 class _LevelSets:
     """Feasibility of the level sets {Lx = r, <c,x> = t} of one instance,
-    all projected with the base projector of {Lx = r}.
+    all projected with the base projection P_A onto {Lx = r}.
 
     On {Lx = r} the objective reads <c,x> = <c~,x> + <c,x0> with
-    c~ = c - QQ^T c, so the level projection is the base projection plus
+    c~ = null(c), so the level projection is the base projection plus
     the rank-one step P_t(x) = P_A(x) - ((<c,P_A(x)> - t)/|c~|^2) c~.
 
     When the base rows fix the trace, each check of a level whose PSD floor
     is still negative also yields a dual bound. With y the cone point,
-    Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the vector w = Y - mu c lies in
+    Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the matrix w = Y - mu c lies in
     the row space of L, so _DualGap gives mu <c,b> >= -g for every feasible
     b: level t is empty once g + mu t < 0, and whenever mu < 0
 
@@ -476,24 +476,18 @@ class _LevelSets:
     upper < t.
     """
 
-    def __init__(self, hv: _HermitianVec, base: _AffineProjector,
-                 c: np.ndarray):
-        self.hv = hv
+    def __init__(self, base: _Partition, c: np.ndarray):
         self.base = base
         self.c = c
-        self.c_perp = c - base.Q @ (base.Q.T @ c)
-        self.c_perp_sq = float(self.c_perp @ self.c_perp)
-        self.c_x0 = float(c @ base.x0)
+        self.c_perp = base.null(c)
+        self.c_perp_sq = _inner(self.c_perp, self.c_perp)
+        self.c_x0 = _inner(c, base.x0)
         self.dependent = (np.sqrt(self.c_perp_sq)
                           <= DEPENDENT_ROW_REL * float(np.linalg.norm(c)))
-        self.gap = _DualGap(hv, base)
+        self.gap = _DualGap(base)
         self.trace = self.gap.trace
         self.upper = np.inf
-        # the magnitudes that bound the rounding of each residual
-        self._row_l1 = float(np.max(np.sum(np.abs(base.L), axis=1),
-                                    initial=0.0))
-        self._rhs_max = float(np.max(np.abs(base.rhs), initial=0.0))
-        self._c_l1 = float(np.sum(np.abs(c)))
+        self._c_l1 = float(np.sum(np.abs(c.view(np.float64))))
 
     @property
     def certified_upper(self) -> float | None:
@@ -501,7 +495,8 @@ class _LevelSets:
 
     def project(self, x: np.ndarray, t: float) -> np.ndarray:
         xa = self.base.apply(x)
-        return xa - ((self.c @ xa - t) / self.c_perp_sq) * self.c_perp
+        return xa - ((np.vdot(self.c, xa).real - t) / self.c_perp_sq
+                     ) * self.c_perp
 
     def meets(self, x: np.ndarray, t: float, tol: float) -> bool:
         """Whether x satisfies the base rows and the level row, each within
@@ -509,17 +504,18 @@ class _LevelSets:
         computed from (1 + |rhs| + |row|_1 |x|_max)."""
         ulp = ROUNDING_ULPS * np.finfo(float).eps
         x_max = float(np.max(np.abs(x)))
-        base_tol = max(tol, ulp * (1.0 + self._rhs_max + self._row_l1 * x_max))
+        base_tol = max(tol, ulp * (1.0 + self.base.rhs_max
+                                   + self.base.row_l1 * x_max))
         row_tol = max(tol, ulp * (1.0 + abs(t) + self._c_l1 * x_max))
         return (self.base.residual(x) <= base_tol
-                and abs(float(self.c @ x) - t) <= row_tol)
+                and abs(_inner(self.c, x) - t) <= row_tol)
 
     def bound(self, Y: np.ndarray) -> float | None:
         """The dual bound U from Y = y - P_t(y), or None when mu >= 0."""
-        mu = float(self.c_perp @ Y) / self.c_perp_sq
+        mu = _inner(self.c_perp, Y) / self.c_perp_sq
         if mu >= 0.0:
             return None
-        g, _, _ = self.gap(Y - mu * self.c, Y)
+        g, _ = self.gap(Y - mu * self.c, Y)
         return g / -mu
 
     def _reject(self, y: np.ndarray, x: np.ndarray, t: float) -> bool:
@@ -533,7 +529,7 @@ class _LevelSets:
         None when the level is rejected; status is one of LEVEL_STATUSES."""
         if self.dependent:
             # <c,x> = <c,x0> on the whole affine set
-            scale = 1.0 + max(abs(t), self._rhs_max)
+            scale = 1.0 + max(abs(t), self.base.rhs_max)
             if abs(self.c_x0 - t) > 1e-8 * scale:
                 return None, 0, "inconsistent"
             affine, reject = self.base.apply, None
@@ -545,8 +541,8 @@ class _LevelSets:
             if self.trace is not None:
                 def reject(y, x):
                     return self._reject(y, x, t)
-        x, _, it, status = _splitting(self.hv, affine, affine(warm), tol,
-                                      max_iter, reject)
+        x, _, it, status = _splitting(affine, affine(warm), tol, max_iter,
+                                      reject)
         if status == "infeasible":
             return None, it, "rejected_by_bound"
         if status != "converged":
@@ -554,6 +550,14 @@ class _LevelSets:
         if not self.meets(x, t, tol):
             return None, it, "affine_residual"
         return x, it, "converged"
+
+
+def _objective_matrix(inst: SdpInstance) -> np.ndarray:
+    """The hermitian C with <C, b> = Re sum coef * b[row, col]."""
+    C = np.zeros((inst.n, inst.n), dtype=complex)
+    for r, c, coef in inst.objective:
+        C[r, c] += np.conj(coef)
+    return _hermitian(C)
 
 
 def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
@@ -571,23 +575,22 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
         raise ValueError("tol must be positive")
     if feas_tol is None:
         feas_tol = min(DEFAULT_FEAS_TOL, tol * 1e-3)
-    hv = _HermitianVec(inst.n)
-    projector = _AffineProjector(*_build_system(hv, inst.constraints))
-    obj_vec = hv.objective_vec(inst.objective)
+    partition = _Partition(inst)
+    C = _objective_matrix(inst)
 
-    base = _solve(hv, projector, feas_tol, max_iter)
+    base = _solve(partition, feas_tol, max_iter)
     total_iter = base.iterations
     if not base.feasible:
         raise InfeasibleError("no feasible point found for the base instance")
-    x_lo = hv.vec(base.b)
-    t_lo = float(obj_vec @ x_lo)
+    x_lo = base.b
+    t_lo = _inner(C, x_lo)
 
-    if np.max(np.abs(obj_vec)) < 1e-15:
+    if np.max(np.abs(C), initial=0.0) < 1e-15:
         return MaximizeResult(0.0, base.b, total_iter, (0.0, 0.0))
 
     # a rejected level t caps the bracket at min(t, upper), never below the
     # best feasible level
-    levels = _LevelSets(hv, projector, obj_vec)
+    levels = _LevelSets(partition, C)
     status = dict.fromkeys(LEVEL_STATUSES, 0)
     # expand upward from the feasible value until a level is rejected
     step = max(1.0, abs(t_lo))
@@ -615,19 +618,30 @@ def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
         else:
             t_hi = max(t_lo, min(mid, levels.upper))
 
-    return MaximizeResult(t_lo, hv.unvec(x_lo), total_iter, (t_lo, t_hi),
+    return MaximizeResult(t_lo, x_lo, total_iter, (t_lo, t_hi),
                           levels.certified_upper, sum(status.values()), status)
 
 
 def instance_to_json(inst: SdpInstance) -> dict:
+    """The rows of the partition: one per sum class with its entries in
+    row-major order, one per entry of a pinned class, and one per entry
+    but the first of any other tie class, against that first entry."""
+    rows = []
+    for pairs, r, is_sum in zip(label_pairs(inst.labels), inst.rhs,
+                                inst.sums):
+        cells = [[i, j, 1.0, 0.0] for i, j in pairs]
+        if is_sum:
+            rows.append({"entries": cells, "rhs": [r.real, r.imag]})
+        elif r is not None:
+            rows += [{"entries": [cell], "rhs": [r.real, r.imag]}
+                     for cell in cells]
+        else:
+            first = [*pairs[0], -1.0, 0.0]
+            rows += [{"entries": [first, cell], "rhs": [0.0, 0.0]}
+                     for cell in cells[1:]]
     return {
         "n": inst.n,
-        "constraints": [
-            {"entries": [[r, c, coef.real, coef.imag]
-                         for r, c, coef in con.entries],
-             "rhs": [con.rhs.real, con.rhs.imag]}
-            for con in inst.constraints
-        ],
+        "constraints": rows,
         "objective": [[r, c, coef.real, coef.imag]
                       for r, c, coef in inst.objective],
     }

@@ -30,7 +30,6 @@ from .denselin import PartialBlockMatrix, complete_block, psd_floor
 from .extendpt import extend_to, random_positive_type
 from .gnsrep import gns
 from .grounded import double_set, extension_chain, grounded_set
-from .sdpcore import AffineConstraint, SdpInstance, solve_feasibility
 from .words import free_group, generator, inverse, multiply, unit
 
 F2 = free_group(2)
@@ -43,12 +42,6 @@ def _g(i, e=1):
 
 def _toy_element():
     return one(F2) - delta(_g(1), 0.5) - delta(_g(1, -1), 0.5)
-
-
-def warm_up():
-    """Trigger solver JIT compilation outside any timed section."""
-    inst = SdpInstance(2, [AffineConstraint(((0, 0, 1.0),), 1.0)])
-    solve_feasibility(inst, tol=1e-9, max_iter=200)
 
 
 def _random_grounded(rng, max_size):
@@ -316,7 +309,6 @@ CRITERIA = [
 
 
 def run_all(write=print) -> bool:
-    warm_up()
     all_ok = True
     for name, fn in CRITERIA:
         ok, detail = fn()

@@ -5,11 +5,6 @@ import pytest
 from freecert import selftest
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _warm_solver():
-    selftest.warm_up()
-
-
 @pytest.mark.parametrize("name,fn", selftest.CRITERIA,
                          ids=[name.replace(" ", "_")
                               for name, _ in selftest.CRITERIA])

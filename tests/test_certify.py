@@ -329,5 +329,5 @@ def test_gram_instance_is_normalized():
     for trace in (False, True):
         inst, fscale = gram_instance(f, E, epsilon=0.5, trace=trace)
         assert fscale == 3.5
-        rhs = sorted(c.rhs.real for c in inst.constraints)
+        rhs = sorted(r.real for r in inst.rhs)
         assert rhs == pytest.approx([-1 / 3.5, -1 / 3.5, 1.0])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -527,50 +528,85 @@ def test_bell_outer_fine_tol_is_a_bound(tmp_path, capsys):
     assert result["solver"]["level_status"]["affine_residual"] == 0
 
 
-def cglmp_scenario(scale=1.0):
-    """The CGLMP functional for two settings and three outcomes."""
+def _three_outcome_coeff(first_shift):
+    """sum of P(A1 = B1) + P(B1 = A2 + 1) + P(A2 = B2) + P(B2 = A1), minus
+    P(B1 = A1 + first_shift) + P(B1 = A2) + P(A2 = B2 - 1)
+    + P(B2 = A1 - 1), for two settings and three outcomes."""
     m = 3
     c = np.zeros((2, 2, m, m))
     for a in range(m):
         for b in range(m):
-            c[0, 0, a, b] += (a == b) - (b == (a - 1) % m)
+            c[0, 0, a, b] += (a == b) - (b == (a + first_shift) % m)
             c[1, 0, a, b] += (b == (a + 1) % m) - (b == a)
             c[1, 1, a, b] += (a == b) - (a == (b - 1) % m)
             c[0, 1, a, b] += (b == a) - (b == (a - 1) % m)
-    return {"d": 2, "m": m, "coeff": (scale * c).tolist()}
+    return c
+
+
+def three_outcome_scenario(scale=1.0):
+    """The benchmark's 3-outcome functional (bench/workloads.py::cglmp3):
+    CGLMP's I_3 with P(B1 = A1 - 1) subtracted where I_3 subtracts
+    P(B1 = A1 + 1). It has no quantum advantage: a deterministic strategy
+    reaches 3.0, as does the see-saw. Its tests exercise the see-saw's POVM
+    steps, not a Bell violation."""
+    c = scale * _three_outcome_coeff(-1)
+    return {"d": 2, "m": 3, "coeff": c.tolist()}
 
 
 @pytest.fixture(scope="module")
-def cglmp_outer():
-    """The level-1 outer bound of the CGLMP functional."""
+def three_outcome_outer():
+    """The level-1 outer bound of the benchmark's 3-outcome functional."""
     from freecert.bell import BellFunctional, BellScenario, outer_bound
 
-    c = np.array(cglmp_scenario()["coeff"])
+    c = np.array(three_outcome_scenario()["coeff"])
     return outer_bound(BellScenario(2, 3), BellFunctional(c), 1)
 
 
-def test_bell_inner_scaled_cglmp_solves(tmp_path, capsys, cglmp_outer):
+def test_cglmp_two_sided(tmp_path, capsys):
+    # I_3 itself: classical value 2, quantum value 1 + sqrt(11/3) at dim 3
+    # (the see-saw finds it), level-1 outer bound 4
+    c = _three_outcome_coeff(1)
+    classical = max(
+        sum(c[k, l, a[k], b[l]] for k in range(2) for l in range(2))
+        for a in itertools.product(range(3), repeat=2)
+        for b in itertools.product(range(3), repeat=2))
+    assert classical == 2.0
+    spath = write(tmp_path, "cglmp.json",
+                  {"d": 2, "m": 3, "coeff": c.tolist()})
+    code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "3",
+                             "--restarts", "2", "--seed", "0"])
+    assert code == 0
+    inner = json.loads(out)["value"]
+    assert inner >= 1.0 + np.sqrt(11.0 / 3.0) - 1e-6
+    code, out = run(capsys, ["bell-outer", "--scenario", spath, "--level",
+                             "1"])
+    assert code == 0
+    assert inner <= json.loads(out)["value"] + 1e-6
+
+
+def test_bell_inner_scaled_cglmp_solves(tmp_path, capsys,
+                                        three_outcome_outer):
     # the POVM step's gap tolerance scales with the objective
-    spath = write(tmp_path, "cglmp.json", cglmp_scenario(1e7))
+    spath = write(tmp_path, "three.json", three_outcome_scenario(1e7))
     code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim", "2",
                              "--iters", "1", "--restarts", "1", "--seed",
                              "2"])
     assert code == 0
-    assert json.loads(out)["value"] <= 1e7 * cglmp_outer
+    assert json.loads(out)["value"] <= 1e7 * three_outcome_outer
 
 
 @pytest.mark.parametrize("dim, iters, restarts", [(2, 3, 1), (2, 10, 2),
                                                   (3, 3, 1)])
-def test_bell_inner_cglmp_dilates(tmp_path, capsys, cglmp_outer, dim, iters,
-                                  restarts):
+def test_bell_inner_cglmp_dilates(tmp_path, capsys, three_outcome_outer,
+                                  dim, iters, restarts):
     # POVM steps leave effect eigenvalues below PVM_TOL, which the
     # dilation must keep
-    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    spath = write(tmp_path, "three.json", three_outcome_scenario())
     code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim",
                              str(dim), "--iters", str(iters), "--restarts",
                              str(restarts), "--seed", "0"])
     assert code == 0
-    assert json.loads(out)["value"] <= cglmp_outer + 1e-6
+    assert json.loads(out)["value"] <= three_outcome_outer + 1e-6
 
 
 def test_bell_inner_failed_povm_solve_exit_one(tmp_path, capsys,
@@ -579,7 +615,7 @@ def test_bell_inner_failed_povm_solve_exit_one(tmp_path, capsys,
     import freecert.bell as bell
 
     monkeypatch.setattr(bell, "POVM_MAX_ITER", 1)
-    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    spath = write(tmp_path, "three.json", three_outcome_scenario())
     code = main(["bell-inner", "--scenario", spath, "--dim", "2", "--iters",
                  "1", "--restarts", "1", "--seed", "2"])
     captured = capsys.readouterr()
@@ -601,7 +637,7 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
 
     povm_step = bell._povm_step
     monkeypatch.setattr(bell, "_povm_step", counted)
-    spath = write(tmp_path, "cglmp.json", cglmp_scenario())
+    spath = write(tmp_path, "three.json", three_outcome_scenario())
     argv = ["bell-inner", "--scenario", spath, "--dim", "2", "--iters", "2",
             "--restarts", "1", "--seed", "2"]
     code, out = run(capsys, argv)

@@ -198,11 +198,21 @@ def test_verify_trace_matches_convolution(case):
     spec, factors, f, epsilon = case
     want = _oracle_classes(factors, f, epsilon)
     got = verify_trace(_cert(spec, factors, epsilon, trace=True), f)
-    # a class whose residual sits at the purge threshold may be kept by one
-    # summation order and dropped by the other; it is absent, i.e. 0
+    # the oracle drops the classes whose sum it rounds below the purge
+    # threshold, the verifier lists every class of the supports: a class
+    # missing from one side is 0
     scale = _scale(factors, f, epsilon)
     for k in set(want) | set(got):
         assert abs(got.get(k, 0j) - want.get(k, 0j)) <= 1e-14 * scale
+
+
+def _support_classes(factors, f):
+    """The conjugacy classes of S^-1 S, supp f and the unit, S the union of
+    the factors' supports, in sort_key order."""
+    S = {w for xi in factors for w in xi.terms}
+    words = {multiply(inverse(s), t) for s in S for t in S}
+    words |= set(f.terms) | {unit(f.spec)}
+    return sorted({conjugacy_canonical(w) for w in words}, key=sort_key)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,10 +221,36 @@ def test_verify_trace_exact_data_same_classes(case):
     spec, factors, f, epsilon = case
     want = _oracle_classes(factors, f, epsilon)
     got = verify_trace(_cert(spec, factors, epsilon, trace=True), f)
-    assert list(got) == list(want)
+    assert list(got) == _support_classes(factors, f)
     scale = _scale(factors, f, epsilon)
-    for k in want:
-        assert abs(got[k] - want[k]) <= 1e-14 * scale
+    for k in set(want) | set(got):
+        assert abs(got.get(k, 0j) - want.get(k, 0j)) <= 1e-14 * scale
+
+
+def _dyadic_trace_certificate():
+    xi = element(F2, {unit(F2): 0.5, g(1): -0.25 + 0.125j,
+                      multiply(g(2), g(1)): 0.75})
+    eta = element(F2, {g(2): 1.0, g(1, -1): -0.5j})
+    return [xi, eta], convolve(involve(xi), xi) + convolve(involve(eta), eta)
+
+
+def test_exact_trace_certificate_lists_every_support_class():
+    # every residual is exactly 0, and every class is still listed
+    factors, f = _dyadic_trace_certificate()
+    got = verify_trace(_cert(F2, factors, 0.0, trace=True), f)
+    assert list(got) == _support_classes(factors, f)
+    assert len(got) > 1 and not any(got.values())
+
+
+def test_trace_classes_do_not_move_with_rounding():
+    factors, f = _dyadic_trace_certificate()
+    want = list(verify_trace(_cert(F2, factors, 0.0, trace=True), f))
+    scale = 1.0 + 2.0 ** -52
+    bumped = [element(F2, {w: c * scale for w, c in xi.terms.items()})
+              for xi in factors]
+    got = verify_trace(_cert(F2, bumped, 0.0, trace=True), f)
+    assert list(got) == want
+    assert 0 < max(abs(v) for v in got.values()) <= 1e-14
 
 
 def test_verify_trace_product_group_raises_like_the_oracle():
@@ -323,7 +359,8 @@ def test_moment_instance_constraint_order():
     ties = [([(i, j), (j, i)], [0.0, 0.0]) for i, j in (
         (0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4))]
     assert _constraints(inst) == units + ties
-    signs = [[c[2] for c in con.entries] for con in inst.constraints[5:]]
+    signs = [[e[2] for e in con["entries"]]
+             for con in instance_to_json(inst)["constraints"][5:]]
     assert signs == [[-1.0, 1.0]] * 8
     objective = [(r, c, round(z.real, 12)) for r, c, z in inst.objective]
     assert objective == [(0, 0, 0.0), (0, 1, 0.0), (0, 2, 0.0), (0, 3, 0.0),

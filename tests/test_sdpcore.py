@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from freecert.denselin import psd_floor
 from freecert.sdpcore import (
-    AffineConstraint,
     FeasibilityResult,
     InconsistentConstraintsError,
     InfeasibleError,
@@ -18,28 +14,60 @@ from freecert.sdpcore import (
 )
 
 
-def con(entries, rhs):
-    return AffineConstraint(tuple(entries), rhs)
+def part(n, classes, objective=()):
+    """An instance on n x n matrices from (kind, pairs, rhs) classes, kind
+    "sum", "pinned" or "tie". A class that is not closed under
+    transposition gets its transpose as a class of the same kind with the
+    conjugate right-hand side, and every other entry is a free class of its
+    own."""
+    labels = -np.ones((n, n), dtype=int)
+    rhs, sums = [], []
+
+    def add(pairs, kind, r):
+        for i, j in pairs:
+            assert labels[i, j] < 0
+            labels[i, j] = len(rhs)
+        rhs.append(None if kind == "tie" else r)
+        sums.append(kind == "sum")
+
+    for kind, pairs, r in classes:
+        add(pairs, kind, r)
+        transposed = [(j, i) for i, j in pairs]
+        if set(transposed) != set(pairs):
+            add(transposed, kind, None if r is None else np.conj(r))
+    for i, j in zip(*np.nonzero(labels < 0)):
+        add([(i, j)], "tie", None)
+    return SdpInstance(labels, rhs, sums, objective)
 
 
 def check_feasible(inst, res, tol):
+    """Every class of the partition holds within 10 tol, read from the
+    labels alone."""
     assert res.feasible
     b = res.b
     assert psd_floor(b) >= -tol
-    for c in inst.constraints:
-        val = sum(coef * b[r, s] for r, s, coef in c.entries)
-        assert abs(val - c.rhs) <= 10 * tol
+    for k, (r, is_sum) in enumerate(zip(inst.rhs, inst.sums)):
+        vals = b[inst.labels == k]
+        if is_sum:
+            assert abs(vals.sum() - r) <= 10 * tol
+        else:
+            assert np.max(np.abs(vals - vals[0])) <= 10 * tol
+            if r is not None:
+                assert abs(vals[0] - r) <= 10 * tol
+
+
+DIAG2 = [(0, 0), (1, 1)]
 
 
 def test_single_entry():
-    inst = SdpInstance(1, [con([(0, 0, 1.0)], 1.0)])
+    inst = part(1, [("sum", [(0, 0)], 1.0)])
     res = solve_feasibility(inst, tol=1e-9)
     check_feasible(inst, res, 1e-9)
     assert res.b[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_zero_trace_forces_zero():
-    inst = SdpInstance(2, [con([(0, 0, 1.0), (1, 1, 1.0)], 0.0)])
+    inst = part(2, [("sum", DIAG2, 0.0)])
     res = solve_feasibility(inst, tol=1e-9)
     check_feasible(inst, res, 1e-9)
     assert np.max(np.abs(res.b)) <= 1e-8
@@ -47,63 +75,82 @@ def test_zero_trace_forces_zero():
 
 def test_unique_boundary_point():
     # trace 1 with b01 = b10 = -1/2 pins b = [[.5, -.5], [-.5, .5]]
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0), (1, 1, 1.0)], 1.0),
-        con([(0, 1, 1.0)], -0.5),
-        con([(1, 0, 1.0)], -0.5),
-    ])
+    inst = part(2, [("sum", DIAG2, 1.0), ("sum", [(0, 1)], -0.5)])
     res = solve_feasibility(inst, tol=1e-9)
     check_feasible(inst, res, 1e-9)
     assert np.max(np.abs(res.b - np.array([[0.5, -0.5], [-0.5, 0.5]]))) <= 1e-6
 
 
-def test_psd_infeasible_reports_no_progress():
+def _zero_trace_unit_corner():
     # trace zero forces b = 0, contradicting b[0,1] = 1
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0), (1, 1, 1.0)], 0.0),
-        con([(0, 1, 1.0)], 1.0),
-    ])
-    res = solve_feasibility(inst, tol=1e-9)
+    return part(2, [("sum", DIAG2, 0.0), ("sum", [(0, 1)], 1.0)])
+
+
+def test_psd_infeasible_reports_no_progress():
+    res = solve_feasibility(_zero_trace_unit_corner(), tol=1e-9)
     assert not res.feasible
     assert res.psd_residual > 1e-3
 
 
 def test_affine_inconsistency_detected():
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0)], 1.0),
-        con([(0, 0, 1.0)], 2.0),
-    ])
-    with pytest.raises(InconsistentConstraintsError):
-        solve_feasibility(inst)
+    for kind in ("sum", "pinned"):
+        # a self-transposed class with a non-real value
+        with pytest.raises(InconsistentConstraintsError):
+            solve_feasibility(part(2, [(kind, DIAG2, 1.0 + 1e-3j)]))
+        with pytest.raises(InconsistentConstraintsError):
+            maximize(part(2, [(kind, [(0, 1), (1, 0)], 2.0 - 1.0j)],
+                          ((0, 0, 1.0),)))
+        # a class and its transpose with values that are not conjugate
+        labels = [[0, 1], [2, 3]]
+        for values in ([1.0, 0.5, 0.7, 1.0], [1.0, 0.5j, 0.5j, 1.0]):
+            with pytest.raises(InconsistentConstraintsError):
+                solve_feasibility(SdpInstance(labels, values, kind == "sum"))
+        # rounding-sized mismatches are forgiven
+        inst = SdpInstance(labels, [1.0, 0.5, 0.5 + 1e-12, 1.0],
+                           kind == "sum")
+        assert solve_feasibility(inst).feasible
+
+
+def test_malformed_partitions_rejected():
+    with pytest.raises(ValueError):
+        # the transpose of {(0, 1)} is split between two classes
+        solve_feasibility(SdpInstance([[0, 1, 1], [2, 0, 3], [1, 3, 0]],
+                                      [1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError):
+        # a sum class whose transpose is a tie class
+        solve_feasibility(SdpInstance([[0, 1], [2, 0]], [1.0, 0.0, 0.0],
+                                      [True, True, False]))
+    with pytest.raises(ValueError):
+        SdpInstance([[0, 1], [1, 0]], [1.0], True)
+    with pytest.raises(ValueError):
+        SdpInstance([[0, 1], [1, 0]], [1.0, None], True)
 
 
 def test_no_constraints():
-    inst = SdpInstance(2, [])
+    inst = part(2, [])
     res = solve_feasibility(inst)
     check_feasible(inst, res, 1e-9)
 
 
 def test_complex_constraint():
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0)], 1.0),
-        con([(1, 1, 1.0)], 1.0),
-        con([(0, 1, 1.0)], 0.3 + 0.4j),
-    ])
+    inst = part(2, [("sum", [(0, 0)], 1.0), ("sum", [(1, 1)], 1.0),
+                    ("sum", [(0, 1)], 0.3 + 0.4j)])
     res = solve_feasibility(inst, tol=1e-9)
     check_feasible(inst, res, 1e-9)
     assert res.b[0, 1] == pytest.approx(0.3 + 0.4j, abs=1e-8)
 
 
 def test_maximize_diagonal_objective():
-    inst = SdpInstance(2, [con([(0, 0, 1.0), (1, 1, 1.0)], 1.0)],
-                       ((0, 0, 1.0), (1, 1, -1.0)))
+    inst = part(2, [("sum", DIAG2, 1.0)], ((0, 0, 1.0), (1, 1, -1.0)))
     res = maximize(inst, tol=1e-6)
     assert res.value == pytest.approx(1.0, abs=1e-5)
 
 
+UNIT_DIAG2 = [("sum", [(0, 0)], 1.0), ("sum", [(1, 1)], 1.0)]
+
+
 def test_maximize_offdiagonal():
-    inst = SdpInstance(2, [con([(0, 0, 1.0)], 1.0), con([(1, 1, 1.0)], 1.0)],
-                       ((0, 1, 1.0), (1, 0, 1.0)))
+    inst = part(2, UNIT_DIAG2, ((0, 1, 1.0), (1, 0, 1.0)))
     res = maximize(inst, tol=1e-6)
     assert res.value == pytest.approx(2.0, abs=1e-5)
     assert res.b[0, 1].real == pytest.approx(1.0, abs=1e-4)
@@ -114,16 +161,13 @@ def test_maximize_offdiagonal():
 
 
 def test_maximize_zero_objective():
-    inst = SdpInstance(2, [con([(0, 0, 1.0)], 1.0), con([(1, 1, 1.0)], 1.0)])
-    res = maximize(inst, tol=1e-6)
+    res = maximize(part(2, UNIT_DIAG2), tol=1e-6)
     assert res.value == 0.0
 
 
 def test_maximize_infeasible_raises():
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0), (1, 1, 1.0)], 0.0),
-        con([(0, 1, 1.0)], 1.0),
-    ], ((0, 0, 1.0),))
+    inst = part(2, [("sum", DIAG2, 0.0), ("sum", [(0, 1)], 1.0)],
+                ((0, 0, 1.0),))
     with pytest.raises(InfeasibleError):
         maximize(inst, tol=1e-4)
 
@@ -139,7 +183,7 @@ def test_maximize_unbounded_raises(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(sc, "_LevelSets", Recording)
-    inst = SdpInstance(2, [], ((0, 0, 1.0),))
+    inst = part(2, [], ((0, 0, 1.0),))
     with pytest.raises(UnboundedError):
         maximize(inst, tol=1e-2)
     # nothing fixes the trace: no dual bound may be formed
@@ -150,8 +194,7 @@ def test_maximize_unbounded_raises(monkeypatch):
 def test_maximize_dependent_objective_row():
     # the objective is an entry the constraints pin: every other level is
     # affinely inconsistent and rejected without iterating
-    inst = SdpInstance(2, [con([(0, 0, 1.0)], 1.0), con([(1, 1, 1.0)], 1.0)],
-                       ((0, 0, 1.0),))
+    inst = part(2, UNIT_DIAG2, ((0, 0, 1.0),))
     res = maximize(inst, tol=1e-6)
     base = solve_feasibility(inst, tol=1e-9)
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -161,6 +204,8 @@ def test_maximize_dependent_objective_row():
 
 
 def test_feasible_output_reverified():
+    # the unit trace and some pinned entries of a random state; the pinned
+    # diagonal entries leave the rest of the trace to the other ones
     rng = np.random.default_rng(61)
     for _ in range(10):
         n = int(rng.integers(2, 5))
@@ -169,12 +214,15 @@ def test_feasible_output_reverified():
         target /= np.trace(target).real
         idx = [(int(i), int(j)) for i in range(n) for j in range(i, n)
                if rng.random() < 0.5]
-        cons = [con([(0, 0, 1.0), *[(k, k, 1.0) for k in range(1, n)]], 1.0)]
-        for i, j in idx:
-            cons.append(con([(i, j, 1.0)], complex(target[i, j])))
-        inst = SdpInstance(n, cons)
+        classes = [("sum", [(i, j)], complex(target[i, j])) for i, j in idx]
+        free_diag = [(k, k) for k in range(n) if (k, k) not in idx]
+        if free_diag:
+            rest = 1.0 - sum(target[i, i].real for i, j in idx if i == j)
+            classes.append(("sum", free_diag, rest))
+        inst = part(n, classes)
         res = solve_feasibility(inst, tol=1e-9)
         check_feasible(inst, res, 1e-9)
+        assert np.trace(res.b).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_maximize_monotone_under_constraints():
@@ -185,17 +233,16 @@ def test_maximize_monotone_under_constraints():
         C = 0.5 * (C + C.T)
         objective = tuple((i, j, complex(C[i, j])) for i in range(n)
                           for j in range(n))
-        base = [con([(k, k, 1.0) for k in range(n)], 1.0)]
-        extra = base + [con([(0, 1, 1.0), (1, 0, 1.0)], 0.0)]
-        v1 = maximize(SdpInstance(n, base, objective), tol=1e-6).value
-        v2 = maximize(SdpInstance(n, extra, objective), tol=1e-6).value
+        base = [("sum", [(k, k) for k in range(n)], 1.0)]
+        extra = base + [("sum", [(0, 1), (1, 0)], 0.0)]
+        v1 = maximize(part(n, base, objective), tol=1e-6).value
+        v2 = maximize(part(n, extra, objective), tol=1e-6).value
         assert v2 <= v1 + 1e-5
 
 
 def test_maximize_matches_levelset_bisection_surrogate():
     # independent check: parametrized scan over the off-diagonal entry
-    inst = SdpInstance(2, [con([(0, 0, 1.0)], 1.0), con([(1, 1, 1.0)], 1.0)],
-                       ((0, 1, 0.5), (1, 0, 0.5)))
+    inst = part(2, UNIT_DIAG2, ((0, 1, 0.5), (1, 0, 0.5)))
     res = maximize(inst, tol=1e-6)
     ts = np.linspace(-1, 1, 2001)
     best = max(t for t in ts
@@ -204,44 +251,55 @@ def test_maximize_matches_levelset_bisection_surrogate():
 
 
 def _moment_like(rng, n):
-    """Unit diagonal, a few tied and pinned off-diagonal entries."""
-    cons = [con([(i, i, 1.0)], 1.0) for i in range(n)]
+    """Unit diagonal, a few tied and one pinned off-diagonal entry; returns
+    the instance and the pinned (i, j, value)."""
+    classes = [("pinned", [(i, i) for i in range(n)], 1.0)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(pairs)
     pinned = pairs.pop()
     for (i, j), (k, l) in zip(pairs[0::2][:n], pairs[1::2][:n]):
-        cons.append(con([(i, j, 1.0), (k, l, -1.0)], 0.0))
-    cons.append(con([(*pinned, 1.0)], complex(rng.uniform(-0.5, 0.5))))
+        classes.append(("tie", [(i, j), (k, l)], None))
+    value = complex(rng.uniform(-0.5, 0.5))
+    classes.append(("pinned", [pinned], value))
     C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     objective = tuple((i, j, complex(C[i, j])) for i in range(n)
                       for j in range(n) if i != j)
-    return SdpInstance(n, cons, objective)
+    return part(n, classes, objective), (*pinned, value)
 
 
-def test_level_projection_matches_stacked_svd():
-    from freecert.sdpcore import (
-        _AffineProjector,
-        _build_system,
-        _HermitianVec,
-        _LevelSets,
-    )
-
-    rng = np.random.default_rng(63)
-    for _ in range(10):
-        n = int(rng.integers(3, 7))
-        inst = _moment_like(rng, n)
-        hv = _HermitianVec(n)
-        L, rhs = _build_system(hv, inst.constraints)
-        c = hv.objective_vec(inst.objective)
-        levels = _LevelSets(hv, _AffineProjector(L, rhs), c)
-        assert not levels.dependent and levels.trace == pytest.approx(n)
-        for t in rng.uniform(-3, 3, size=3):
-            stacked = _AffineProjector(np.vstack([L, c[None, :]]),
-                                       np.append(rhs, t))
-            for _ in range(3):
-                x = 3 * rng.standard_normal(hv.dim)
-                assert np.max(np.abs(levels.project(x, t)
-                                     - stacked.apply(x))) <= 1e-10
+def _random_partition(rng, n, objective=False, kinds=("sum", "pinned", "tie")):
+    """Classes of the given kinds over the transposition orbits of the
+    entries, in random order: self-transposed ones (real values) and pairs
+    of a class and its transpose (conjugate complex values). With sum
+    classes alone the diagonal gets classes of its own, as in a Gram
+    instance, so the trace is fixed."""
+    orbits = [[(i, j), (j, i)] for i in range(n) for j in range(i + 1, n)]
+    diagonal = [[(i, i)] for i in range(n)]
+    if kinds != ("sum",):
+        orbits, diagonal = orbits + diagonal, []
+    order = rng.permutation(len(orbits))
+    orbits = [orbits[k] for k in order]
+    classes = []
+    while diagonal:
+        cut = int(rng.integers(1, len(diagonal) + 1))
+        classes.append(("sum", [o[0] for o in diagonal[:cut]],
+                        complex(rng.uniform(0.5, 2.0))))
+        diagonal = diagonal[cut:]
+    while orbits:
+        size = int(rng.integers(1, 4))
+        take, orbits = orbits[:size], orbits[size:]
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if all(len(o) == 2 for o in take) and rng.random() < 0.6:
+            pairs = [o[int(rng.integers(2))] for o in take]
+            value = complex(rng.standard_normal(), rng.standard_normal())
+        else:
+            pairs = [e for o in take for e in o]
+            value = complex(rng.standard_normal())
+        classes.append((kind, pairs, value))
+    C = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    obj = (tuple((i, j, complex(C[i, j])) for i in range(n) for j in range(n))
+           if objective else ())
+    return part(n, classes, obj)
 
 
 def test_certified_upper_bounds_every_feasible_value():
@@ -250,34 +308,44 @@ def test_certified_upper_bounds_every_feasible_value():
 
     rng = np.random.default_rng(64)
     for _ in range(6):
-        inst = _moment_like(rng, int(rng.integers(3, 6)))
+        inst, (i, j, value) = _moment_like(rng, int(rng.integers(3, 6)))
         res = maximize(inst, tol=1e-4)
         assert res.certified_upper is not None
         assert res.certified_upper >= res.value
         assert res.bracket[0] <= res.bracket[1] <= res.certified_upper + 1e-4
         # an independent feasible point: the identity plus the pinned entry
         b = np.eye(inst.n, dtype=complex)
-        (i, j, _), = inst.constraints[-1].entries
-        b[i, j] = b[j, i] = inst.constraints[-1].rhs
+        b[i, j] = b[j, i] = value
         check_feasible(inst, FeasibilityResult(True, b, 0, 0, 0), 1e-12)
         assert objective(inst, b) <= res.certified_upper
         assert objective(inst, res.b) <= res.certified_upper + 1e-8
 
 
 def test_instance_json():
-    inst = SdpInstance(2, [con([(0, 1, 1.0 + 2.0j)], 0.5)], ((0, 0, 1.0),))
+    # a sum class and its transpose, a pinned diagonal and a free tie
+    labels = [[2, 0, 3], [1, 2, 4], [4, 3, 2]]
+    inst = SdpInstance(labels, [0.5 + 2j, 0.5 - 2j, 1.0, None, None],
+                       [True, True, False, False, False], ((0, 0, 1.0),))
     blob = instance_to_json(inst)
-    assert blob["n"] == 2
-    assert blob["constraints"][0]["entries"] == [[0, 1, 1.0, 2.0]]
-    assert blob["constraints"][0]["rhs"] == [0.5, 0.0]
+    assert blob["n"] == 3
+    assert blob["constraints"] == [
+        {"entries": [[0, 1, 1.0, 0.0]], "rhs": [0.5, 2.0]},
+        {"entries": [[1, 0, 1.0, 0.0]], "rhs": [0.5, -2.0]},
+        {"entries": [[0, 0, 1.0, 0.0]], "rhs": [1.0, 0.0]},
+        {"entries": [[1, 1, 1.0, 0.0]], "rhs": [1.0, 0.0]},
+        {"entries": [[2, 2, 1.0, 0.0]], "rhs": [1.0, 0.0]},
+        {"entries": [[0, 2, -1.0, 0.0], [2, 1, 1.0, 0.0]], "rhs": [0.0, 0.0]},
+        {"entries": [[1, 2, -1.0, 0.0], [2, 0, 1.0, 0.0]], "rhs": [0.0, 0.0]},
+    ]
     assert blob["objective"] == [[0, 0, 1.0, 0.0]]
 
 
 def certificate_excludes(inst, Y, tol):
-    """Recompute a dual certificate from the constraints alone: True when the
-    hermitian Y proves that no PSD b meets every constraint within tol.
+    """Recompute a dual certificate from the rows of instance_to_json
+    alone: True when the hermitian Y proves that no PSD b meets every row
+    within tol.
 
-    Each complex constraint gives the real functionals Re and Im of
+    Each complex row gives the real functionals Re and Im of
     sum coef * b[r, c], written <A, b> = Re tr(A^* b) with A hermitian.
     With Y = sum lam_k A_k + e and I = sum nu_k A_k + e_I, any PSD b within
     tol has <Y - e, b> <= lam.r + |lam|_1 tol, tr b <= T =
@@ -286,10 +354,11 @@ def certificate_excludes(inst, Y, tol):
     """
     n = inst.n
     rows, rhs = [], []
-    for c in inst.constraints:
-        for phase, val in ((1.0, c.rhs.real), (-1j, c.rhs.imag)):
+    for c in instance_to_json(inst)["constraints"]:
+        for phase, val in ((1.0, c["rhs"][0]), (-1j, c["rhs"][1])):
             A = np.zeros((n, n), dtype=complex)
-            for r, s, coef in c.entries:
+            for r, s, re, im in c["entries"]:
+                coef = complex(re, im)
                 A[r, s] += np.conj(phase * coef) / 2
                 A[s, r] += phase * coef / 2
             if np.any(A):
@@ -311,16 +380,21 @@ def certificate_excludes(inst, Y, tol):
 
 
 def _fixed_trace_instance(rng, b0, k):
-    """The unit trace row and k random sparse complex rows, all met by b0."""
+    """The unit trace class and up to k random sum classes of off-diagonal
+    entries (each with its transpose), all met by b0."""
     n = b0.shape[0]
-    cons = [con([(i, i, 1.0) for i in range(n)], np.trace(b0).real)]
+    classes = [("sum", [(i, i) for i in range(n)], np.trace(b0).real)]
+    free = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(free)
     for _ in range(k):
-        idx = rng.choice(n * n, size=int(rng.integers(1, 4)), replace=False)
-        entries = [(int(p // n), int(p % n),
-                    complex(rng.standard_normal(), rng.standard_normal()))
-                   for p in idx]
-        cons.append(con(entries, sum(c * b0[r, s] for r, s, c in entries)))
-    return SdpInstance(n, cons)
+        size = int(rng.integers(1, 4))
+        if len(free) < size:
+            break
+        pairs = [(i, j) if rng.random() < 0.5 else (j, i)
+                 for i, j in free[:size]]
+        free = free[size:]
+        classes.append(("sum", pairs, sum(b0[p] for p in pairs)))
+    return part(n, classes)
 
 
 @pytest.mark.parametrize("rank, seed", [("full", 65), ("full", 66),
@@ -345,10 +419,7 @@ def test_feasible_fixed_trace_never_infeasible(rank, seed):
 def test_psd_infeasible_certified():
     # the instance of test_psd_infeasible_reports_no_progress: the
     # certificate is tight, as |b01| <= tr b / 2 forces a residual of 2/3
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0), (1, 1, 1.0)], 0.0),
-        con([(0, 1, 1.0)], 1.0),
-    ])
+    inst = _zero_trace_unit_corner()
     res = solve_feasibility(inst, tol=1e-9)
     assert res.status == "infeasible" and res.iterations <= 25
     assert res.certified_gap == pytest.approx(2.0 / 3.0, rel=1e-9)
@@ -360,10 +431,7 @@ def test_infeasible_only_beyond_tolerance():
     # b01 = 1/2 + 1e-9 at unit trace: the nearest PSD points miss the rows
     # by 1e-9 / 1.5, so a tolerance above that leaves nothing to exclude,
     # while the PSD floor of every affine point stays below -1e-9
-    inst = SdpInstance(2, [
-        con([(0, 0, 1.0), (1, 1, 1.0)], 1.0),
-        con([(0, 1, 1.0)], 0.5 + 1e-9),
-    ])
+    inst = part(2, [("sum", DIAG2, 1.0), ("sum", [(0, 1)], 0.5 + 1e-9)])
     res = solve_feasibility(inst, tol=8e-10)
     assert res.status == "stalled"
     assert res.certified_gap == pytest.approx(1e-9 / 1.5, rel=1e-6)
@@ -375,7 +443,7 @@ def test_infeasible_only_beyond_tolerance():
 def test_stop_reasons():
     # nothing fixes the trace, so no certificate is formed: the infeasible
     # solve ends by count or when the PSD floor stalls at -1
-    inst = SdpInstance(2, [con([(0, 0, 1.0)], -1.0)])
+    inst = part(2, [("sum", [(0, 0)], -1.0)])
     res = solve_feasibility(inst, tol=1e-9, max_iter=100)
     assert (res.status, res.iterations) == ("max_iter", 100)
     assert res.certified_gap is None and res.dual is None
@@ -420,37 +488,149 @@ def test_level_status_counts_every_level():
 
     rng = np.random.default_rng(66)
     for _ in range(4):
-        res = maximize(_moment_like(rng, int(rng.integers(3, 6))), tol=1e-4)
+        inst, _ = _moment_like(rng, int(rng.integers(3, 6)))
+        res = maximize(inst, tol=1e-4)
         assert list(res.level_status) == list(LEVEL_STATUSES)
         assert sum(res.level_status.values()) == res.levels > 0
         assert res.level_status["converged"] > 0
-    res = maximize(SdpInstance(2, [con([(0, 0, 1.0)], 1.0)]), tol=1e-6)
+    res = maximize(part(2, [("sum", [(0, 0)], 1.0)]), tol=1e-6)
     assert res.levels == 0 and not any(res.level_status.values())
 
 
-# --- the index-map kernel against the formulas it replaced ---------------
-
-def reference_vec(hv, M):
-    v = np.empty(hv.dim)
-    v[:hv.n] = np.diagonal(M).real
-    upper = M[hv.iu]
-    v[hv.n:hv.n + hv.k] = np.sqrt(2.0) * upper.real
-    v[hv.n + hv.k:] = np.sqrt(2.0) * upper.imag
-    return v
 
 
-def reference_unvec(hv, v):
-    n, k = hv.n, hv.k
-    M = np.zeros((n, n), dtype=complex)
-    M[np.arange(n), np.arange(n)] = v[:n]
-    upper = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2.0)
-    M[hv.iu] = upper
-    M[hv.iu[1], hv.iu[0]] = upper.conj()
-    return M
+# --- the realified SVD engine that the class partition replaced -----------
+#
+# Reference code: hermitian matrices as real vectors [diag; sqrt2 Re upper;
+# sqrt2 Im upper], the rows of instance_to_json realified into a real system
+# Lx = r, its orthogonal projection by a rank-revealing SVD, the dual gap
+# and level rows on top of it, and the splitting loop over vectors.
+
+class Realified:
+    def __init__(self, n):
+        self.n = n
+        self.iu = np.triu_indices(n, 1)
+        self.k = len(self.iu[0])
+        self.dim = n + 2 * self.k
+        self.pos = {(int(i), int(j)): p
+                    for p, (i, j) in enumerate(zip(*self.iu))}
+
+    def vec(self, M):
+        v = np.empty(self.dim)
+        v[:self.n] = np.diagonal(M).real
+        upper = M[self.iu]
+        v[self.n:self.n + self.k] = np.sqrt(2.0) * upper.real
+        v[self.n + self.k:] = np.sqrt(2.0) * upper.imag
+        return v
+
+    def unvec(self, v):
+        n, k = self.n, self.k
+        M = np.zeros((n, n), dtype=complex)
+        M[np.arange(n), np.arange(n)] = v[:n]
+        upper = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2.0)
+        M[self.iu] = upper
+        M[self.iu[1], self.iu[0]] = upper.conj()
+        return M
+
+    def system(self, inst):
+        rows, rhs = [], []
+        s2 = np.sqrt(2.0)
+        for con in instance_to_json(inst)["constraints"]:
+            row_re, row_im = np.zeros(self.dim), np.zeros(self.dim)
+            for r, c, re, im in con["entries"]:
+                coef = complex(re, im)
+                if r == c:
+                    row_re[r] += coef.real
+                    row_im[r] += coef.imag
+                    continue
+                i, j = (r, c) if r < c else (c, r)
+                s = 1.0 if r < c else -1.0
+                px = self.n + self.pos[(i, j)]
+                py = self.n + self.k + self.pos[(i, j)]
+                row_re[px] += coef.real / s2
+                row_re[py] += -s * coef.imag / s2
+                row_im[px] += coef.imag / s2
+                row_im[py] += s * coef.real / s2
+            for row, val in ((row_re, con["rhs"][0]), (row_im, con["rhs"][1])):
+                if np.max(np.abs(row)) > 1e-14 or abs(val) > 1e-14:
+                    rows.append(row)
+                    rhs.append(val)
+        if not rows:
+            return np.zeros((0, self.dim)), np.zeros(0)
+        return np.array(rows), np.array(rhs)
+
+    def objective(self, inst):
+        C = np.zeros((self.n, self.n), dtype=complex)
+        for r, c, coef in inst.objective:
+            C[r, c] += np.conj(coef)
+        return self.vec(0.5 * (C + C.conj().T))
+
+    def lmin(self, v):
+        return float(np.linalg.eigvalsh(self.unvec(v))[0])
+
+
+class SvdProjector:
+    def __init__(self, L, rhs):
+        U, S, Vt = np.linalg.svd(L, full_matrices=False)
+        rank = int(np.sum(S > S[0] * 1e-12)) if S.size else 0
+        self.Q, self._U, self._S = Vt[:rank].T, U[:, :rank], S[:rank]
+        self.x0 = self.Q @ ((self._U.T @ rhs) / self._S)
+
+    def apply(self, x):
+        return x - self.Q @ (self.Q.T @ x) + self.x0
+
+    def multipliers(self, Qx):
+        return self._U @ (Qx / self._S)
+
+
+class SvdDualGap:
+    def __init__(self, hv, P):
+        self.hv, self.P = hv, P
+        eye = hv.vec(np.eye(hv.n))
+        Qe = P.Q.T @ eye
+        fixed = np.linalg.norm(eye - P.Q @ Qe) <= 1e-9 * np.linalg.norm(eye)
+        self.trace = float(eye @ P.x0) if fixed else None
+        self.nu_l1 = float(np.sum(np.abs(P.multipliers(Qe)))) if fixed else 0
+
+    def __call__(self, w, Y):
+        Qw = self.P.Q.T @ w
+        slack = (float(np.linalg.norm(w - self.P.Q @ Qw))
+                 - min(0.0, self.hv.lmin(Y)))
+        return float(w @ self.P.x0) + self.trace * slack, slack, Qw
+
+    def excluded(self, Y):
+        g, slack, QY = self(Y, Y)
+        if g >= 0.0:
+            return 0.0
+        lam_l1 = float(np.sum(np.abs(self.P.multipliers(QY))))
+        return -g / (lam_l1 + slack * self.nu_l1)
+
+
+class SvdLevel:
+    """The level t of <c, x> over the SVD projection: a rank-one step along
+    c~ = c - QQ^T c, and the dual bound of each check."""
+
+    def __init__(self, hv, P, c, t):
+        self.P, self.c, self.t = P, c, t
+        self.c_perp = c - P.Q @ (P.Q.T @ c)
+        self.c_perp_sq = float(self.c_perp @ self.c_perp)
+        self.gap = SvdDualGap(hv, P)
+        self.upper = np.inf
+
+    def project(self, x):
+        xa = self.P.apply(x)
+        return xa - ((self.c @ xa - self.t) / self.c_perp_sq) * self.c_perp
+
+    def reject(self, y, x):
+        Y = y - x
+        mu = float(self.c_perp @ Y) / self.c_perp_sq
+        if mu < 0.0:
+            self.upper = min(self.upper, self.gap(Y - mu * self.c, Y)[0] / -mu)
+        return self.upper < self.t
 
 
 def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
-    """The splitting loop as it was written before the index maps."""
+    """The splitting loop over realified vectors."""
     from freecert.sdpcore import (
         CHECK_EVERY,
         MIN_ITER_BEFORE_STALL,
@@ -459,11 +639,8 @@ def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
     )
 
     def project_psd(v):
-        w, U = np.linalg.eigh(reference_unvec(hv, v))
-        return reference_vec(hv, (U * np.maximum(w, 0.0)) @ U.conj().T)
-
-    def min_eig(v):
-        return float(np.linalg.eigvalsh(reference_unvec(hv, v))[0])
+        w, U = np.linalg.eigh(hv.unvec(v))
+        return hv.vec((U * np.maximum(w, 0.0)) @ U.conj().T)
 
     z = start.copy()
     best_floor = -np.inf
@@ -477,7 +654,7 @@ def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
         z = z + affine(2.0 * y - z) - y
         if it % CHECK_EVERY == 0 or it == max_iter:
             x = affine(y)
-            floor = min_eig(x)
+            floor = hv.lmin(x)
             if floor > best_floor:
                 best_floor = floor
                 best_x = x.copy()
@@ -498,59 +675,83 @@ def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
     return best_x, best_floor, it, status
 
 
-_magnitudes = st.floats(1e-12, 1e6)
-_entries = st.one_of(_magnitudes, _magnitudes.map(lambda x: -x),
-                     st.sampled_from([0.0, -0.0]))
+def _random_hermitian(rng, n, scale=3.0):
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return scale * (Z + Z.conj().T)
 
 
-@st.composite
-def _sized_vectors(draw, length):
-    n = draw(st.integers(1, 17))
-    return n, draw(hnp.arrays(np.float64, length(n), elements=_entries))
+def _partitions(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        yield _random_partition(rng, n, objective=True)
+        yield _random_partition(rng, n, objective=True, kinds=("sum",))
+        if n >= 3:
+            yield _moment_like(rng, n)[0]
 
 
-@settings(max_examples=50, deadline=None)
-@given(_sized_vectors(lambda n: 2 * n * n))
-def test_vec_matches_reference_bytes(case):
-    from freecert.sdpcore import _HermitianVec
+def test_class_projection_matches_svd():
+    from freecert.sdpcore import _Partition
 
-    n, raw = case
-    hv = _HermitianVec(n)
-    M = raw.view(complex).reshape(n, n)
-    for A in (M, M.T, M.real):
-        assert (hv.vec(A).tobytes()
-                == reference_vec(hv, A).tobytes())
-
-
-@settings(max_examples=50, deadline=None)
-@given(_sized_vectors(lambda n: n * n))
-def test_unvec_matches_reference_bytes(case):
-    from freecert.sdpcore import _HermitianVec
-
-    n, v = case
-    hv = _HermitianVec(n)
-    # the one documented difference: an off-diagonal real part -0.0 beside
-    # a negative imaginary part (see test_unvec_signed_zeros)
-    re, im = v[n:n + hv.k], v[n + hv.k:]
-    re[(re == 0.0) & (im < 0.0)] = 0.0
-    assert hv.unvec(v).tobytes() == reference_unvec(hv, v).tobytes()
-    assert (hv.vec(hv.unvec(v)).tobytes()
-            == reference_vec(hv, reference_unvec(hv, v)).tobytes())
+    rng = np.random.default_rng(69)
+    for inst in _partitions(rng, 25):
+        hv = Realified(inst.n)
+        P = SvdProjector(*hv.system(inst))
+        part_ = _Partition(inst)
+        assert np.max(np.abs(part_.x0 - hv.unvec(P.x0))) <= 1e-12
+        for _ in range(3):
+            X = _random_hermitian(rng, inst.n)
+            x = hv.vec(X)
+            assert np.max(np.abs(part_.apply(X)
+                                 - hv.unvec(P.apply(x)))) <= 1e-12
+            assert np.max(np.abs(part_.null(X) - hv.unvec(
+                x - P.Q @ (P.Q.T @ x)))) <= 1e-12
 
 
-def test_unvec_signed_zeros():
-    from freecert.sdpcore import _HermitianVec
+def test_level_projection_matches_stacked_svd():
+    from freecert.sdpcore import _LevelSets, _objective_matrix, _Partition
 
-    hv = _HermitianVec(2)
-    for d in (0.0, -0.0, 1.0):
-        for re in (0.0, -0.0, 1.0, -1.0):
-            for im in (0.0, -0.0, 1.0, -1.0):
-                v = np.array([d, -d, re, im])
-                new, old = hv.unvec(v), reference_unvec(hv, v)
-                if np.signbit(re) and re == 0.0 and im < 0.0:
-                    assert old[0, 1].real == 0.0 and np.signbit(old[0, 1].real)
-                    new[0, 1], new[1, 0] = old[0, 1], old[1, 0]
-                assert new.tobytes() == old.tobytes()
+    rng = np.random.default_rng(63)
+    for inst in _partitions(rng, 10):
+        hv = Realified(inst.n)
+        L, rhs = hv.system(inst)
+        c = hv.objective(inst)
+        levels = _LevelSets(_Partition(inst), _objective_matrix(inst))
+        if levels.dependent:
+            continue
+        for t in rng.uniform(-3, 3, size=3):
+            stacked = SvdProjector(np.vstack([L, c[None, :]]),
+                                   np.append(rhs, t))
+            for _ in range(3):
+                X = _random_hermitian(rng, inst.n)
+                assert np.max(np.abs(levels.project(X, t) - hv.unvec(
+                    stacked.apply(hv.vec(X))))) <= 1e-12
+
+
+def test_fixed_trace_and_multipliers_match_svd():
+    # the closed forms give the SVD engine's trace test and, on sum
+    # classes, its least-norm multipliers
+    from freecert.sdpcore import _DualGap, _Partition
+
+    rng = np.random.default_rng(70)
+    grams = [_random_partition(rng, int(rng.integers(1, 7)), kinds=("sum",))
+             for _ in range(25)]
+    fixed = 0
+    for inst in [*_partitions(rng, 25), *grams]:
+        hv = Realified(inst.n)
+        P = SvdProjector(*hv.system(inst))
+        ref, new = SvdDualGap(hv, P), _DualGap(_Partition(inst))
+        assert (ref.trace is None) == (new.trace is None)
+        if ref.trace is None:
+            continue
+        assert new.trace == pytest.approx(ref.trace, abs=1e-12)
+        if all(inst.sums):
+            fixed += 1
+            assert new._nu_l1 == pytest.approx(ref.nu_l1, rel=1e-12)
+            Y = _random_hermitian(rng, inst.n)
+            lam = P.multipliers(P.Q.T @ hv.vec(Y))
+            assert new.base.multiplier_l1(Y) == pytest.approx(
+                float(np.sum(np.abs(lam))), rel=1e-12)
+    assert fixed >= len(grams)
 
 
 def _povm_instance(povm_sdp):
@@ -572,30 +773,44 @@ def _chsh_1ab_instance():
 
 @pytest.mark.parametrize("which", ["chsh_1ab", "povm"])
 def test_splitting_matches_reference_bits(which, povm_sdp):
+    """The engine against the realified loop over the SVD projection: the
+    same stop reason, iterations within one check window and x within
+    1e-9 (the two round differently, so the bits no longer agree)."""
     from freecert.sdpcore import (
-        _AffineProjector,
-        _build_system,
+        CHECK_EVERY,
         _DualGap,
-        _HermitianVec,
         _LevelSets,
+        _objective_matrix,
+        _Partition,
         _splitting,
     )
 
     inst = (_chsh_1ab_instance() if which == "chsh_1ab"
             else _povm_instance(povm_sdp))
-    hv = _HermitianVec(inst.n)
-    P = _AffineProjector(*_build_system(hv, inst.constraints))
-    c = hv.objective_vec(inst.objective)
+    base = _Partition(inst)
+    C = _objective_matrix(inst)
+    hv = Realified(inst.n)
+    P = SvdProjector(*hv.system(inst))
+    c = hv.objective(inst)
     top = maximize(inst, tol=1e-6, feas_tol=1e-10).value
-    assert _DualGap(hv, P).trace is not None
+    assert _DualGap(base).trace is not None
 
-    def base():
-        # a fresh certificate check for every run
-        gap = _DualGap(hv, P)
-        return P.apply, P.x0, lambda y, x: gap.excluded(y - x) > 1e-10
+    # each run: (affine, start, reject) of the engine and of the reference,
+    # made fresh for every call
+    def plain():
+        return ((base.apply, base.x0, None), (P.apply, P.x0, None))
 
-    def level(t):
-        levels = _LevelSets(hv, P, c)
+    def certified():
+        gap, ref = _DualGap(base), SvdDualGap(hv, P)
+
+        def reject(y, x):
+            return gap.excluded(y - x) > 1e-10
+
+        return ((base.apply, base.x0, reject),
+                (P.apply, P.x0, lambda y, x: ref.excluded(y - x) > 1e-10))
+
+    def level(t, bounded=True):
+        levels, ref = _LevelSets(base, C), SvdLevel(hv, P, c, t)
 
         def affine(v):
             return levels.project(v, t)
@@ -603,23 +818,21 @@ def test_splitting_matches_reference_bits(which, povm_sdp):
         def reject(y, x):
             return levels._reject(y, x, t)
 
-        return affine, affine(P.x0), reject
+        return ((affine, affine(base.x0), reject if bounded else None),
+                (ref.project, ref.project(P.x0),
+                 ref.reject if bounded else None))
 
-    def unbounded_level():
-        # without the dual bound the level above the top runs to max_iter
-        return level(top + 1e-3)[:2] + (None,)
-
-    runs = [lambda: (P.apply, P.x0, None), base, unbounded_level]
+    runs = [plain, certified, lambda: level(top + 1e-3, bounded=False)]
     runs += [lambda t=t: level(t) for t in (top - 1e-3, top + 1e-3, top + 0.5)]
     statuses = set()
     for run in runs:
         for max_iter in (0, 1, 3000):
-            affine, start, reject = run()
-            new = _splitting(hv, affine, start, 1e-10, max_iter, reject)
-            affine, start, reject = run()
-            old = reference_splitting(hv, affine, start, 1e-10, max_iter,
-                                      reject)
-            assert new[0].tobytes() == old[0].tobytes()
-            assert new[1:] == old[1:]
+            new_run, ref_run = run()
+            new = _splitting(*new_run[:2], 1e-10, max_iter, new_run[2])
+            old = reference_splitting(hv, *ref_run[:2], 1e-10, max_iter,
+                                      ref_run[2])
+            assert new[3] == old[3]
+            assert abs(new[2] - old[2]) <= CHECK_EVERY
+            assert np.max(np.abs(new[0] - hv.unvec(old[0]))) <= 1e-9
             statuses.add(new[3])
     assert {"converged", "infeasible", "max_iter"} <= statuses
