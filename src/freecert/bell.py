@@ -11,13 +11,12 @@ generator: p_i = (1/m) sum_v omega^{-iv} s^v, so
 for the state h of the moment matrix.
 
 The see-saw's measurement update for m >= 3 outcomes is a small SDP over
-POVMs, max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I. It is solved
-here by its own primal-dual interior-point step (_povm_step), which returns
-an interior primal point, a dual point and the duality gap they certify;
-the see-saw does not go through sdpcore, so it does not depend on the last
-bits of sdpcore's splitting iterates. Rounding the POVM back to a PVM
-(_round_to_pvm) settles weights and scores within TIE_TOL of a tie by a
-fixed rule, so a last-bit change in the step does not change the path.
+POVMs, max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I
+(povm_instance), solved by sdpcore.maximize to a duality gap that scales
+with G (_update_povm). The outer bound is the dual bound of the same solver. Rounding the
+POVM back to a PVM (_round_to_pvm) settles weights and scores within
+TIE_TOL of a tie by a fixed rule, so a last-bit change in the solve does
+not change the path.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from .denselin import eigh, psd_floor
 from .quotients import QuotientTable, label_pairs
-from .sdpcore import SdpError, SdpInstance, maximize
+from .sdpcore import SdpInstance, maximize
 from .words import (
     GroupSpec,
     Word,
@@ -52,16 +51,12 @@ __all__ = [
     "naimark_dilate",
     "hierarchy_words",
     "moment_instance",
+    "povm_instance",
     "pvm_unitary",
 ]
 
 PVM_TOL = 1e-9
 OUTER_DEFAULT_TOL = 2e-7
-# the POVM step: relative duality gap, iteration cap, and the share of the
-# distance to the cone boundary that one step may cover
-POVM_GAP_TOL = 1e-9
-POVM_MAX_ITER = 50
-STEP_FRACTION = 0.95
 # effect weights and scores closer than this count as tied when rounding
 TIE_TOL = 1e-6
 
@@ -287,25 +282,22 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
 def outer_bound(s: BellScenario, functional: BellFunctional, level,
                 tol: float = OUTER_DEFAULT_TOL, return_info: bool = False):
     """Upper bound on the functional over commuting-model correlations via
-    the level-indexed moment relaxation."""
-    inst, E = moment_instance(s, functional, level)
-    # the trivial character h = 1 is always feasible
-    ones = np.ones((inst.n, inst.n), dtype=complex)
-    assert psd_floor(ones) >= -1e-12
+    the level-indexed moment relaxation: the dual bound of
+    sdpcore.maximize, within tol of the relaxation's optimum. With
+    return_info, also the matrix size, the interior-point iterations, the
+    final gap (the bound minus the moment matrix's value) and the PSD floor
+    of that moment matrix."""
+    inst, _ = moment_instance(s, functional, level)
     res = maximize(inst, tol=tol)
-    value = 0.5 * (res.bracket[0] + res.bracket[1])
     if return_info:
         info = {
             "matrix_size": inst.n,
             "iterations": res.iterations,
-            "bracket": [res.bracket[0], res.bracket[1]],
+            "gap": res.gap,
             "psd_floor": psd_floor(res.b),
-            "certified_upper": res.certified_upper,
-            "levels": res.levels,
-            "level_status": res.level_status,
         }
-        return value, info
-    return value
+        return res.value, info
+    return res.value
 
 
 def naimark_dilate(povm: list[np.ndarray]) -> tuple[PvmFamily, np.ndarray]:
@@ -403,115 +395,43 @@ def _update_two_outcome(G1: np.ndarray, G2: np.ndarray) -> list[np.ndarray]:
     return [P1, np.eye(P1.shape[0]) - P1]
 
 
-def _hermitian_part(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + np.conj(np.swapaxes(X, -1, -2)))
+def _update_povm(G: list[np.ndarray]):
+    """The m >= 3 measurement update: effects maximizing sum_i tr(G_i M_i)
+    over POVMs, and the MaximizeResult of that solve. The absolute gap is
+    TIE_TOL / 10 times max(1, n max_i |G_i|_2): well below the ties that
+    the rounding to a PVM settles, and above the 1e-8 relative gaps at
+    which rounding stalls the interior point on the rank-deficient G of a
+    see-saw."""
+    n = G[0].shape[0]
+    scale = max(1.0, n * float(np.max(np.abs(np.linalg.eigvalsh(G)))))
+    res = maximize(povm_instance(G), tol=0.1 * TIE_TOL * scale)
+    return [res.b[i * n:(i + 1) * n, i * n:(i + 1) * n]
+            for i in range(len(G))], res
 
 
-def _step_bound(chol: np.ndarray, D: np.ndarray) -> float:
-    """Largest a with C + a D PSD for every block C = chol chol* of a stack:
-    1 / max(0, -lmin(chol^-1 D chol^-*)), inf when D keeps every block
-    PSD."""
-    Li = np.linalg.inv(chol)
-    lo = float(np.linalg.eigvalsh(Li @ D @ np.conj(np.swapaxes(Li, -1, -2)))
-               .min())
-    return np.inf if lo >= 0.0 else -1.0 / lo
-
-
-def _normalized(M: np.ndarray) -> np.ndarray:
-    """Congruence with (sum_i M_i)^-1/2: the blocks then sum to I to
-    rounding, and each stays positive definite."""
-    w, U = np.linalg.eigh(_hermitian_part(M.sum(axis=0)))
-    T = (U / np.sqrt(w)) @ U.conj().T
-    return _hermitian_part(T @ M @ T)
-
-
-def _interior(candidate, a: float, shift=0.0) -> np.ndarray:
-    """candidate(b) for the largest b in a, a/2, a/4, ... at which every
-    block of candidate(b) - shift has a Cholesky factor; candidate(0) if 64
-    halvings do not get there."""
-    for _ in range(64):
-        X = candidate(a)
-        try:
-            np.linalg.cholesky(X - shift)
-            return X
-        except np.linalg.LinAlgError:
-            a *= 0.5
-    return candidate(0.0)
-
-
-@dataclass(frozen=True)
-class PovmStep:
-    """One m >= 3 measurement update: the effects M_i (strictly positive
-    definite, summing to I to rounding), the dual point Y (every Y - G_i
-    positive definite), the duality gap tr Y - sum_i tr(G_i M_i) they
-    certify, and the interior-point iterations spent."""
-
-    effects: np.ndarray
-    dual: np.ndarray
-    gap: float
-    iterations: int
-
-
-def _povm_step(G) -> PovmStep:
-    """max sum_i tr(G_i M_i) over M_i >= 0, sum_i M_i = I, for hermitian
-    G_i stacked as (m, n, n); the dual is min tr Y over Y - G_i >= 0.
-
-    Primal-dual path following in the HKM direction (Helmberg, Rendl,
-    Vanderbei and Wolkowicz 1996) with Mehrotra's predictor-corrector, from
-    M_i = I/m and a multiple of I for Y. Complementarity M_i S_i = mu I,
-    S_i = Y - G_i, linearized as dM_i = mu S_i^-1 - M_i - H(M_i dY S_i^-1)
-    (H the hermitian part), leaves one equation for the common dual step:
-    sum_i H(M_i dY S_i^-1) = mu sum_i S_i^-1 - I, an n^2 x n^2 complex
-    system. Every iterate is strictly interior: every M_i and every S_i has
-    a Cholesky factor. The step ends at the first iterate whose gap
-    tr Y - sum_i tr(G_i M_i) is at most POVM_GAP_TOL * max(1, n max_i
-    |G_i|_2), and raises SdpError if POVM_MAX_ITER iterations do not get
-    there.
-    """
-    G = _hermitian_part(np.asarray(G, dtype=complex))
-    m, n, _ = G.shape
-    eye = np.eye(n)
-    wG = np.linalg.eigvalsh(G)
-    gmax = float(np.max(np.abs(wG)))
-    tol = POVM_GAP_TOL * max(1.0, n * gmax)
-    M = np.repeat((eye / m)[None].astype(complex), m, axis=0)
-    Y = (float(wG.max()) + max(1.0, gmax)) * eye + 0j
-    for it in range(POVM_MAX_ITER + 1):
-        gap = float(np.trace(Y).real - np.einsum("iab,iba->", G, M).real)
-        if gap <= tol:
-            return PovmStep(M, Y, gap, it)
-        if it == POVM_MAX_ITER:
-            raise SdpError(f"POVM step stopped at duality gap {gap:.3g} "
-                           f"after {it} iterations (tolerance {tol:.3g})")
-        S = Y - G
-        Sinv = _hermitian_part(np.linalg.inv(S))
-        mu = float(np.einsum("iab,iba->", M, S).real) / (m * n)
-        # sum_i H(M_i X S_i^-1) on row-major vec(X)
-        K = np.einsum("iac,idb->abcd", M, Sinv)
-        K = (0.5 * (K + np.einsum("iac,idb->abcd", Sinv, M))
-             ).reshape(n * n, n * n)
-        Ssum = Sinv.sum(axis=0)
-
-        def direction(target, extra):
-            rhs = target * Ssum - eye - extra.sum(axis=0)
-            dY = np.linalg.solve(K, rhs.reshape(-1)).reshape(n, n)
-            dY = _hermitian_part(dY)
-            dM = _hermitian_part(target * Sinv - M - M @ dY @ Sinv - extra)
-            return dM, dY
-
-        LM, LS = np.linalg.cholesky(M), np.linalg.cholesky(S)
-        dM, dY = direction(0.0, np.zeros_like(M))
-        ap = min(1.0, _step_bound(LM, dM))
-        ad = min(1.0, _step_bound(LS, np.broadcast_to(dY, S.shape)))
-        mu_aff = float(np.einsum("iab,iba->", M + ap * dM,
-                                 S + ad * dY).real) / (m * n)
-        sigma = (mu_aff / mu) ** 3
-        dM, dY = direction(sigma * mu, _hermitian_part(dM @ dY @ Sinv))
-        ap = min(1.0, STEP_FRACTION * _step_bound(LM, dM))
-        ad = min(1.0, STEP_FRACTION * _step_bound(
-            LS, np.broadcast_to(dY, S.shape)))
-        M = _interior(lambda b: _normalized(M + b * dM), ap)
-        Y = _interior(lambda b: Y + b * dY, ad, G)
+def povm_instance(G) -> SdpInstance:
+    """The measurement update max sum_i tr(G_i M_i) over POVMs as a block
+    diagonal SDP: the effects M_i are the m diagonal n x n blocks of one
+    mn x mn matrix. The off-diagonal blocks form one tie class pinned to 0,
+    and entry (a, b) of every block joins one sum class, which adds up to
+    I[a, b]. The objective coefficient at entry (a, b) of block i is
+    G_i[b, a], so that Re sum coef * M_i[a, b] = Re tr(G_i M_i)."""
+    m = len(G)
+    n = G[0].shape[0]
+    block = np.arange(m * n) // n
+    within = np.arange(m * n) % n
+    labels = np.where(block[:, None] == block[None, :],
+                      1 + within[:, None] * n + within[None, :], 0)
+    rhs = [0.0] + list(np.eye(n).ravel())
+    objective = []
+    for bi in range(m):
+        for a in range(n):
+            for b in range(n):
+                coef = G[bi][b, a]
+                if abs(coef) > 1e-15:
+                    objective.append((bi * n + a, bi * n + b, complex(coef)))
+    return SdpInstance(labels, rhs, [False] + [True] * (n * n),
+                       tuple(objective))
 
 
 def _bell_operator(functional: BellFunctional, A: PvmFamily, B: PvmFamily):
@@ -581,15 +501,18 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     per-setting measurement updates (POVM relaxation, restored to PVM form);
     updates are accepted only when the exactly re-evaluated value does not
     decrease. Returns (value, A, B, xi) for the best run, and with
-    return_info a fifth entry on the POVM steps (_povm_step) over all
-    restarts: {"sdp_calls", "iterations", "max_gap"}, their number, their
-    interior-point iterations and the largest duality gap they certified
-    (0, 0 and None for m = 2, whose updates are closed-form).
+    return_info a fifth entry on the POVM updates (sdpcore.maximize over
+    povm_instance) over all restarts: {"sdp_calls", "iterations",
+    "max_gap"}, their number, their interior-point iterations and the
+    largest duality gap they certified (0, 0 and None for m = 2, whose
+    updates are closed-form).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if iters < 0:
+        raise ValueError("iters must be >= 0")
     c = functional.coeff
     c_swapped = c.transpose(1, 0, 3, 2)
     best = None
@@ -612,13 +535,11 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                     if s.m == 2:
                         new_povm = _update_two_outcome(G[k][0], G[k][1])
                     else:
-                        step = _povm_step(G[k])
-                        new_povm = list(step.effects)
+                        new_povm, res = _update_povm(G[k])
                         info["sdp_calls"] += 1
-                        info["iterations"] += step.iterations
-                        if info["max_gap"] is None:
-                            info["max_gap"] = step.gap
-                        info["max_gap"] = max(info["max_gap"], step.gap)
+                        info["iterations"] += res.iterations
+                        info["max_gap"] = (res.gap if info["max_gap"] is None
+                                           else max(info["max_gap"], res.gap))
                     new_settings.append(_pvmify(new_povm))
                 pair = [A, B]
                 pair[party] = PvmFamily(dim, new_settings)

@@ -403,8 +403,8 @@ def _cmd_falsify(args):
     falsified = report.worst < -10.0 * args.tol
     out = {
         "command": "falsify",
-        "inputs": _digest([args.input],
-                          f"{args.mode}|{args.dims}|{args.samples}|{args.seed}"),
+        "inputs": _digest([args.input], f"{args.mode}|{args.dims}|"
+                          f"{args.samples}|{args.seed}|{args.tol}"),
         "mode": report.mode,
         "samples": report.samples,
         "dims": dims,
@@ -504,11 +504,15 @@ def _cmd_bell_inner(args):
     return 0
 
 
-def _require_finite(args):
+def _check_numbers(args):
     for name in ("tol", "epsilon"):
         value = getattr(args, name, None)
         if value is not None and not math.isfinite(value):
             raise InputError(f"--{name} must be a finite number, got {value}")
+    if getattr(args, "tol", 1.0) <= 0.0:
+        raise InputError(f"--tol must be positive, got {args.tol}")
+    if getattr(args, "iters", 0) < 0:
+        raise InputError(f"--iters must be >= 0, got {args.iters}")
 
 
 def _cmd_selftest(args):
@@ -608,7 +612,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        _require_finite(args)
+        _check_numbers(args)
         code = args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

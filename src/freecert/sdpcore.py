@@ -8,8 +8,8 @@ tie class are equal, and equal to its right-hand side when it has one (the
 moment constraints of bell). Distinct classes constrain distinct entries,
 so the orthogonal projection onto the affine set is a per-class mean
 correction: one scatter-add of the class sums and one gather (_Partition).
-The level row, the fixed-trace test and the multipliers of the dual
-certificates are closed forms of the same projection.
+The directions of the affine set, the fixed-trace test and the multipliers
+of the dual certificates are closed forms of the same projection.
 
 Feasibility runs Douglas-Rachford projection splitting on hermitian n x n
 matrices, between the PSD cone (eigenvalue clipping) and the affine set;
@@ -24,20 +24,15 @@ as soon as one excludes every PSD point whose affine residual is within its
 tolerance; otherwise it ends "converged", "stalled" (the PSD floor stopped
 improving) or at "max_iter".
 
-Optimization bisects on the objective level set. Every level reuses the one
-base projection: the level row is a closed-form rank-one correction. The
-same dual gap bounds the objective, and a level ends as soon as that bound
-falls below it. Levels without such a bound end when the PSD floor stalls.
-Every level ends with one of LEVEL_STATUSES, and maximize counts them.
-
-The Bell see-saw solves its POVM updates with its own interior-point step
-(bell._povm_step), so a change that moves splitting iterates in their last
-bits moves reported values in their last bits only.
+Optimization (maximize) is one primal-dual interior-point solve over the
+directions of the affine set, the image of the same projection. It reports
+a dual bound, not the value of a feasible point, so a change that moves the
+iterates in their last bits moves the bound in its last bits only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,16 +55,6 @@ __all__ = [
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_OPT_TOL = 1e-6
 DEFAULT_MAX_ITER = 200_000
-
-# why a bisection level ended. "converged": feasible, the level is kept;
-# "rejected_by_bound": the dual bound fell below the level; "stalled" and
-# "max_iter": the splitting stopped without a feasible point;
-# "inconsistent": the level row depends on the base rows and contradicts
-# them; "affine_residual": the PSD floor was reached but the affine residual
-# stayed above tol. Every status but "converged" rejects the level.
-LEVEL_STATUSES = ("converged", "rejected_by_bound", "stalled", "max_iter",
-                  "inconsistent", "affine_residual")
-
 
 class SdpError(Exception):
     pass
@@ -146,19 +131,15 @@ class FeasibilityResult:
 
 @dataclass
 class MaximizeResult:
-    """`value` and `b` are the best feasible level and its point; the
-    bracket top is the lowest rejected level. `certified_upper` is the
-    smallest dual bound formed (None without one), `levels` counts the
-    level solves and `level_status` counts them by LEVEL_STATUSES."""
+    """`value` is the dual bound on the objective, `b` the last primal
+    iterate (positive definite, on the affine set within tol), `gap` the
+    bound minus the objective at b, and `iterations` the interior-point
+    iterations spent."""
 
     value: float
     b: np.ndarray
     iterations: int
-    bracket: tuple[float, float]
-    certified_upper: float | None = None
-    levels: int = 0
-    level_status: dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(LEVEL_STATUSES, 0))
+    gap: float
 
 
 def _hermitian(X: np.ndarray) -> np.ndarray:
@@ -214,11 +195,11 @@ class _Partition:
                              "transposed entries of a class one class of "
                              "the same kind")
         fixed = sums | pinned
-        self.rhs_max = float(np.max(np.abs(rhs[fixed].view(np.float64)),
-                                     initial=0.0))
+        rhs_max = float(np.max(np.abs(rhs[fixed].view(np.float64)),
+                               initial=0.0))
         mismatch = float(np.max(np.abs(rhs[transpose] - rhs.conj())[fixed],
                                 initial=0.0))
-        if mismatch > 1e-8 * (1.0 + self.rhs_max):
+        if mismatch > 1e-8 * (1.0 + rhs_max):
             raise InconsistentConstraintsError(
                 f"affine system is inconsistent: a class and its transpose "
                 f"carry values that are not conjugate (residual "
@@ -234,6 +215,7 @@ class _Partition:
         self._k2 = 2 * k
         self._size, self._sums, self._pinned, self._rhs = (
             size, sums, pinned, rhs)
+        self._transpose = transpose
         flat = labels.ravel()
         _, first = np.unique(flat, return_index=True)
         self._ties = np.flatnonzero(~sums[flat])
@@ -244,10 +226,6 @@ class _Partition:
         self._lam_weight = np.where(sums[flat], 0.0, 1.0)
         self._lam_weight[first[~sums & ~pinned]] = 0.0
         self._tie_mean = np.where(sums | pinned, 0.0, 1.0 / size)
-        # the largest l1 norm of a residual's coefficients in the entries
-        self.row_l1 = float(max(np.max(size[sums], initial=0),
-                                 2 if np.any(~fixed & (size > 1)) else 0,
-                                 1 if pinned.any() else 0))
 
     def class_sums(self, X: np.ndarray) -> np.ndarray:
         return np.bincount(self._lab2, X.view(np.float64).ravel(),
@@ -292,6 +270,50 @@ class _Partition:
         return float(entries @ self._lam_weight
                      + np.sum(classes[self._sums] / self._size[self._sums]))
 
+    def directions(self) -> np.ndarray:
+        """A basis D_1, ..., D_m of the image of null, stacked as (m, n, n):
+        the hermitian matrices that the affine set may move along, each
+        with a real coefficient.
+
+        The units of a class k with transpose t are the matrices
+        z E_ij + conj(z) E_ji for its entries (i, j), with z = 1, and also
+        z = i off the diagonal; when t = k one entry of each transposed
+        pair stands for both. The weight w = Re(conj(z) S_k(unit)) of a
+        unit is 1, except for a pair within one class: 2 for z = 1 and 0
+        for z = i. A free tie class gives, for each z, the sum of its units
+        with w != 0 (its indicator, and i times the indicator of k minus
+        that of t); a sum class gives its units with w = 0 and the
+        differences u/w - u0/w0 of the others. Pinned classes give none.
+        """
+        out = []  # the (i, j, value) cells of each direction
+        for k, pairs in enumerate(label_pairs(self.labels)):
+            t = self._transpose[k]
+            if t < k or self._pinned[k]:
+                continue
+            for z in (1.0, 1j):
+                live, dead = [], []
+                for i, j in pairs:
+                    if (i > j and t == k) or (i == j and z == 1j):
+                        continue
+                    unit = ([(i, j, z), (j, i, np.conj(z))] if i != j
+                            else [(i, i, 1.0)])
+                    w = 1.0 if t != k or i == j else 2.0 if z == 1.0 else 0.0
+                    (live if w else dead).append((unit, w))
+                if not self._sums[k]:
+                    out += [[c for u, _ in live for c in u]] if live else []
+                else:
+                    out += [u for u, _ in dead]
+                    if live:
+                        (u0, w0), rest = live[0], live[1:]
+                        out += [[(i, j, v / w) for i, j, v in u]
+                                + [(i, j, -v / w0) for i, j, v in u0]
+                                for u, w in rest]
+        D = np.zeros((len(out), self.n, self.n), dtype=complex)
+        for d, cells in enumerate(out):
+            for i, j, v in cells:
+                D[d, i, j] += v
+        return D
+
 
 # stall detection: every CHECK_EVERY iterations the PSD floor of the
 # affine-exact iterate is measured; if the best floor improves by less than
@@ -300,14 +322,15 @@ CHECK_EVERY = 25
 STALL_WINDOW = 40
 STALL_REL = 1e-3
 MIN_ITER_BEFORE_STALL = 2000
-# the level row counts as a combination of the base rows below this norm of
-# its part orthogonal to them (relative to the row), and the trace counts as
-# fixed by the base rows below this relative norm of its orthogonal part
-DEPENDENT_ROW_REL = 1e-10
+# the trace counts as fixed by the rows below this relative norm of the
+# identity's part along the directions
 FIXED_TRACE_REL = 1e-9
-# an affine residual within this many ulps of the magnitudes it is computed
-# from is rounding, which no tol can ask to beat (_LevelSets.meets)
-ROUNDING_ULPS = 4
+# maximize: iteration cap, and the share of the distance to the cone
+# boundary that one step may cover
+IPM_MAX_ITER = 60
+STEP_FRACTION = 0.95
+# directions per block when forming the interior-point system
+BLOCK = 16
 
 
 class _DualGap:
@@ -316,18 +339,11 @@ class _DualGap:
     exist when the rows fix the trace tr b = tau; `trace` is tau, or None
     when they do not.
 
-    Take Y, the gap between a cone point and its affine projection, and w,
-    a matrix in the row space of L (up to rounding). Every b >= 0 with
-    Lb = r has <Y, b> >= tau min(0, lmin(Y)) and, with e = null(w) the part
-    of w outside the row space, <w, b> <= <w, x0> + tau |e|. Hence
-
-        <Y - w, b> >= -g,   g = <w, x0> + tau slack,
-        slack = |e| - min(0, lmin(Y)).
-
-    With w = Y, g < 0 proves the set empty (`excluded`); with w = Y - mu c,
-    it bounds the objective <c, b> (_LevelSets.bound). The |e| charge
-    matters there: dividing g by a small -mu amplifies the rounding that
-    leaves w outside the row space.
+    Take Y, the gap between a cone point and its affine projection, which
+    lies in the row space of L up to rounding, e = null(Y). Every b >= 0
+    with Lb = r has <Y, b> >= tau min(0, lmin(Y)) and
+    <Y, b> <= <Y, x0> + tau |e|. Hence g = <Y, x0> + tau slack >= 0 with
+    slack = |e| - min(0, lmin(Y)), and g < 0 proves the set empty.
     """
 
     def __init__(self, base: _Partition):
@@ -339,11 +355,6 @@ class _DualGap:
         # tr b = nu^T Lb, so tr b <= tau + |nu|_1 delta when |Lb - r| <= delta
         self._nu_l1 = base.multiplier_l1(eye) if fixed else 0.0
 
-    def __call__(self, w: np.ndarray, Y: np.ndarray):
-        """(g, slack) for the pair (w, Y)."""
-        slack = float(np.linalg.norm(self.base.null(w))) - min(0.0, _lmin(Y))
-        return _inner(w, self.base.x0) + self.trace * slack, slack
-
     def excluded(self, Y: np.ndarray) -> float:
         """The largest delta such that no b >= 0 has |Lb - r| < delta,
         as certified by Y (<= 0 when Y certifies nothing).
@@ -352,7 +363,8 @@ class _DualGap:
         + |lam|_1 delta and tr b <= tau + |nu|_1 delta, so the bound on g
         above becomes 0 <= g + delta (|lam|_1 + slack |nu|_1).
         """
-        g, slack = self(Y, Y)
+        slack = float(np.linalg.norm(self.base.null(Y))) - min(0.0, _lmin(Y))
+        g = _inner(Y, self.base.x0) + self.trace * slack
         if g >= 0.0:
             return 0.0
         return -g / (self.base.multiplier_l1(Y) + slack * self._nu_l1)
@@ -456,102 +468,6 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     return _solve(_Partition(inst), tol, max_iter, start)
 
 
-class _LevelSets:
-    """Feasibility of the level sets {Lx = r, <c,x> = t} of one instance,
-    all projected with the base projection P_A onto {Lx = r}.
-
-    On {Lx = r} the objective reads <c,x> = <c~,x> + <c,x0> with
-    c~ = null(c), so the level projection is the base projection plus
-    the rank-one step P_t(x) = P_A(x) - ((<c,P_A(x)> - t)/|c~|^2) c~.
-
-    When the base rows fix the trace, each check of a level whose PSD floor
-    is still negative also yields a dual bound. With y the cone point,
-    Y = y - P_t(y) and mu = <c~,Y>/|c~|^2, the matrix w = Y - mu c lies in
-    the row space of L, so _DualGap gives mu <c,b> >= -g for every feasible
-    b: level t is empty once g + mu t < 0, and whenever mu < 0
-
-        <c,b> <= U = g / (-mu).
-
-    `upper` keeps the smallest U seen; a level t is rejected as soon as
-    upper < t.
-    """
-
-    def __init__(self, base: _Partition, c: np.ndarray):
-        self.base = base
-        self.c = c
-        self.c_perp = base.null(c)
-        self.c_perp_sq = _inner(self.c_perp, self.c_perp)
-        self.c_x0 = _inner(c, base.x0)
-        self.dependent = (np.sqrt(self.c_perp_sq)
-                          <= DEPENDENT_ROW_REL * float(np.linalg.norm(c)))
-        self.gap = _DualGap(base)
-        self.trace = self.gap.trace
-        self.upper = np.inf
-        self._c_l1 = float(np.sum(np.abs(c.view(np.float64))))
-
-    @property
-    def certified_upper(self) -> float | None:
-        return float(self.upper) if np.isfinite(self.upper) else None
-
-    def project(self, x: np.ndarray, t: float) -> np.ndarray:
-        xa = self.base.apply(x)
-        return xa - ((np.vdot(self.c, xa).real - t) / self.c_perp_sq
-                     ) * self.c_perp
-
-    def meets(self, x: np.ndarray, t: float, tol: float) -> bool:
-        """Whether x satisfies the base rows and the level row, each within
-        tol or within ROUNDING_ULPS of the magnitudes its residual is
-        computed from (1 + |rhs| + |row|_1 |x|_max)."""
-        ulp = ROUNDING_ULPS * np.finfo(float).eps
-        x_max = float(np.max(np.abs(x)))
-        base_tol = max(tol, ulp * (1.0 + self.base.rhs_max
-                                   + self.base.row_l1 * x_max))
-        row_tol = max(tol, ulp * (1.0 + abs(t) + self._c_l1 * x_max))
-        return (self.base.residual(x) <= base_tol
-                and abs(_inner(self.c, x) - t) <= row_tol)
-
-    def bound(self, Y: np.ndarray) -> float | None:
-        """The dual bound U from Y = y - P_t(y), or None when mu >= 0."""
-        mu = _inner(self.c_perp, Y) / self.c_perp_sq
-        if mu >= 0.0:
-            return None
-        g, _ = self.gap(Y - mu * self.c, Y)
-        return g / -mu
-
-    def _reject(self, y: np.ndarray, x: np.ndarray, t: float) -> bool:
-        U = self.bound(y - x)
-        if U is not None:
-            self.upper = min(self.upper, U)
-        return self.upper < t
-
-    def solve(self, t: float, tol: float, max_iter: int, warm: np.ndarray):
-        """(x, iterations, status) with x feasible at level t within tol, or
-        None when the level is rejected; status is one of LEVEL_STATUSES."""
-        if self.dependent:
-            # <c,x> = <c,x0> on the whole affine set
-            scale = 1.0 + max(abs(t), self.base.rhs_max)
-            if abs(self.c_x0 - t) > 1e-8 * scale:
-                return None, 0, "inconsistent"
-            affine, reject = self.base.apply, None
-        else:
-            def affine(v):
-                return self.project(v, t)
-
-            reject = None
-            if self.trace is not None:
-                def reject(y, x):
-                    return self._reject(y, x, t)
-        x, _, it, status = _splitting(affine, affine(warm), tol, max_iter,
-                                      reject)
-        if status == "infeasible":
-            return None, it, "rejected_by_bound"
-        if status != "converged":
-            return None, it, status
-        if not self.meets(x, t, tol):
-            return None, it, "affine_residual"
-        return x, it, "converged"
-
-
 def _objective_matrix(inst: SdpInstance) -> np.ndarray:
     """The hermitian C with <C, b> = Re sum coef * b[row, col]."""
     C = np.zeros((inst.n, inst.n), dtype=complex)
@@ -560,66 +476,134 @@ def _objective_matrix(inst: SdpInstance) -> np.ndarray:
     return _hermitian(C)
 
 
-def maximize(inst: SdpInstance, tol: float = DEFAULT_OPT_TOL,
-             feas_tol: float | None = None,
-             max_iter: int = 60_000) -> MaximizeResult:
-    """Maximize Re sum coef * b[row, col] over the feasible region by
-    bisection on the objective level set.
+def _inv_chol(X: np.ndarray) -> np.ndarray:
+    """The inverse of the Cholesky factor L of X = L L^*."""
+    return np.linalg.inv(np.linalg.cholesky(X))
 
-    A level is rejected once the dual bound of _LevelSets drops below it,
-    and otherwise when its splitting stalls. The feasible region must be
-    nonempty and bounded in the objective direction; unboundedness is
-    reported once the level exceeds 1/tol.
+
+def _step(Li: np.ndarray, dX: np.ndarray) -> float:
+    """The largest a with X + a dX PSD, for X = L L^* and Li = L^-1:
+    1 / -lmin(L^-1 dX L^-*), inf when dX keeps X PSD."""
+    lo = _lmin(Li @ dX @ Li.conj().T)
+    return np.inf if lo >= 0.0 else -1.0 / lo
+
+
+def maximize(inst: SdpInstance,
+             tol: float = DEFAULT_OPT_TOL) -> MaximizeResult:
+    """Maximize <C, b> = Re sum coef * b[row, col] over the PSD points b of
+    the affine set, and return a dual bound on it.
+
+    The affine set is b = x0 + sum_d y_d D_d over the directions of
+    _Partition.directions. A primal-dual interior-point method (Helmberg,
+    Rendl, Vanderbei and Wolkowicz 1996, with Mehrotra's predictor-
+    corrector) follows S = x0 + sum_d y_d D_d > 0 and the dual X > 0 with
+    <X + C, D_d> = 0 for every d, from S = x0 when x0 is positive definite
+    (otherwise S is shifted by a multiple of the identity, and the shift
+    decays with the steps). The HKM direction leaves one real m x m system
+    for dy, M[d, e] = <D_d, X D_e S^-1>.
+
+    `value` is the dual bound. With X' = X - null(X + C), the part of X + C
+    along the directions removed, every feasible b has
+
+        <C, b> = <C + X', x0> - <X', b>
+              <= <C + X', x0> + max(0, -lmin(X')) tr b,
+
+    and tr b = tr x0 when the rows fix the trace; when it is free, only a
+    PSD X' gives a bound. When C has no part along the directions the
+    objective is constant on the affine set, and X = 0 gives the bound
+    <C, x0> exactly. The solve stops when the bound exceeds <C, S> by at
+    most tol (absolute) at an S whose row residuals are within tol.
+
+    Raises UnboundedError when a predictor step from a feasible S is a PSD
+    direction along which the objective grows, or when no bound was
+    formed; InfeasibleError when no iterate met the rows within tol; and
+    SdpError when IPM_MAX_ITER iterations, or the numerics, end first.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    if feas_tol is None:
-        feas_tol = min(DEFAULT_FEAS_TOL, tol * 1e-3)
-    partition = _Partition(inst)
+    part = _Partition(inst)
     C = _objective_matrix(inst)
+    D = part.directions()
+    m, n = len(D), inst.n
+    Dr = D.view(np.float64).reshape(m, 2 * n * n)
 
-    base = _solve(partition, feas_tol, max_iter)
-    total_iter = base.iterations
-    if not base.feasible:
-        raise InfeasibleError("no feasible point found for the base instance")
-    x_lo = base.b
-    t_lo = _inner(C, x_lo)
+    def adjoint(A):
+        """<D_d, A> for every d, A a C-contiguous complex n x n array."""
+        return Dr @ A.view(np.float64).ravel()
 
-    if np.max(np.abs(C), initial=0.0) < 1e-15:
-        return MaximizeResult(0.0, base.b, total_iter, (0.0, 0.0))
+    def along(dy):
+        return np.tensordot(dy, D, 1)
 
-    # a rejected level t caps the bracket at min(t, upper), never below the
-    # best feasible level
-    levels = _LevelSets(partition, C)
-    status = dict.fromkeys(LEVEL_STATUSES, 0)
-    # expand upward from the feasible value until a level is rejected
-    step = max(1.0, abs(t_lo))
-    t_hi = None
-    while t_hi is None:
-        cand = t_lo + step
-        x, it, why = levels.solve(cand, feas_tol, max_iter, x_lo)
-        total_iter += it
-        status[why] += 1
-        if x is not None:
-            t_lo, x_lo = cand, x
-            step *= 2.0
-            if t_lo > 1.0 / tol:
-                raise UnboundedError("objective exceeds 1/tol; unbounded?")
-        else:
-            t_hi = max(t_lo, min(cand, levels.upper))
+    x0, eye = part.x0, np.eye(n)
+    trace = _DualGap(part).trace
+    c, C_x0 = adjoint(C), _inner(C, x0)
+    lo = _lmin(x0)
+    S = x0 + (0.0 if lo > 0.0 else 1.0 - lo) * eye
+    X = (1.0 + float(np.max(np.abs(C), initial=0.0))) * eye
+    y = np.zeros(m)
+    bound, gap, feasible = None, np.inf, False
+    # with c = 0 the objective is constant on the affine set, and X = 0 is
+    # an exact dual point
+    keep = 1.0 if c.any() else 0.0
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for it in range(IPM_MAX_ITER + 1):
+            R = x0 + along(y) - S
+            Xp = keep * X - part.null(keep * X + C)
+            floor = _lmin(Xp)
+            if trace is not None or floor >= 0.0:
+                bound = (C_x0 + _inner(Xp, x0)
+                         + (max(0.0, -floor) * trace if trace else 0.0))
+                gap = bound - _inner(C, S)
+            feasible = part.residual(S) <= tol
+            if bound is not None and feasible and gap <= tol:
+                return MaximizeResult(bound, _hermitian(S), it, gap)
+            if it == IPM_MAX_ITER:
+                break
+            try:
+                LS, LX = _inv_chol(S), _inv_chol(X)
+                Si = LS.conj().T @ LS
+                mu = _inner(X, S) / n
+                XRS = X @ R @ Si
+                # K[e, d] = <X D_e S^-1, D_d>, a symmetric matrix, formed
+                # in blocks of directions to keep the temporaries small
+                K = np.empty((m, m))
+                for a in range(0, m, BLOCK):
+                    T = (X @ D[a:a + BLOCK] @ Si).view(np.float64)
+                    K[a:a + BLOCK] = T.reshape(-1, Dr.shape[1]) @ Dr.T
 
-    while t_hi - t_lo > tol:
-        mid = 0.5 * (t_lo + t_hi)
-        x, it, why = levels.solve(mid, feas_tol, max_iter, x_lo)
-        total_iter += it
-        status[why] += 1
-        if x is not None:
-            t_lo, x_lo = mid, x
-        else:
-            t_hi = max(t_lo, min(mid, levels.upper))
+                def direction(target, extra):
+                    rhs = c + adjoint(target * Si - XRS - extra)
+                    try:
+                        dy = np.linalg.solve(K, rhs)
+                    except np.linalg.LinAlgError:
+                        # an exact zero pivot of a K that rounding left
+                        # singular: its conditioning grows like 1/mu^2
+                        dy = np.linalg.lstsq(K, rhs, rcond=None)[0]
+                    dS = R + along(dy)
+                    dX = _hermitian(target * Si - X - X @ dS @ Si - extra)
+                    return dy, dS, dX
 
-    return MaximizeResult(t_lo, x_lo, total_iter, (t_lo, t_hi),
-                          levels.certified_upper, sum(status.values()), status)
+                dy, dS, dX = direction(0.0, 0.0)
+                if (feasible and c @ dy > 0.0
+                        and _step(LS, along(dy)) == np.inf):
+                    raise UnboundedError("the objective grows without bound "
+                                         "along a PSD direction")
+                ap, ad = min(1.0, _step(LS, dS)), min(1.0, _step(LX, dX))
+                mu_aff = _inner(X + ad * dX, S + ap * dS) / n
+                sigma = min(1.0, (mu_aff / mu) ** 3)
+                dy, dS, dX = direction(sigma * mu, dX @ dS @ Si)
+                ap = min(1.0, STEP_FRACTION * _step(LS, dS))
+                ad = min(1.0, STEP_FRACTION * _step(LX, dX))
+            except (np.linalg.LinAlgError, FloatingPointError):
+                break
+            y, S, X = y + ap * dy, S + ap * dS, X + ad * dX
+    if not feasible:
+        raise InfeasibleError("no iterate met the constraints within tol")
+    if bound is None:
+        raise UnboundedError("no dual bound was formed; the objective may "
+                             "be unbounded")
+    raise SdpError(f"stopped at duality gap {gap:.3g} after {it} "
+                   f"iterations (tolerance {tol:g})")
 
 
 def instance_to_json(inst: SdpInstance) -> dict:

@@ -175,6 +175,9 @@ def test_falsify_deterministic_output(tmp_path, capsys):
     code2, out2 = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
     assert json.loads(out1)["falsified"] is False
+    # the verdict depends on --tol, so the inputs digest does too
+    _, out3 = run(capsys, argv + ["--tol", "1e-6"])
+    assert json.loads(out3)["inputs"] != json.loads(out1)["inputs"]
 
 
 def test_gns_cli(tmp_path, capsys):
@@ -216,9 +219,10 @@ def test_bell_outer_cli(tmp_path, capsys):
     result = json.loads(out)
     assert result["value"] == pytest.approx(2 * np.sqrt(2), abs=1e-3)
     solver = result["solver"]
-    assert 2 * np.sqrt(2) <= solver["certified_upper"] <= 2 * np.sqrt(2) + 1e-5
-    assert solver["levels"] > 0
-    assert sum(solver["level_status"].values()) == solver["levels"]
+    assert 2 * np.sqrt(2) <= result["value"] <= 2 * np.sqrt(2) + 2e-7
+    assert set(solver) == {"matrix_size", "iterations", "gap", "psd_floor"}
+    assert solver["matrix_size"] == 9 and solver["iterations"] > 0
+    assert 0.0 <= solver["gap"] <= 2e-7
     sdp = json.loads(open(dump).read())
     assert sdp["n"] == 9
     assert sdp["constraints"]
@@ -342,6 +346,19 @@ def test_missing_file_exit_one(tmp_path, capsys):
     assert code == 1
 
 
+def _command_inputs(tmp_path, command):
+    fpath = write(tmp_path, "f.json", toy_json())
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    return {
+        "certify": ["--input", fpath],
+        "certify-trace": ["--input", fpath],
+        "verify": ["--cert", fpath, "--input", fpath],
+        "falsify": ["--input", fpath, "--seed", "1"],
+        "bell-outer": ["--scenario", spath],
+        "bell-inner": ["--scenario", spath, "--seed", "1"],
+    }[command]
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("certify", "--tol", "nan"),
     ("certify", "--epsilon", "nan"),
@@ -353,19 +370,32 @@ def test_missing_file_exit_one(tmp_path, capsys):
 ])
 def test_non_finite_arguments_exit_one(tmp_path, capsys, command, flag,
                                        value):
-    fpath = write(tmp_path, "f.json", toy_json())
-    inputs = {
-        "certify": ["--input", fpath],
-        "certify-trace": ["--input", fpath],
-        "verify": ["--cert", fpath, "--input", fpath],
-        "falsify": ["--input", fpath, "--seed", "1"],
-        "bell-outer": ["--scenario",
-                       write(tmp_path, "chsh.json", chsh_scenario())],
-    }
-    code = main([command, *inputs[command], f"{flag}={value}"])
+    code = main([command, *_command_inputs(tmp_path, command),
+                 f"{flag}={value}"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith(f"error: {flag} ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("certify", "--tol", "-1"),
+    ("certify", "--tol", "0"),
+    ("certify-trace", "--tol", "0"),
+    ("verify", "--tol", "-1e-9"),
+    ("falsify", "--tol", "-1"),
+    ("bell-outer", "--tol", "0"),
+    ("bell-inner", "--iters", "-3"),
+    # positive, but no interior-point iterate gets that close
+    ("bell-outer", "--tol", "1e-300"),
+])
+def test_out_of_range_arguments_exit_one(tmp_path, capsys, command, flag,
+                                         value):
+    code = main([command, *_command_inputs(tmp_path, command),
+                 f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and flag in captured.err
     assert captured.err.count("\n") == 1
 
 
@@ -502,30 +532,33 @@ def test_every_written_json_is_canonical(tmp_path, capsys):
                                   sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("tol", ["10", "100"])
-def test_bell_outer_coarse_tol_exit_one(tmp_path, tol):
-    # the relaxation is bounded, but 1/tol caps the level below 2 sqrt 2
+@pytest.mark.parametrize("tol", ["1e-2", "10", "100"])
+def test_bell_outer_coarse_tol_is_a_bound(tmp_path, capsys, tol):
+    # a coarse tol loosens the bound, never below 2 sqrt 2
     spath = write(tmp_path, "chsh.json", chsh_scenario())
-    proc = _run_process(["bell-outer", "--scenario", spath, "--level", "1",
-                         "--tol", tol])
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert "--tol" in proc.stderr
+    code, out = run(capsys, ["bell-outer", "--scenario", spath, "--level",
+                             "1", "--tol", tol])
+    assert code == 0
+    result = json.loads(out)
+    assert 2 * np.sqrt(2) <= result["value"]
+    assert result["solver"]["gap"] <= float(tol)
 
 
 def test_bell_outer_fine_tol_is_a_bound(tmp_path, capsys):
-    # feas_tol = 1e-16 is below the rounding of the level row: levels that
-    # reach the cone must not be rejected for it
     spath = write(tmp_path, "chsh.json", chsh_scenario())
     code, out = run(capsys, ["bell-outer", "--scenario", spath, "--level",
                              "1", "--tol", "1e-13"])
     assert code == 0
     result = json.loads(out)
-    lo, hi = result["solver"]["bracket"]
-    assert hi - lo <= 1e-13
-    assert result["value"] >= 2 * np.sqrt(2) - 1e-12
-    assert result["solver"]["level_status"]["affine_residual"] == 0
+    assert result["solver"]["gap"] <= 1e-13
+    assert 2 * np.sqrt(2) - 1e-12 <= result["value"] <= 2 * np.sqrt(2) + 1e-12
+
+
+def test_bell_outer_rerun_byte_identical(tmp_path, capsys):
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    argv = ["bell-outer", "--scenario", spath, "--level", "2"]
+    first = run(capsys, argv)
+    assert first[0] == 0 and run(capsys, argv) == first
 
 
 def _three_outcome_coeff(first_shift):
@@ -612,9 +645,9 @@ def test_bell_inner_cglmp_dilates(tmp_path, capsys, three_outcome_outer,
 def test_bell_inner_failed_povm_solve_exit_one(tmp_path, capsys,
                                                monkeypatch):
     # one interior-point iteration does not reach the duality gap
-    import freecert.bell as bell
+    import freecert.sdpcore as sdpcore
 
-    monkeypatch.setattr(bell, "POVM_MAX_ITER", 1)
+    monkeypatch.setattr(sdpcore, "IPM_MAX_ITER", 1)
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     code = main(["bell-inner", "--scenario", spath, "--dim", "2", "--iters",
                  "1", "--restarts", "1", "--seed", "2"])
@@ -630,13 +663,13 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
 
     seen = []
 
-    def counted(G):
-        step = povm_step(G)
-        seen.append(step)
-        return step
+    def counted(inst, tol):
+        res = maximize(inst, tol)
+        seen.append(res)
+        return res
 
-    povm_step = bell._povm_step
-    monkeypatch.setattr(bell, "_povm_step", counted)
+    maximize = bell.maximize
+    monkeypatch.setattr(bell, "maximize", counted)
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     argv = ["bell-inner", "--scenario", spath, "--dim", "2", "--iters", "2",
             "--restarts", "1", "--seed", "2"]
@@ -646,9 +679,9 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
     assert len(seen) == 8
     assert json.loads(out)["solver"] == {
         "sdp_calls": 8,
-        "iterations": sum(step.iterations for step in seen),
-        "max_gap": max(step.gap for step in seen)}
-    assert 0.0 < max(step.gap for step in seen) <= 1e-6
+        "iterations": sum(res.iterations for res in seen),
+        "max_gap": max(res.gap for res in seen)}
+    assert 0.0 < max(res.gap for res in seen) <= 1e-6
     assert run(capsys, argv) == (0, out)
 
     # two-outcome updates are closed-form

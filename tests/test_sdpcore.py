@@ -154,10 +154,9 @@ def test_maximize_offdiagonal():
     res = maximize(inst, tol=1e-6)
     assert res.value == pytest.approx(2.0, abs=1e-5)
     assert res.b[0, 1].real == pytest.approx(1.0, abs=1e-4)
-    # the unit diagonal fixes the trace, so the levels carry a dual bound
-    assert 2.0 <= res.certified_upper <= 2.0 + 1e-6
-    assert res.certified_upper >= res.value
-    assert res.levels > 0
+    # the value is a dual bound, within tol of the optimum
+    assert 2.0 <= res.value <= 2.0 + 1e-6
+    assert 0.0 <= res.gap <= 1e-6 and res.iterations > 0
 
 
 def test_maximize_zero_objective():
@@ -172,35 +171,25 @@ def test_maximize_infeasible_raises():
         maximize(inst, tol=1e-4)
 
 
-def test_maximize_unbounded_raises(monkeypatch):
-    import freecert.sdpcore as sc
-
-    made = []
-
-    class Recording(sc._LevelSets):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(sc, "_LevelSets", Recording)
+def test_maximize_unbounded_raises():
+    # nothing fixes the trace, and b00 grows along the PSD direction E00
     inst = part(2, [], ((0, 0, 1.0),))
     with pytest.raises(UnboundedError):
         maximize(inst, tol=1e-2)
-    # nothing fixes the trace: no dual bound may be formed
-    assert len(made) == 1 and made[0].trace is None
-    assert made[0].certified_upper is None
+    # with a free trace a bound needs a PSD dual: -tr b <= -2 |b01|
+    inst = part(2, [("sum", [(0, 1)], 0.5)], ((0, 0, -1.0), (1, 1, -1.0)))
+    res = maximize(inst, tol=1e-6)
+    assert -1.0 <= res.value <= -1.0 + 1e-6
 
 
 def test_maximize_dependent_objective_row():
-    # the objective is an entry the constraints pin: every other level is
-    # affinely inconsistent and rejected without iterating
+    # the objective is an entry the constraints pin, so it is constant on
+    # the affine set: X = 0 is an exact dual point, and the identity an
+    # interior primal one
     inst = part(2, UNIT_DIAG2, ((0, 0, 1.0),))
     res = maximize(inst, tol=1e-6)
-    base = solve_feasibility(inst, tol=1e-9)
-    assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.iterations == base.iterations
-    assert res.certified_upper is None
-    assert res.level_status["inconsistent"] == res.levels > 0
+    assert res.value == 1.0
+    assert res.iterations == 0 and res.gap == 0.0
 
 
 def test_feasible_output_reverified():
@@ -310,15 +299,14 @@ def test_certified_upper_bounds_every_feasible_value():
     for _ in range(6):
         inst, (i, j, value) = _moment_like(rng, int(rng.integers(3, 6)))
         res = maximize(inst, tol=1e-4)
-        assert res.certified_upper is not None
-        assert res.certified_upper >= res.value
-        assert res.bracket[0] <= res.bracket[1] <= res.certified_upper + 1e-4
+        # the reported point is feasible and within tol of the bound
+        check_feasible(inst, FeasibilityResult(True, res.b, 0, 0, 0), 1e-9)
+        assert res.value - 1e-4 <= objective(inst, res.b) <= res.value
         # an independent feasible point: the identity plus the pinned entry
         b = np.eye(inst.n, dtype=complex)
         b[i, j] = b[j, i] = value
         check_feasible(inst, FeasibilityResult(True, b, 0, 0, 0), 1e-12)
-        assert objective(inst, b) <= res.certified_upper
-        assert objective(inst, res.b) <= res.certified_upper + 1e-8
+        assert objective(inst, b) <= res.value
 
 
 def test_instance_json():
@@ -483,22 +471,6 @@ def test_refuted_gram_instances_certified(index, trace):
     assert certificate_excludes(inst, res.dual, 0.999 * res.certified_gap)
 
 
-def test_level_status_counts_every_level():
-    from freecert.sdpcore import LEVEL_STATUSES
-
-    rng = np.random.default_rng(66)
-    for _ in range(4):
-        inst, _ = _moment_like(rng, int(rng.integers(3, 6)))
-        res = maximize(inst, tol=1e-4)
-        assert list(res.level_status) == list(LEVEL_STATUSES)
-        assert sum(res.level_status.values()) == res.levels > 0
-        assert res.level_status["converged"] > 0
-    res = maximize(part(2, [("sum", [(0, 0)], 1.0)]), tol=1e-6)
-    assert res.levels == 0 and not any(res.level_status.values())
-
-
-
-
 # --- the realified SVD engine that the class partition replaced -----------
 #
 # Reference code: hermitian matrices as real vectors [diag; sqrt2 Re upper;
@@ -559,12 +531,6 @@ class Realified:
             return np.zeros((0, self.dim)), np.zeros(0)
         return np.array(rows), np.array(rhs)
 
-    def objective(self, inst):
-        C = np.zeros((self.n, self.n), dtype=complex)
-        for r, c, coef in inst.objective:
-            C[r, c] += np.conj(coef)
-        return self.vec(0.5 * (C + C.conj().T))
-
     def lmin(self, v):
         return float(np.linalg.eigvalsh(self.unvec(v))[0])
 
@@ -604,29 +570,6 @@ class SvdDualGap:
             return 0.0
         lam_l1 = float(np.sum(np.abs(self.P.multipliers(QY))))
         return -g / (lam_l1 + slack * self.nu_l1)
-
-
-class SvdLevel:
-    """The level t of <c, x> over the SVD projection: a rank-one step along
-    c~ = c - QQ^T c, and the dual bound of each check."""
-
-    def __init__(self, hv, P, c, t):
-        self.P, self.c, self.t = P, c, t
-        self.c_perp = c - P.Q @ (P.Q.T @ c)
-        self.c_perp_sq = float(self.c_perp @ self.c_perp)
-        self.gap = SvdDualGap(hv, P)
-        self.upper = np.inf
-
-    def project(self, x):
-        xa = self.P.apply(x)
-        return xa - ((self.c @ xa - self.t) / self.c_perp_sq) * self.c_perp
-
-    def reject(self, y, x):
-        Y = y - x
-        mu = float(self.c_perp @ Y) / self.c_perp_sq
-        if mu < 0.0:
-            self.upper = min(self.upper, self.gap(Y - mu * self.c, Y)[0] / -mu)
-        return self.upper < self.t
 
 
 def reference_splitting(hv, affine, start, tol, max_iter, reject=None):
@@ -707,24 +650,23 @@ def test_class_projection_matches_svd():
                 x - P.Q @ (P.Q.T @ x)))) <= 1e-12
 
 
-def test_level_projection_matches_stacked_svd():
-    from freecert.sdpcore import _LevelSets, _objective_matrix, _Partition
+def test_directions_match_svd_null_space():
+    # the directions of maximize are a basis of the null space of the
+    # realified rows: as many as its dimension, each in it, independent
+    from freecert.sdpcore import _Partition
 
     rng = np.random.default_rng(63)
     for inst in _partitions(rng, 10):
         hv = Realified(inst.n)
-        L, rhs = hv.system(inst)
-        c = hv.objective(inst)
-        levels = _LevelSets(_Partition(inst), _objective_matrix(inst))
-        if levels.dependent:
-            continue
-        for t in rng.uniform(-3, 3, size=3):
-            stacked = SvdProjector(np.vstack([L, c[None, :]]),
-                                   np.append(rhs, t))
-            for _ in range(3):
-                X = _random_hermitian(rng, inst.n)
-                assert np.max(np.abs(levels.project(X, t) - hv.unvec(
-                    stacked.apply(hv.vec(X))))) <= 1e-12
+        L, _ = hv.system(inst)
+        rank = np.linalg.matrix_rank(L) if L.size else 0
+        D = _Partition(inst).directions()
+        assert len(D) == hv.dim - rank
+        assert np.array_equal(D, np.conj(np.swapaxes(D, 1, 2)))
+        if len(D):
+            V = np.array([hv.vec(Dd) for Dd in D])
+            assert np.max(np.abs(L @ V.T), initial=0.0) <= 1e-12
+            assert np.linalg.matrix_rank(V) == len(D)
 
 
 def test_fixed_trace_and_multipliers_match_svd():
@@ -775,33 +717,29 @@ def _chsh_1ab_instance():
 def test_splitting_matches_reference_bits(which, povm_sdp):
     """The engine against the realified loop over the SVD projection: the
     same stop reason, iterations within one check window and x within
-    1e-9 (the two round differently, so the bits no longer agree)."""
-    from freecert.sdpcore import (
-        CHECK_EVERY,
-        _DualGap,
-        _LevelSets,
-        _objective_matrix,
-        _Partition,
-        _splitting,
-    )
+    1e-9 (the two round differently, so the bits no longer agree). The
+    certified runs go over the instance and over its negation, which every
+    right-hand side makes infeasible (a negative trace)."""
+    from freecert.sdpcore import CHECK_EVERY, _DualGap, _Partition, _splitting
 
     inst = (_chsh_1ab_instance() if which == "chsh_1ab"
             else _povm_instance(povm_sdp))
-    base = _Partition(inst)
-    C = _objective_matrix(inst)
-    hv = Realified(inst.n)
-    P = SvdProjector(*hv.system(inst))
-    c = hv.objective(inst)
-    top = maximize(inst, tol=1e-6, feas_tol=1e-10).value
-    assert _DualGap(base).trace is not None
+    negated = SdpInstance(inst.labels,
+                          [None if r is None else -r for r in inst.rhs],
+                          inst.sums)
 
     # each run: (affine, start, reject) of the engine and of the reference,
     # made fresh for every call
     def plain():
+        base = _Partition(inst)
+        P = SvdProjector(*Realified(inst.n).system(inst))
         return ((base.apply, base.x0, None), (P.apply, P.x0, None))
 
-    def certified():
+    def certified(which_inst):
+        base, hv = _Partition(which_inst), Realified(which_inst.n)
+        P = SvdProjector(*hv.system(which_inst))
         gap, ref = _DualGap(base), SvdDualGap(hv, P)
+        assert gap.trace is not None
 
         def reject(y, x):
             return gap.excluded(y - x) > 1e-10
@@ -809,23 +747,9 @@ def test_splitting_matches_reference_bits(which, povm_sdp):
         return ((base.apply, base.x0, reject),
                 (P.apply, P.x0, lambda y, x: ref.excluded(y - x) > 1e-10))
 
-    def level(t, bounded=True):
-        levels, ref = _LevelSets(base, C), SvdLevel(hv, P, c, t)
-
-        def affine(v):
-            return levels.project(v, t)
-
-        def reject(y, x):
-            return levels._reject(y, x, t)
-
-        return ((affine, affine(base.x0), reject if bounded else None),
-                (ref.project, ref.project(P.x0),
-                 ref.reject if bounded else None))
-
-    runs = [plain, certified, lambda: level(top + 1e-3, bounded=False)]
-    runs += [lambda t=t: level(t) for t in (top - 1e-3, top + 1e-3, top + 0.5)]
+    hv = Realified(inst.n)
     statuses = set()
-    for run in runs:
+    for run in (plain, lambda: certified(inst), lambda: certified(negated)):
         for max_iter in (0, 1, 3000):
             new_run, ref_run = run()
             new = _splitting(*new_run[:2], 1e-10, max_iter, new_run[2])
