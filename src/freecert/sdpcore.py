@@ -134,12 +134,16 @@ class MaximizeResult:
     """`value` is the dual bound on the objective, `b` the last primal
     iterate (positive definite, on the affine set within tol), `gap` the
     bound minus the objective at b, and `iterations` the interior-point
-    iterations spent."""
+    iterations spent. `dual` is the certificate of the bound: a hermitian
+    Z >= 0 (up to rounding) such that Z + C has no part along the
+    directions of the affine set, so that <C, b> = <C + Z, x0> - <Z, b>
+    <= <C + Z, x0> = value for every feasible b."""
 
     value: float
     b: np.ndarray
     iterations: int
     gap: float
+    dual: np.ndarray
 
 
 def _hermitian(X: np.ndarray) -> np.ndarray:
@@ -270,6 +274,14 @@ class _Partition:
         return float(entries @ self._lam_weight
                      + np.sum(classes[self._sums] / self._size[self._sums]))
 
+    def fixed_trace(self) -> float | None:
+        """tau when the rows fix tr b = tau (the identity has no part along
+        the directions, up to FIXED_TRACE_REL), else None."""
+        eye = np.eye(self.n, dtype=complex)
+        if np.linalg.norm(self.null(eye)) > FIXED_TRACE_REL * np.sqrt(self.n):
+            return None
+        return float(np.trace(self.x0).real)
+
     def directions(self) -> np.ndarray:
         """A basis D_1, ..., D_m of the image of null, stacked as (m, n, n):
         the hermitian matrices that the affine set may move along, each
@@ -348,12 +360,10 @@ class _DualGap:
 
     def __init__(self, base: _Partition):
         self.base = base
-        eye = np.eye(base.n, dtype=complex)
-        fixed = (np.linalg.norm(base.null(eye))
-                 <= FIXED_TRACE_REL * np.sqrt(base.n))
-        self.trace = float(np.trace(base.x0).real) if fixed else None
+        self.trace = base.fixed_trace()
         # tr b = nu^T Lb, so tr b <= tau + |nu|_1 delta when |Lb - r| <= delta
-        self._nu_l1 = base.multiplier_l1(eye) if fixed else 0.0
+        self._nu_l1 = (0.0 if self.trace is None else
+                       base.multiplier_l1(np.eye(base.n, dtype=complex)))
 
     def excluded(self, Y: np.ndarray) -> float:
         """The largest delta such that no b >= 0 has |Lb - r| < delta,
@@ -508,11 +518,14 @@ def maximize(inst: SdpInstance,
         <C, b> = <C + X', x0> - <X', b>
               <= <C + X', x0> + max(0, -lmin(X')) tr b,
 
-    and tr b = tr x0 when the rows fix the trace; when it is free, only a
-    PSD X' gives a bound. When C has no part along the directions the
-    objective is constant on the affine set, and X = 0 gives the bound
-    <C, x0> exactly. The solve stops when the bound exceeds <C, S> by at
-    most tol (absolute) at an S whose row residuals are within tol.
+    and tr b = tr x0 when the rows fix the trace, where the identity has
+    no part along the directions and Z = X' + max(0, -lmin(X')) I is the
+    `dual` of the result; when it is free, only a PSD X' gives a bound,
+    and Z = X'. When C has no part along the directions the objective is
+    constant on the affine set, and X = 0 gives the bound <C, x0> exactly.
+    An iterate that gives no bound keeps the last one formed. The solve
+    stops when the bound exceeds <C, S> by at most tol (absolute) at an S
+    whose row residuals are within tol.
 
     Raises UnboundedError when a predictor step from a feasible S is a PSD
     direction along which the objective grows, or when no bound was
@@ -535,13 +548,13 @@ def maximize(inst: SdpInstance,
         return np.tensordot(dy, D, 1)
 
     x0, eye = part.x0, np.eye(n)
-    trace = _DualGap(part).trace
+    trace = part.fixed_trace()
     c, C_x0 = adjoint(C), _inner(C, x0)
     lo = _lmin(x0)
     S = x0 + (0.0 if lo > 0.0 else 1.0 - lo) * eye
     X = (1.0 + float(np.max(np.abs(C), initial=0.0))) * eye
     y = np.zeros(m)
-    bound, gap, feasible = None, np.inf, False
+    bound, dual, gap, feasible = None, None, np.inf, False
     # with c = 0 the objective is constant on the affine set, and X = 0 is
     # an exact dual point
     keep = 1.0 if c.any() else 0.0
@@ -551,12 +564,15 @@ def maximize(inst: SdpInstance,
             Xp = keep * X - part.null(keep * X + C)
             floor = _lmin(Xp)
             if trace is not None or floor >= 0.0:
-                bound = (C_x0 + _inner(Xp, x0)
-                         + (max(0.0, -floor) * trace if trace else 0.0))
+                shift = max(0.0, -floor)
+                bound = C_x0 + _inner(Xp, x0) + shift * (trace or 0.0)
+                dual = Xp + shift * eye
+            if bound is not None:
                 gap = bound - _inner(C, S)
             feasible = part.residual(S) <= tol
             if bound is not None and feasible and gap <= tol:
-                return MaximizeResult(bound, _hermitian(S), it, gap)
+                return MaximizeResult(bound, _hermitian(S), it, gap,
+                                      _hermitian(dual))
             if it == IPM_MAX_ITER:
                 break
             try:
@@ -572,13 +588,8 @@ def maximize(inst: SdpInstance,
                     K[a:a + BLOCK] = T.reshape(-1, Dr.shape[1]) @ Dr.T
 
                 def direction(target, extra):
-                    rhs = c + adjoint(target * Si - XRS - extra)
-                    try:
-                        dy = np.linalg.solve(K, rhs)
-                    except np.linalg.LinAlgError:
-                        # an exact zero pivot of a K that rounding left
-                        # singular: its conditioning grows like 1/mu^2
-                        dy = np.linalg.lstsq(K, rhs, rcond=None)[0]
+                    dy = np.linalg.solve(
+                        K, c + adjoint(target * Si - XRS - extra))
                     dS = R + along(dy)
                     dX = _hermitian(target * Si - X - X @ dS @ Si - extra)
                     return dy, dS, dX

@@ -313,8 +313,10 @@ def _random_hermitian_stack(rng, m, n):
 @pytest.mark.parametrize("n, m", list(itertools.product((2, 3, 4), (3, 4))))
 def test_povm_step_certifies_its_optimum(n, m):
     # each optimality condition is checked here, none taken from the solve:
-    # Y = H(sum_i G_i M_i) is a dual point, Y >= G_i, up to the gap, and
-    # tr Y is the value
+    # the effects form a POVM, and Y = Z_ii + G_i, for the dual Z >= 0 of
+    # the solve, is the same for every i, so Y - G_i = Z_ii >= 0 makes Y a
+    # dual point, and tr Y exceeds the effects' value by at most the gap
+    # the update asks for
     from freecert.bell import PVM_TOL, TIE_TOL, _update_povm
 
     rng = np.random.default_rng([107, n, m])
@@ -326,11 +328,36 @@ def test_povm_step_certifies_its_optimum(n, m):
     assert np.max(np.abs(M.sum(axis=0) - np.eye(n))) <= PVM_TOL
     value = sum(np.trace(G[i] @ M[i]).real for i in range(m))
     scale = max(1.0, n * max(np.linalg.norm(Gi, 2) for Gi in G))
-    assert value <= res.value <= value + 0.1 * TIE_TOL * scale
-    Y = sum(G[i] @ M[i] for i in range(m))
-    Y = 0.5 * (Y + Y.conj().T)
-    assert np.trace(Y).real == pytest.approx(value, abs=1e-12 * scale)
-    assert np.linalg.eigvalsh(Y - G).min() >= -1e-5 * scale
+    Ys = [res.dual[i * n:(i + 1) * n, i * n:(i + 1) * n] + G[i]
+          for i in range(m)]
+    Y = Ys[0]
+    assert max(np.max(np.abs(Yi - Y)) for Yi in Ys) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(Y - G).min() >= -1e-12 * scale
+    trace = np.trace(Y).real
+    assert trace == pytest.approx(res.value, abs=1e-12 * scale)
+    assert value - 1e-12 * scale <= trace <= value + 0.1 * TIE_TOL * scale
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_povm_step_matches_closed_forms(n):
+    # two outcomes: the projector onto the positive part of G_1 - G_2 is
+    # optimal; diagonal G: each basis vector goes to the effect that values
+    # it most
+    from freecert.bell import TIE_TOL, _update_povm, _update_two_outcome
+
+    rng = np.random.default_rng([108, n])
+    two = _random_hermitian_stack(rng, 2, n)
+    diagonal = np.array([np.diag(rng.standard_normal(n)) for _ in range(4)])
+    for G, reference in (
+            (two, sum(np.trace(Gi @ Mi).real
+                      for Gi, Mi in zip(two, _update_two_outcome(*two)))),
+            (diagonal, float(np.sum(np.max(np.diagonal(diagonal, 0, 1, 2),
+                                           axis=0))))):
+        effects, res = _update_povm(list(G))
+        value = sum(np.trace(Gi @ Mi).real for Gi, Mi in zip(G, effects))
+        scale = max(1.0, n * max(np.linalg.norm(Gi, 2) for Gi in G))
+        assert reference - 1e-12 * scale <= res.value
+        assert value >= reference - 0.1 * TIE_TOL * scale - 1e-12 * scale
 
 
 def test_povm_step_zero_and_tied_objectives():

@@ -56,6 +56,33 @@ def check_feasible(inst, res, tol):
                 assert abs(vals[0] - r) <= 10 * tol
 
 
+def objective(inst, b):
+    return sum(coef * b[r, c] for r, c, coef in inst.objective).real
+
+
+def check_dual_certificate(inst, res, b):
+    """The dual Z of a maximize result proves its value, checked against
+    the rows of instance_to_json and a feasible point b: Z >= 0, and Z + C
+    lies in the span of the rows, so <C + Z, .> is constant on the affine
+    set; at b it is the value. Every feasible b' then has
+    <C, b'> = value - <Z, b'> <= value."""
+    C = np.zeros((inst.n, inst.n), dtype=complex)
+    for r, c, coef in inst.objective:
+        C[r, c] += np.conj(coef)
+    C = 0.5 * (C + C.conj().T)
+    Z = res.dual
+    scale = 1.0 + np.max(np.abs(Z))
+    assert np.array_equal(Z, Z.conj().T)
+    assert psd_floor(Z) >= -1e-12 * scale
+    hv = Realified(inst.n)
+    L, _ = hv.system(inst)
+    w = hv.vec(Z + C)
+    lam = np.linalg.lstsq(L.T, w, rcond=None)[0]
+    assert np.max(np.abs(L.T @ lam - w)) <= 1e-9 * scale
+    assert np.vdot(C + Z, b).real == pytest.approx(res.value,
+                                                   abs=1e-9 * scale)
+
+
 DIAG2 = [(0, 0), (1, 1)]
 
 
@@ -182,6 +209,34 @@ def test_maximize_unbounded_raises():
     assert -1.0 <= res.value <= -1.0 + 1e-6
 
 
+def test_maximize_free_trace_gap():
+    # one pinned off-diagonal entry and a negative definite objective: the
+    # trace is free, so every bound comes from a PSD dual, and the gap is
+    # the bound minus the objective at the returned point
+    from freecert.sdpcore import _Partition
+
+    rng = np.random.default_rng(65)
+    for _ in range(8):
+        n = int(rng.integers(2, 6))
+        i, j = sorted(int(k) for k in rng.choice(n, 2, replace=False))
+        value = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        C = A + A.conj().T
+        C -= (np.linalg.norm(C, 2) + 1.0) * np.eye(n)
+        inst = part(n, [("pinned", [(i, j)], value)],
+                    tuple((r, c, complex(C[r, c])) for r in range(n)
+                          for c in range(n)))
+        assert _Partition(inst).fixed_trace() is None
+        res = maximize(inst, tol=1e-6)
+        assert res.gap == pytest.approx(res.value - objective(inst, res.b),
+                                        abs=1e-12 * np.abs(C).max())
+        assert 0.0 <= res.gap <= 1e-6
+        b = np.eye(n, dtype=complex)
+        b[i, j], b[j, i] = value, np.conj(value)
+        check_dual_certificate(inst, res, b)
+        assert objective(inst, b) <= res.value
+
+
 def test_maximize_dependent_objective_row():
     # the objective is an entry the constraints pin, so it is constant on
     # the affine set: X = 0 is an exact dual point, and the identity an
@@ -292,9 +347,6 @@ def _random_partition(rng, n, objective=False, kinds=("sum", "pinned", "tie")):
 
 
 def test_certified_upper_bounds_every_feasible_value():
-    def objective(inst, b):
-        return sum(coef * b[r, c] for r, c, coef in inst.objective).real
-
     rng = np.random.default_rng(64)
     for _ in range(6):
         inst, (i, j, value) = _moment_like(rng, int(rng.integers(3, 6)))
@@ -307,6 +359,7 @@ def test_certified_upper_bounds_every_feasible_value():
         b[i, j] = b[j, i] = value
         check_feasible(inst, FeasibilityResult(True, b, 0, 0, 0), 1e-12)
         assert objective(inst, b) <= res.value
+        check_dual_certificate(inst, res, b)
 
 
 def test_instance_json():
