@@ -10,13 +10,22 @@ generator: p_i = (1/m) sum_v omega^{-iv} s^v, so
 
 for the state h of the moment matrix.
 
-The see-saw's measurement update for m >= 3 outcomes is a small SDP over
-POVMs, max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I
-(povm_instance), solved by sdpcore.maximize to a duality gap that scales
-with G (_update_povm). The outer bound is the dual bound of the same solver. Rounding the
-POVM back to a PVM (_round_to_pvm) settles weights and scores within
-TIE_TOL of a tie by a fixed rule, so a last-bit change in the solve does
-not change the path.
+The outer bound is the dual bound of sdpcore.maximize on that moment matrix.
+
+The see-saw (inner_bound) holds each party's measurements as one
+(d, m, dim, dim) stack of effects (PvmFamily). It alternates the state, the
+top eigenvector of the Bell operator, with measurement updates of one party
+at a time against its effect multipliers G (one einsum over the other
+party's stack). Two outcomes have a closed-form update: the spectral
+projectors of G_1 - G_2, one stacked eigh over the d settings. For m >= 3
+outcomes each setting's update is a small SDP over POVMs,
+max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I (povm_instance),
+solved by sdpcore.maximize to a duality gap that scales with G
+(_update_povm). Its effects are checked as a POVM within PVM_TOL and
+rounded back to a PVM of the same dimension (_round_to_pvm), which settles
+weights and scores within TIE_TOL of a tie by a fixed rule, so a last-bit
+change in the solve does not change the path. naimark_dilate, the dilation
+of a POVM to a PVM on a larger space, is not part of the see-saw.
 """
 
 from __future__ import annotations
@@ -77,27 +86,31 @@ class BellScenario:
         return np.exp(2j * np.pi / self.m)
 
 
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix in a stack."""
+    return np.swapaxes(M, -1, -2).conj()
+
+
 @dataclass
 class PvmFamily:
-    """One m-outcome projective measurement per setting on a common space."""
+    """One m-outcome projective measurement per setting on a common space:
+    settings[k, i] is effect i of setting k, a complex (d, m, dim, dim)
+    array."""
 
     dim: int
-    settings: list[list[np.ndarray]]
+    settings: np.ndarray
 
     def __post_init__(self):
-        eye = np.eye(self.dim)
-        for pvm in self.settings:
-            total = np.zeros((self.dim, self.dim), dtype=complex)
-            for P in pvm:
-                if P.shape != (self.dim, self.dim):
-                    raise ValueError("projection dimension mismatch")
-                if np.max(np.abs(P - P.conj().T)) > PVM_TOL:
-                    raise ValueError("effect is not hermitian")
-                if np.max(np.abs(P @ P - P)) > PVM_TOL:
-                    raise ValueError("effect is not idempotent")
-                total += P
-            if np.max(np.abs(total - eye)) > PVM_TOL:
-                raise ValueError("effects do not sum to the identity")
+        P = np.asarray(self.settings, dtype=complex)
+        if P.ndim != 4 or P.shape[2:] != (self.dim, self.dim):
+            raise ValueError("projection dimension mismatch")
+        if np.max(np.abs(P - _adjoint(P))) > PVM_TOL:
+            raise ValueError("effect is not hermitian")
+        if np.max(np.abs(P @ P - P)) > PVM_TOL:
+            raise ValueError("effect is not idempotent")
+        if np.max(np.abs(P.sum(axis=1) - np.eye(self.dim))) > PVM_TOL:
+            raise ValueError("effects do not sum to the identity")
+        self.settings = P
 
 
 @dataclass
@@ -152,14 +165,8 @@ class BellFunctional:
         """Two-outcome correlator functional sum w[k][l] <A_k B_l> with
         outcomes valued (-1, +1)."""
         w = np.asarray(w, dtype=float)
-        d = w.shape[0]
-        c = np.zeros((d, d, 2, 2))
-        for k in range(d):
-            for l in range(d):
-                for i in range(2):
-                    for j in range(2):
-                        c[k][l][i][j] = w[k][l] * ((-1) ** (i + j))
-        return BellFunctional(c)
+        sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return BellFunctional(w[:, :, None, None] * sign)
 
 
 def correlation_of(A: PvmFamily, B: PvmFamily, xi: np.ndarray) -> Correlation:
@@ -170,26 +177,22 @@ def correlation_of(A: PvmFamily, B: PvmFamily, xi: np.ndarray) -> Correlation:
         raise ValueError("state dimension does not match the PVM spaces")
     if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
         raise ValueError("state vector is not normalized")
-    dA, dB = len(A.settings), len(B.settings)
-    m = len(A.settings[0])
-    Xi = xi.reshape(A.dim, B.dim)
-    K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in B.settings]
-    g = np.empty((dA, dB, m, m))
-    for k, pvm in enumerate(A.settings):
-        for i, P in enumerate(pvm):
-            for l in range(dB):
-                for j in range(m):
-                    val = complex(np.trace(P @ K[l][j]))
-                    g[k][l][i][j] = val.real
-    return Correlation(g)
+    K = _transfer(xi.reshape(A.dim, B.dim), B.settings)
+    return Correlation(np.einsum("kiab,ljba->klij", A.settings, K).real)
 
 
-def pvm_unitary(pvm: list[np.ndarray], omega: complex) -> np.ndarray:
-    """The order-m unitary sum_i omega^i P_i attached to an m-outcome PVM."""
-    U = np.zeros_like(pvm[0])
-    for i, P in enumerate(pvm, start=1):
-        U = U + (omega ** i) * P
-    return U
+def _transfer(Xi: np.ndarray, settings: np.ndarray) -> np.ndarray:
+    """K[l, j] = Xi Q_j^(l)T Xi* for a state Xi (as a dim_A x dim_B matrix)
+    and party B's effects Q, so that <(P (x) Q_j^(l)) xi, xi> = tr(P K[l, j])
+    for every operator P of party A."""
+    return Xi @ np.swapaxes(settings, -1, -2) @ Xi.conj().T
+
+
+def pvm_unitary(pvm, omega: complex) -> np.ndarray:
+    """The order-m unitary sum_i omega^i P_i attached to an m-outcome PVM,
+    given as an (m, n, n) stack."""
+    pvm = np.asarray(pvm)
+    return np.tensordot(omega ** np.arange(1, len(pvm) + 1), pvm, axes=1)
 
 
 def _product_spec(s: BellScenario) -> GroupSpec:
@@ -300,41 +303,45 @@ def outer_bound(s: BellScenario, functional: BellFunctional, level,
     return res.value
 
 
-def naimark_dilate(povm: list[np.ndarray]) -> tuple[PvmFamily, np.ndarray]:
-    """Dilate a POVM (PSD effects summing to I on dim n) to a PVM on dim m*n:
-    V x = sum_i e_i (x) (M_i^(1/2) x) and P_i the i-th block projector."""
-    m = len(povm)
-    n = povm[0].shape[0]
-    total = np.zeros((n, n), dtype=complex)
-    for M in povm:
-        if psd_floor(M) < -PVM_TOL:
-            raise ValueError("effect is not PSD within tolerance")
-        total += M
-    if np.max(np.abs(total - np.eye(n))) > PVM_TOL:
+def _check_povm(povm: np.ndarray) -> None:
+    """Raise ValueError unless the (m, n, n) stack is a finite POVM within
+    PVM_TOL: every effect's hermitian part has eigenvalues >= -PVM_TOL, and
+    the effects sum to I within PVM_TOL."""
+    if not np.all(np.isfinite(povm)):
+        raise ValueError("effect has non-finite entries")
+    if np.linalg.eigvalsh(0.5 * (povm + _adjoint(povm))).min() < -PVM_TOL:
+        raise ValueError("effect is not PSD within tolerance")
+    if np.max(np.abs(povm.sum(axis=0) - np.eye(povm.shape[-1]))) > PVM_TOL:
         raise ValueError("effects do not sum to the identity")
-    roots = []
-    for M in povm:
-        w, U = eigh(M)
-        roots.append((U * np.sqrt(np.maximum(w, 0.0))) @ U.conj().T)
-    V = np.vstack(roots)
+
+
+def naimark_dilate(povm) -> tuple[PvmFamily, np.ndarray]:
+    """Dilate a POVM (an (m, n, n) stack of PSD effects summing to I) to a
+    PVM on dim m*n: V x = sum_i e_i (x) (M_i^(1/2) x) and P_i the i-th
+    block projector."""
+    povm = np.asarray(povm, dtype=complex)
+    _check_povm(povm)
+    m, n = povm.shape[:2]
+    w, U = eigh(povm)
+    V = ((U * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ _adjoint(U)
+         ).reshape(m * n, n)
     if np.max(np.abs(V.conj().T @ V - np.eye(n))) > PVM_TOL:
         raise ValueError("dilation isometry check failed")
-    projections = []
-    for i in range(m):
-        P = np.zeros((m * n, m * n), dtype=complex)
-        P[i * n:(i + 1) * n, i * n:(i + 1) * n] = np.eye(n)
-        projections.append(P)
-    return PvmFamily(m * n, [projections]), V
+    projections = np.zeros((1, m, m * n, m * n), dtype=complex)
+    diag = np.arange(m * n)
+    projections[0, diag // n, diag, diag] = 1.0
+    return PvmFamily(m * n, projections), V
 
 
-def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
+def _round_to_pvm(povm) -> np.ndarray:
     """Eigen-rounding: collect each effect's eigenvectors above 1/2 + TIE_TOL,
     orthogonalize them in order, and hand leftover directions to the
     best-scoring effect, the lowest index among scores within TIE_TOL of the
     best. A direction an optimal POVM splits evenly between effects thus goes
-    to the same effect whatever the last bits of the solve."""
-    n = povm[0].shape[0]
-    m = len(povm)
+    to the same effect whatever the last bits of the solve. Takes and returns
+    an (m, n, n) stack."""
+    povm = np.asarray(povm, dtype=complex)
+    m, n = povm.shape[:2]
     basis: list[np.ndarray] = []
     owner: list[int] = []
 
@@ -343,9 +350,8 @@ def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
             v = v - u * np.vdot(u, v)
         return v
 
-    for i, M in enumerate(povm):
-        w, U = eigh(M)
-        for k in range(len(w) - 1, -1, -1):
+    for i, (w, U) in enumerate(zip(*eigh(povm))):
+        for k in range(n - 1, -1, -1):
             if w[k] <= 0.5 + TIE_TOL:
                 break
             v = orthogonalize(U[:, k])
@@ -371,42 +377,39 @@ def _round_to_pvm(povm: list[np.ndarray]) -> list[np.ndarray]:
             basis.append(v)
             owner.append(int(np.flatnonzero(
                 scores >= scores.max() - TIE_TOL)[0]))
-    out = [np.zeros((n, n), dtype=complex) for _ in range(m)]
-    for u, i in zip(basis, owner):
-        out[i] += np.outer(u, u.conj())
+    out = np.zeros((m, n, n), dtype=complex)
+    V = np.array(basis).reshape(-1, n)
+    np.add.at(out, owner, V[:, :, None] * V.conj()[:, None, :])
     return out
 
 
-def _pvmify(povm: list[np.ndarray]) -> list[np.ndarray]:
-    """Restore PVM form after a POVM optimization step: dilate (which also
-    validates the POVM) and eigen-round the compressed effects into exact
-    projections. Rounding is idempotent on families that are already
-    projective."""
-    naimark_dilate([0.5 * (M + M.conj().T) for M in povm])
-    return _round_to_pvm(povm)
+def _update_two_outcome(G: np.ndarray) -> np.ndarray:
+    """The two-outcome measurement update of every setting at once: for the
+    (d, 2, n, n) multipliers G, the exact maximizer of
+    tr(G_1 M) + tr(G_2 (I - M)) over 0 <= M <= I is the spectral projector
+    onto the positive part of G_1 - G_2. Returns the (d, 2, n, n) stack of
+    projector pairs."""
+    w, U = eigh(G[:, 0] - G[:, 1])
+    P1 = (U * (w > 0.0)[:, None, :]) @ _adjoint(U)
+    return np.stack((P1, np.eye(G.shape[-1]) - P1), axis=1)
 
 
-def _update_two_outcome(G1: np.ndarray, G2: np.ndarray) -> list[np.ndarray]:
-    """Exact maximizer of tr(G1 M) + tr(G2 (I - M)) over 0 <= M <= I: the
-    spectral projector onto the positive part of G1 - G2."""
-    w, U = eigh(G1 - G2)
-    keep = U[:, w > 0.0]
-    P1 = keep @ keep.conj().T
-    return [P1, np.eye(P1.shape[0]) - P1]
-
-
-def _update_povm(G: list[np.ndarray]):
+def _update_povm(G):
     """The m >= 3 measurement update: effects maximizing sum_i tr(G_i M_i)
-    over POVMs, and the MaximizeResult of that solve. The absolute gap is
-    TIE_TOL / 10 times max(1, n max_i |G_i|_2): well below the ties that
-    the rounding to a PVM settles, and above the 1e-8 relative gaps at
-    which rounding stalls the interior point on the rank-deficient G of a
-    see-saw."""
-    n = G[0].shape[0]
+    over POVMs for an (m, n, n) stack G, as an (m, n, n) stack checked to
+    be a POVM within PVM_TOL (ValueError otherwise), and the MaximizeResult
+    of that solve. The absolute gap is TIE_TOL / 10 times
+    max(1, n max_i |G_i|_2): well below the ties that the rounding to a PVM
+    settles, and above the 1e-8 relative gaps at which rounding stalls the
+    interior point on the rank-deficient G of a see-saw."""
+    G = np.asarray(G)
+    m, n = G.shape[:2]
     scale = max(1.0, n * float(np.max(np.abs(np.linalg.eigvalsh(G)))))
     res = maximize(povm_instance(G), tol=0.1 * TIE_TOL * scale)
-    return [res.b[i * n:(i + 1) * n, i * n:(i + 1) * n]
-            for i in range(len(G))], res
+    blocks = res.b.reshape(m, n, m, n)
+    effects = blocks[np.arange(m), :, np.arange(m), :]
+    _check_povm(effects)
+    return effects, res
 
 
 def povm_instance(G) -> SdpInstance:
@@ -416,20 +419,16 @@ def povm_instance(G) -> SdpInstance:
     and entry (a, b) of every block joins one sum class, which adds up to
     I[a, b]. The objective coefficient at entry (a, b) of block i is
     G_i[b, a], so that Re sum coef * M_i[a, b] = Re tr(G_i M_i)."""
-    m = len(G)
-    n = G[0].shape[0]
+    GT = np.swapaxes(np.asarray(G, dtype=complex), 1, 2)
+    m, n = GT.shape[:2]
     block = np.arange(m * n) // n
     within = np.arange(m * n) % n
     labels = np.where(block[:, None] == block[None, :],
                       1 + within[:, None] * n + within[None, :], 0)
     rhs = [0.0] + list(np.eye(n).ravel())
-    objective = []
-    for bi in range(m):
-        for a in range(n):
-            for b in range(n):
-                coef = G[bi][b, a]
-                if abs(coef) > 1e-15:
-                    objective.append((bi * n + a, bi * n + b, complex(coef)))
+    bi, a, b = np.nonzero(np.abs(GT) > 1e-15)
+    objective = zip((bi * n + a).tolist(), (bi * n + b).tolist(),
+                    GT[bi, a, b].tolist())
     return SdpInstance(labels, rhs, [False] + [True] * (n * n),
                        tuple(objective))
 
@@ -457,39 +456,28 @@ def _top_state(W: np.ndarray) -> np.ndarray:
 
 
 def _random_pvm_family(dim: int, s: BellScenario, rng) -> PvmFamily:
-    settings = []
-    for _ in range(s.d):
+    """Per setting, the columns of a random unitary in random order, dealt
+    to the effects in turn."""
+    settings = np.zeros((s.d, s.m, dim, dim), dtype=complex)
+    for effects in settings:
         Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         Q, _ = np.linalg.qr(Z)
-        perm = rng.permutation(dim)
-        effects = [np.zeros((dim, dim), dtype=complex) for _ in range(s.m)]
-        for pos, col in enumerate(perm):
-            if dim == 1:
-                # projections on C^1 are exactly 0 or 1; avoid phase rounding
-                effects[pos % s.m][0, 0] = 1.0
-            else:
-                v = Q[:, col]
-                effects[pos % s.m] += np.outer(v, v.conj())
-        settings.append(effects)
+        V = Q[:, rng.permutation(dim)].T
+        # projections on C^1 are exactly 0 or 1; avoid phase rounding
+        rank_one = (np.ones((1, 1, 1)) if dim == 1
+                    else V[:, :, None] * V.conj()[:, None, :])
+        np.add.at(effects, np.arange(dim) % s.m, rank_one)
     return PvmFamily(dim, settings)
 
 
 def _effect_multipliers(c: np.ndarray, other: PvmFamily, Xi):
-    """G_i^(k): hermitian matrices so that party A's objective is
-    sum_{k,i} tr(P_i^(k) G_i^(k)) at the fixed state Xi (as a dim_A x dim_B
-    matrix) and fixed party B (`other`), for the coefficients c[k, l, i, j].
-    Party B's are party A's for c.transpose(1, 0, 3, 2) and Xi.T."""
-    d, m = c.shape[0], c.shape[2]
-    K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in other.settings]
-    G = [[None] * m for _ in range(d)]
-    for k in range(d):
-        for i in range(m):
-            acc = np.zeros_like(K[0][0])
-            for l in range(d):
-                for j in range(m):
-                    acc += c[k][l][i][j] * K[l][j]
-            G[k][i] = 0.5 * (acc + acc.conj().T)
-    return G
+    """G[k, i]: hermitian matrices so that party A's objective is
+    sum_{k,i} tr(P_i^(k) G[k, i]) at the fixed state Xi (as a
+    dim_A x dim_B matrix) and fixed party B (`other`), for the coefficients
+    c[k, l, i, j]; a (d, m, dim_A, dim_A) stack. Party B's are party A's
+    for c.transpose(1, 0, 3, 2) and Xi.T."""
+    acc = np.einsum("klij,ljab->kiab", c, _transfer(Xi, other.settings))
+    return 0.5 * (acc + _adjoint(acc))
 
 
 def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
@@ -498,8 +486,9 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     """See-saw lower bound over tensor-model strategies on dim x dim.
 
     Alternates the state step (top eigenvector of the Bell operator) with
-    per-setting measurement updates (POVM relaxation, restored to PVM form);
-    updates are accepted only when the exactly re-evaluated value does not
+    the measurement updates of one party: closed-form projector pairs for
+    m = 2, and per setting a POVM solve rounded back to a PVM for m >= 3.
+    Updates are accepted only when the exactly re-evaluated value does not
     decrease. Returns (value, A, B, xi) for the best run, and with
     return_info a fifth entry on the POVM updates (sdpcore.maximize over
     povm_instance) over all restarts: {"sdp_calls", "iterations",
@@ -530,17 +519,17 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                 Xi = xi.reshape(A.dim, B.dim)
                 G = (_effect_multipliers(c, B, Xi) if party == 0 else
                      _effect_multipliers(c_swapped, A, Xi.T))
-                new_settings = []
-                for k in range(s.d):
-                    if s.m == 2:
-                        new_povm = _update_two_outcome(G[k][0], G[k][1])
-                    else:
-                        new_povm, res = _update_povm(G[k])
+                if s.m == 2:
+                    new_settings = _update_two_outcome(G)
+                else:
+                    new_settings = []
+                    for Gk in G:
+                        effects, res = _update_povm(Gk)
                         info["sdp_calls"] += 1
                         info["iterations"] += res.iterations
                         info["max_gap"] = (res.gap if info["max_gap"] is None
                                            else max(info["max_gap"], res.gap))
-                    new_settings.append(_pvmify(new_povm))
+                        new_settings.append(_round_to_pvm(effects))
                 pair = [A, B]
                 pair[party] = PvmFamily(dim, new_settings)
                 xi_new = _top_state(_bell_operator(functional, *pair))

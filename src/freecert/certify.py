@@ -28,7 +28,7 @@ from .algebra import (
     random_rep,
     tensor_rep,
 )
-from .denselin import eigh, psd_floor
+from .denselin import RANK_CUTOFF, eigh, psd_floor
 from .grounded import GroundedSet
 from .quotients import QuotientTable
 from .sdpcore import SdpInstance, solve_feasibility
@@ -49,8 +49,6 @@ __all__ = [
     "certificate_to_json",
     "certificate_from_json",
 ]
-
-RANK_CUTOFF = 1e-10
 
 
 @dataclass

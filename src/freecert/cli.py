@@ -25,6 +25,7 @@ import numpy as np
 from . import selftest
 from .algebra import complex_from_json, element_from_json, element_to_json
 from .bell import (
+    OUTER_DEFAULT_TOL,
     BellFunctional,
     BellScenario,
     correlation_of,
@@ -279,7 +280,10 @@ def _matrix_from_json(rows, what):
 def _load_functional(path):
     obj = _load_json(path)
     try:
-        d, m = int(obj["d"]), int(obj["m"])
+        d, m = obj["d"], obj["m"]
+        if not all(type(v) is int for v in (d, m)):
+            raise InputError(f"{path}: d and m must be integers, got "
+                             f"{d!r} and {m!r}")
         coeff = np.asarray(obj["coeff"], dtype=float).reshape(d, d, m, m)
         return BellScenario(d, m), BellFunctional(coeff)
     except (KeyError, ValueError, TypeError) as exc:
@@ -480,9 +484,8 @@ def _cmd_bell_inner(args):
         raise InputError(f"a see-saw measurement update was not solved: "
                          f"{exc}") from exc
     corr = correlation_of(A, B, xi)
-    pvm_residual = max(
-        float(np.max(np.abs(P @ P - P)))
-        for fam in (A, B) for pvm in fam.settings for P in pvm)
+    pvm_residual = float(max(np.max(np.abs(P @ P - P))
+                             for P in (A.settings, B.settings)))
     report = {
         "command": "bell-inner",
         "inputs": _digest([args.scenario],
@@ -496,8 +499,8 @@ def _cmd_bell_inner(args):
         "pvm_residual": pvm_residual,
         "state_norm_error": abs(float(np.linalg.norm(xi)) - 1.0),
         "correlation": corr.data.tolist(),
-        "alice": [[_matrix_to_json(P) for P in pvm] for pvm in A.settings],
-        "bob": [[_matrix_to_json(Q) for Q in pvm] for pvm in B.settings],
+        "alice": _matrix_to_json(A.settings),
+        "bob": _matrix_to_json(B.settings),
         "state": [[z.real, z.imag] for z in np.asarray(xi).reshape(-1)],
     }
     _emit(report, args.out)
@@ -588,7 +591,7 @@ def _build_parser():
     p.add_argument("--scenario", required=True,
                    help="functional JSON: {d, m, coeff}")
     p.add_argument("--level", default="1ab")
-    p.add_argument("--tol", type=float, default=2e-7)
+    p.add_argument("--tol", type=float, default=OUTER_DEFAULT_TOL)
     p.add_argument("--out")
     p.add_argument("--dump-sdp")
     p.set_defaults(fn=_cmd_bell_outer)

@@ -21,6 +21,10 @@ __all__ = [
 
 # relative eigenvalue cutoff used for sqrt / pseudo-inverse / rank decisions
 EIG_CUTOFF = 1e-12
+# relative eigenvalue cutoff for the rank of certificate and GNS Gram matrices
+RANK_CUTOFF = 1e-10
+# how far below zero, relative to the input's scale, the spectrum of an input
+# matrix may reach and still count as PSD
 PSD_INPUT_TOL = 1e-8
 
 
@@ -37,11 +41,12 @@ def hermitian(M: np.ndarray) -> np.ndarray:
 
 
 def eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition M = U diag(w) U* with w ascending."""
+    """Eigendecomposition M = U diag(w) U* with w ascending, of the
+    hermitian part of M or of each matrix in a stack of them."""
     M = np.asarray(M, dtype=complex)
     if M.size and not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    w, U = np.linalg.eigh(0.5 * (M + M.conj().T))
+    w, U = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2).conj()))
     return w, U
 
 

@@ -32,7 +32,12 @@ from .algebra import (
     rep_matrix,
     toeplitz_matrix,
 )
-from .denselin import PartialBlockMatrix, complete_block, psd_floor
+from .denselin import (
+    PSD_INPUT_TOL,
+    PartialBlockMatrix,
+    complete_block,
+    psd_floor,
+)
 from .grounded import GroundedSet, double_set, extension_chain, grounded_set
 from .words import (
     FREE,
@@ -54,7 +59,6 @@ __all__ = [
     "random_positive_type",
 ]
 
-INPUT_PSD_TOL = 1e-8
 OUTPUT_PSD_TOL = 1e-7
 
 
@@ -86,7 +90,7 @@ class PartialPositiveType:
 
 
 def partial_positive_type(E: GroundedSet, values: dict[Word, complex],
-                          psd_tol: float = INPUT_PSD_TOL) -> PartialPositiveType:
+                          psd_tol: float = PSD_INPUT_TOL) -> PartialPositiveType:
     """Validate a partial positive-type function: domain exactly E^{-1}E,
     hermitian symmetry, real at the unit, PSD Toeplitz compression."""
     if E.spec.kind != FREE:

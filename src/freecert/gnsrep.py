@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denselin import eigh
+from .denselin import PSD_INPUT_TOL, RANK_CUTOFF, eigh
 from .extendpt import PartialPositiveType
 from .grounded import GroundedSet
 from .words import Word, generator, multiply
 
 __all__ = ["GnsData", "gns"]
-
-RANK_CUTOFF = 1e-10
 
 
 @dataclass
@@ -49,7 +47,7 @@ def gns(g: PartialPositiveType) -> GnsData:
     w, U = eigh(M)
     lam_max = float(w[-1]) if w.size else 0.0
     scale = 1.0 + max(lam_max, 0.0)
-    if w.size and w[0] < -1e-8 * scale:
+    if w.size and w[0] < -PSD_INPUT_TOL * scale:
         raise ValueError(f"gram matrix is not PSD (floor {w[0]:g})")
     keep = [k for k in range(len(w)) if w[k] > RANK_CUTOFF * max(lam_max, 0.0)]
     r = len(keep)

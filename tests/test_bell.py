@@ -39,11 +39,19 @@ def test_scenario_validation():
         BellScenario(1, 1)
 
 
-def test_pvm_family_validation():
+@pytest.mark.parametrize("effects, reason", [
+    ([comp_basis_pvm(3, 2)], "dimension mismatch"),
+    # P and I - P are idempotent and sum to I, but P is not hermitian
+    ([[np.array([[1.0, 1.0], [0.0, 0.0]]),
+       np.array([[0.0, -1.0], [0.0, 1.0]])]], "not hermitian"),
+    ([[np.eye(2) * 0.5, np.eye(2) * 0.5]], "not idempotent"),
+    ([[np.diag([1.0, 0.0]), np.diag([1.0, 0.0])]], "sum to the identity"),
+], ids=["shape", "hermitian", "idempotent", "sum"])
+def test_pvm_family_validation(effects, reason):
     good = PvmFamily(2, [comp_basis_pvm(2, 2)])
-    assert good.dim == 2
-    with pytest.raises(ValueError):
-        PvmFamily(2, [[np.eye(2) * 0.5, np.eye(2) * 0.5]])  # not idempotent
+    assert good.dim == 2 and good.settings.shape == (1, 2, 2, 2)
+    with pytest.raises(ValueError, match=reason):
+        PvmFamily(2, effects)
 
 
 def test_correlation_deterministic_pvms():
@@ -84,6 +92,120 @@ def test_correlation_invariants_random():
         xi /= np.linalg.norm(xi)
         corr = correlation_of(A, B, xi)  # validates invariants on build
         assert corr.data.shape == (2, 2, 2, 2)
+
+
+def _correlation_loop(A, B, xi):
+    # correlation_of as one trace per entry
+    dA, dB = len(A.settings), len(B.settings)
+    m = len(A.settings[0])
+    Xi = xi.reshape(A.dim, B.dim)
+    K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in B.settings]
+    g = np.empty((dA, dB, m, m))
+    for k, pvm in enumerate(A.settings):
+        for i, P in enumerate(pvm):
+            for l in range(dB):
+                for j in range(m):
+                    g[k][l][i][j] = complex(np.trace(P @ K[l][j])).real
+    return g
+
+
+def _multipliers_loop(c, other, Xi):
+    # _effect_multipliers as one sum of matrices per effect
+    d, m = c.shape[0], c.shape[2]
+    K = [[Xi @ Q.T @ Xi.conj().T for Q in pvm] for pvm in other.settings]
+    G = [[None] * m for _ in range(d)]
+    for k in range(d):
+        for i in range(m):
+            acc = np.zeros_like(K[0][0])
+            for l in range(d):
+                for j in range(m):
+                    acc += c[k][l][i][j] * K[l][j]
+            G[k][i] = 0.5 * (acc + acc.conj().T)
+    return np.array(G)
+
+
+def _random_strategy(rng, d, m, dim_a, dim_b):
+    from freecert.bell import _random_pvm_family
+
+    s = BellScenario(d, m)
+    A = _random_pvm_family(dim_a, s, rng)
+    B = _random_pvm_family(dim_b, s, rng)
+    xi = (rng.standard_normal(dim_a * dim_b)
+          + 1j * rng.standard_normal(dim_a * dim_b))
+    c = rng.uniform(-1, 1, size=(d, d, m, m))
+    return A, B, xi / np.linalg.norm(xi), c
+
+
+def test_stacked_contractions_match_loops():
+    from freecert.bell import _effect_multipliers
+
+    rng = np.random.default_rng(111)
+    for d, m, dim_a, dim_b in itertools.product((1, 2, 3), (2, 3, 4),
+                                                (1, 2, 3), (1, 2, 3)):
+        A, B, xi, c = _random_strategy(rng, d, m, dim_a, dim_b)
+        assert A.settings.shape == (d, m, dim_a, dim_a)
+        Xi = xi.reshape(dim_a, dim_b)
+        got = correlation_of(A, B, xi).data
+        assert np.max(np.abs(got - _correlation_loop(A, B, xi))) <= 1e-12
+        for G, ref in (
+                (_effect_multipliers(c, B, Xi), _multipliers_loop(c, B, Xi)),
+                (_effect_multipliers(c.transpose(1, 0, 3, 2), A, Xi.T),
+                 _multipliers_loop(c.transpose(1, 0, 3, 2), A, Xi.T))):
+            assert G.shape == ref.shape
+            assert np.max(np.abs(G - ref)) <= 1e-12
+
+
+def _random_family_loop(dim, s, rng):
+    # _random_pvm_family as one outer product added per direction
+    settings = []
+    for _ in range(s.d):
+        Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        Q, _ = np.linalg.qr(Z)
+        perm = rng.permutation(dim)
+        effects = [np.zeros((dim, dim), dtype=complex) for _ in range(s.m)]
+        for pos, col in enumerate(perm):
+            if dim == 1:
+                effects[pos % s.m][0, 0] = 1.0
+            else:
+                v = Q[:, col]
+                effects[pos % s.m] += np.outer(v, v.conj())
+        settings.append(effects)
+    return np.array(settings)
+
+
+def test_stacked_builders_match_loops():
+    # the same floats, and the same random draws, as the loops
+    from freecert.bell import _random_pvm_family
+
+    for d, m, dim in itertools.product((1, 2, 3), (2, 3, 4), (1, 2, 3, 5)):
+        s = BellScenario(d, m)
+        got = _random_pvm_family(dim, s, np.random.default_rng([113, dim]))
+        ref = _random_family_loop(dim, s, np.random.default_rng([113, dim]))
+        assert got.settings.tobytes() == ref.tobytes()
+    w = np.random.default_rng(114).uniform(-1, 1, size=(3, 3))
+    c = np.zeros((3, 3, 2, 2))
+    for k, l, i, j in itertools.product(range(3), range(3), range(2),
+                                        range(2)):
+        c[k][l][i][j] = w[k][l] * ((-1) ** (i + j))
+    assert BellFunctional.from_correlators(w).coeff.tobytes() == c.tobytes()
+
+
+def test_effect_multipliers_give_the_functional_value():
+    # sum_{k,i} tr(P_i^k G_i^k) is the functional's value, for either party
+    from freecert.bell import _effect_multipliers
+
+    rng = np.random.default_rng(112)
+    for d, m, dim_a, dim_b in [(2, 2, 2, 2), (2, 3, 2, 3), (3, 4, 3, 1),
+                               (1, 2, 1, 2)]:
+        A, B, xi, c = _random_strategy(rng, d, m, dim_a, dim_b)
+        Xi = xi.reshape(dim_a, dim_b)
+        value = BellFunctional(c).value(correlation_of(A, B, xi))
+        G_a = _effect_multipliers(c, B, Xi)
+        G_b = _effect_multipliers(c.transpose(1, 0, 3, 2), A, Xi.T)
+        for P, G in ((A.settings, G_a), (B.settings, G_b)):
+            total = np.einsum("kiab,kiba->", P, G)
+            assert abs(total.imag) <= 1e-12
+            assert total.real == pytest.approx(value, abs=1e-12)
 
 
 def test_hierarchy_words_counts():
@@ -183,8 +305,12 @@ def test_naimark_dilate_random_povm():
 
 
 def test_naimark_rejects_bad_povm():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to the identity"):
         naimark_dilate([np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match="not PSD"):
+        naimark_dilate([np.diag([2.0, 0.5]), np.diag([-1.0, 0.5])])
+    with pytest.raises(ValueError, match="non-finite"):
+        naimark_dilate([np.diag([np.nan, 0.5]), np.diag([0.5, 0.5])])
 
 
 def test_inner_bound_zero():
@@ -348,9 +474,10 @@ def test_povm_step_matches_closed_forms(n):
     rng = np.random.default_rng([108, n])
     two = _random_hermitian_stack(rng, 2, n)
     diagonal = np.array([np.diag(rng.standard_normal(n)) for _ in range(4)])
+    pair = _update_two_outcome(two[None])
+    assert pair.shape == (1, 2, n, n)
     for G, reference in (
-            (two, sum(np.trace(Gi @ Mi).real
-                      for Gi, Mi in zip(two, _update_two_outcome(*two)))),
+            (two, np.einsum("iab,iba->", two, pair[0]).real),
             (diagonal, float(np.sum(np.max(np.diagonal(diagonal, 0, 1, 2),
                                            axis=0))))):
         effects, res = _update_povm(list(G))

@@ -292,10 +292,22 @@ def _nan_functional():
     return scenario
 
 
+def _fractional_d_functional():
+    # int(2.9) == 2 would fit CHSH's 16 coefficients
+    return {**chsh_scenario(), "d": 2.9}
+
+
+def _boolean_d_functional():
+    # int(True) == 1 would fit four coefficients
+    return {"d": True, "m": 2, "coeff": [1.0, -1.0, -1.0, 1.0]}
+
+
 @pytest.mark.parametrize("command, blob, flag, extra", [
     ("certify", _nan_element, "--input", []),
     ("extend", _inf_partial, "--input", ["--target", "g1^2"]),
     ("bell-outer", _nan_functional, "--scenario", []),
+    ("bell-outer", _fractional_d_functional, "--scenario", []),
+    ("bell-inner", _boolean_d_functional, "--scenario", ["--seed", "1"]),
 ])
 def test_non_finite_numbers_exit_one(tmp_path, capsys, command, blob, flag,
                                      extra):
@@ -632,8 +644,8 @@ def test_bell_inner_scaled_cglmp_solves(tmp_path, capsys,
                                                   (3, 3, 1)])
 def test_bell_inner_cglmp_dilates(tmp_path, capsys, three_outcome_outer,
                                   dim, iters, restarts):
-    # POVM steps leave effect eigenvalues below PVM_TOL, which the
-    # dilation must keep
+    # POVM steps leave effect eigenvalues below zero by less than PVM_TOL,
+    # which the POVM check of bell._update_povm must accept
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim",
                              str(dim), "--iters", str(iters), "--restarts",
@@ -656,6 +668,26 @@ def test_bell_inner_failed_povm_solve_exit_one(tmp_path, capsys,
     assert "Traceback" not in captured.err
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_bell_inner_non_povm_update_exit_one(tmp_path, capsys, monkeypatch):
+    # a solve whose effects sum to 2 I is not a measurement update
+    import dataclasses
+
+    import freecert.bell as bell
+
+    def doubled(inst, tol):
+        res = maximize(inst, tol)
+        return dataclasses.replace(res, b=2.0 * res.b)
+
+    maximize = bell.maximize
+    monkeypatch.setattr(bell, "maximize", doubled)
+    spath = write(tmp_path, "three.json", three_outcome_scenario())
+    code = main(["bell-inner", "--scenario", spath, "--dim", "2", "--iters",
+                 "1", "--restarts", "1", "--seed", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: effects do not sum to the identity\n"
 
 
 def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
