@@ -71,9 +71,9 @@ class GroupAlgebraElement:
     def support(self) -> list[Word]:
         return sorted(self.terms, key=sort_key)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         scale = 1.0 + max((abs(c) for c in self.terms.values()), default=0.0)
-        return all(abs(c - self.coeff(inverse(w)).conjugate()) <= tol * scale
+        return all(abs(c - self.coeff(inverse(w)).conjugate()) <= 1e-12 * scale
                    for w, c in self.terms.items())
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":

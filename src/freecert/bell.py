@@ -68,6 +68,10 @@ PVM_TOL = 1e-9
 OUTER_DEFAULT_TOL = 2e-7
 # effect weights and scores closer than this count as tied when rounding
 TIE_TOL = 1e-6
+# a see-saw update, or a later restart, replaces the current strategy only
+# when it raises the value by more than this, so the strategy kept does not
+# depend on the last bits of the value
+ACCEPT_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -488,8 +492,9 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     Alternates the state step (top eigenvector of the Bell operator) with
     the measurement updates of one party: closed-form projector pairs for
     m = 2, and per setting a POVM solve rounded back to a PVM for m >= 3.
-    Updates are accepted only when the exactly re-evaluated value does not
-    decrease. Returns (value, A, B, xi) for the best run, and with
+    Updates are accepted, and a restart replaces the best one so far, only
+    when the exactly re-evaluated value rises by more than ACCEPT_MARGIN.
+    Returns (value, A, B, xi) for the best run, and with
     return_info a fifth entry on the POVM updates (sdpcore.maximize over
     povm_instance) over all restarts: {"sdp_calls", "iterations",
     "max_gap"}, their number, their interior-point iterations and the
@@ -534,11 +539,11 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
                 pair[party] = PvmFamily(dim, new_settings)
                 xi_new = _top_state(_bell_operator(functional, *pair))
                 val_new = functional.value(correlation_of(*pair, xi_new))
-                if val_new > value + 1e-12:
+                if val_new > value + ACCEPT_MARGIN:
                     (A, B), xi, value = pair, xi_new, val_new
                     improved = True
             if not improved:
                 break
-        if best is None or value > best[0]:
+        if best is None or value > best[0] + ACCEPT_MARGIN:
             best = (value, A, B, xi)
     return best + (info,) if return_info else best

@@ -26,9 +26,8 @@ from .algebra import (
     element,
     eval_rep,
     random_rep,
-    tensor_rep,
 )
-from .denselin import RANK_CUTOFF, eigh, psd_floor
+from .denselin import eigh, psd_floor
 from .grounded import GroundedSet
 from .quotients import QuotientTable
 from .sdpcore import SdpInstance, solve_feasibility
@@ -72,10 +71,11 @@ class TraceCertificate(SosCertificate):
 
 @dataclass
 class NotCertified:
-    """The last solve's residuals, iterations and stop reason, all in the
-    units of f's coefficients: `certified_gap` is the class-sum residual
-    below which a dual certificate excludes every PSD Gram matrix (None
-    without one)."""
+    """The solve's residuals, iterations and stop reason, all in the units
+    of f's coefficients: `certified_gap` is the class-sum residual below
+    which a dual certificate excludes every PSD Gram matrix (None without
+    one). When the solve converged, `message` gives the verified residual
+    that the verifier rejected."""
 
     psd_residual: float
     affine_residual: float
@@ -134,13 +134,13 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
 
 
 def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
-    """Develop b^(1/2) into factor elements: rows with eigenvalue above the
-    rank cutoff give xi_i(t) = sqrt(lam_i) * conj(U[t,i])."""
+    """Develop the positive part of b into factor elements: every
+    eigenpair with lam_i > 0 gives xi_i(t) = sqrt(lam_i) * conj(U[t,i]).
+    No rank cut: a dropped small eigenvalue would move the class sums by
+    its mass, which the solve's tolerance does not account for."""
     elements = list(E)
     w, U = eigh(b)
-    lam_max = float(w[-1]) if w.size else 0.0
-    keep = [k for k in range(len(w)) if w[k] > RANK_CUTOFF * max(lam_max, 0.0)
-            and w[k] > 0.0]
+    keep = [k for k in range(len(w)) if w[k] > 0.0]
     factors = []
     for k in keep:
         coeffs = np.sqrt(w[k]) * U[:, k].conj()
@@ -164,24 +164,21 @@ def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
 
 
 def _certify(inst, fscale, tol, build, fail_message):
-    """Solve the (normalized) Gram SDP and let the symbolic verifier decide;
-    the solver verdict only gates the retry, never the acceptance.
+    """Solve the (normalized) Gram SDP once and let the symbolic verifier
+    decide; the solver verdict never gates the acceptance.
 
-    A verified certificate is a PSD Gram matrix whose class sums are within
-    tol of f, i.e. a point b = G / fscale with affine residual within
-    tol / fscale. A first solve whose dual certificate excludes all such
-    points leaves nothing for the retry to find, so it is skipped."""
-    solver_tol = max(tol * 1e-2, 1e-13)
-    res = solve_feasibility(inst, tol=solver_tol)
+    The verified residual of b = G / fscale is at most fscale times its
+    affine residual plus the class-sum mass of the negative part that
+    _factor_gram clips. An SOS class has at most n entries, so that mass is
+    at most n times the PSD floor the solve reaches, and the solve runs at
+    tol / (fscale n)."""
+    res = solve_feasibility(inst, tol=max(tol / (fscale * inst.n), 1e-15))
     cert = build(fscale * res.b)
     if cert.residual <= tol:
         return cert
-    if res.certified_gap is None or res.certified_gap * fscale <= tol:
-        res = solve_feasibility(inst, tol=solver_tol * 1e-2,
-                                max_iter=400_000, start=res.b)
-        cert = build(fscale * res.b)
-        if cert.residual <= tol:
-            return cert
+    if res.status == "converged":
+        fail_message = (f"the verified residual {cert.residual:.3g} of the "
+                        f"solver's Gram matrix exceeds tol {tol:g}")
     gap = res.certified_gap
     return NotCertified(res.psd_residual * fscale,
                         res.affine_residual * fscale,

@@ -11,17 +11,14 @@ __all__ = [
     "hermitian",
     "eigh",
     "psd_floor",
-    "sqrt_psd",
     "pinv_psd",
-    "project_psd",
     "PartialBlockMatrix",
     "complete_block",
-    "format_matrix",
 ]
 
-# relative eigenvalue cutoff used for sqrt / pseudo-inverse / rank decisions
+# relative eigenvalue cutoff of the pseudo-inverse
 EIG_CUTOFF = 1e-12
-# relative eigenvalue cutoff for the rank of certificate and GNS Gram matrices
+# relative eigenvalue cutoff for the rank of GNS Gram matrices
 RANK_CUTOFF = 1e-10
 # how far below zero, relative to the input's scale, the spectrum of an input
 # matrix may reach and still count as PSD
@@ -58,8 +55,8 @@ def psd_floor(M: np.ndarray) -> float:
     return float(w[0])
 
 
-def _clipped_spectral(M, fn, tol):
-    """fn on the spectrum of a PSD matrix; eigenvalues at or below
+def pinv_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
+    """Pseudo-inverse of a PSD matrix; eigenvalues at or below
     max(EIG_CUTOFF * top, tol) count as zero, so a near-singular direction
     that the PSD check would forgive is never inverted."""
     w, U = eigh(M)
@@ -70,22 +67,8 @@ def _clipped_spectral(M, fn, tol):
     if w[0] < -tol * scale:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {w[0]:g})")
     cut = max(EIG_CUTOFF * max(top, 0.0), tol)
-    vals = np.array([fn(x) if x > cut else 0.0 for x in w])
+    vals = np.array([1.0 / x if x > cut else 0.0 for x in w])
     return (U * vals) @ U.conj().T
-
-
-def sqrt_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
-    return _clipped_spectral(M, np.sqrt, tol)
-
-
-def pinv_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
-    return _clipped_spectral(M, lambda x: 1.0 / x, tol)
-
-
-def project_psd(M: np.ndarray) -> np.ndarray:
-    """Nearest (Frobenius) PSD matrix: clip negative eigenvalues to zero."""
-    w, U = eigh(M)
-    return (U * np.maximum(w, 0.0)) @ U.conj().T
 
 
 @dataclass(frozen=True)
@@ -152,13 +135,3 @@ def complete_block(P: PartialBlockMatrix) -> tuple[np.ndarray, np.ndarray]:
         [Z.conj().T, P.Y.conj().T, P.C],
     ])
     return Z, 0.5 * (full + full.conj().T)
-
-
-def format_matrix(M: np.ndarray) -> str:
-    """Row-per-line diagnostic text with re+/-im*i entries."""
-    M = np.asarray(M, dtype=complex)
-    rows = []
-    for row in M:
-        rows.append("  ".join(
-            f"{z.real:+.6g}{z.imag:+.6g}i" for z in row))
-    return "\n".join(rows)

@@ -432,8 +432,7 @@ def _splitting(affine, start, tol, max_iter, reject=None):
     return _hermitian(best_x), best_floor, it, status
 
 
-def _solve(base: _Partition, tol, max_iter, start=None) -> FeasibilityResult:
-    start = base.apply(start) if start is not None else base.x0.copy()
+def _solve(base: _Partition, tol, max_iter) -> FeasibilityResult:
     gap = _DualGap(base)
     best = [0.0, None]
     reject = None
@@ -445,7 +444,7 @@ def _solve(base: _Partition, tol, max_iter, start=None) -> FeasibilityResult:
                 best[:] = delta, Y
             return delta > tol
 
-    x, floor, it, status = _splitting(base.apply, start, tol, max_iter,
+    x, floor, it, status = _splitting(base.apply, base.x0, tol, max_iter,
                                       reject)
     psd_res = max(0.0, -floor)
     aff_res = base.residual(x)
@@ -462,8 +461,7 @@ def _solve(base: _Partition, tol, max_iter, start=None) -> FeasibilityResult:
 
 
 def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER,
-                      start: np.ndarray | None = None) -> FeasibilityResult:
+                      max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityResult:
     """Find b >= 0 satisfying every affine constraint within tol, or report
     the best residuals reached and why the solve stopped.
 
@@ -473,9 +471,7 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if start is not None:
-        start = _hermitian(np.asarray(start, dtype=complex))
-    return _solve(_Partition(inst), tol, max_iter, start)
+    return _solve(_Partition(inst), tol, max_iter)
 
 
 def _objective_matrix(inst: SdpInstance) -> np.ndarray:

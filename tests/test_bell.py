@@ -340,6 +340,36 @@ def test_inner_bound_chsh_quantum():
     assert CHSH.value(corr) == pytest.approx(value)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_inner_bound_restart_independent_of_rounding(monkeypatch, sign):
+    # the dim-2 CHSH restarts all reach 2 sqrt 2 to within rounding, so a
+    # change below 1e-13 in each restart's value must not change which
+    # strategy is reported
+    import freecert.bell as bell_mod
+
+    def run():
+        return inner_bound(S22, CHSH, dim=2, iters=50, seed=2, restarts=4)
+
+    _, A, B, xi = run()
+    draws = [0]
+    draw, value_of = bell_mod._random_pvm_family, BellFunctional.value
+
+    def counting(*args):
+        draws[0] += 1  # two families per restart
+        return draw(*args)
+
+    def nudged(self, corr):
+        restart = (draws[0] - 1) // 2
+        return value_of(self, corr) + sign * 2e-14 * restart
+
+    monkeypatch.setattr(bell_mod, "_random_pvm_family", counting)
+    monkeypatch.setattr(BellFunctional, "value", nudged)
+    _, A2, B2, xi2 = run()
+    assert np.array_equal(A2.settings, A.settings)
+    assert np.array_equal(B2.settings, B.settings)
+    assert np.array_equal(xi2, xi)
+
+
 def test_inner_bound_three_outcomes_smoke():
     s = BellScenario(2, 3)
     rng = np.random.default_rng(104)

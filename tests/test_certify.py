@@ -134,6 +134,64 @@ def test_sos_round_trip_random():
         assert len(cert.factors) <= len(E)
 
 
+def grown_grounded(rng, size):
+    words = {U}
+    while len(words) < size:
+        base = rng.choice(sorted(words, key=str))
+        words.add(multiply(generator(F2, rng.randrange(1, 3),
+                                     rng.choice([-1, 1])), base))
+    return grounded_set(F2, words)
+
+
+def count_solves(monkeypatch):
+    import freecert.certify as certify_mod
+
+    solves = []
+    solve = certify_mod.solve_feasibility
+
+    def counting(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(certify_mod, "solve_feasibility", counting)
+    return solves
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 1000.0])
+def test_exact_sos_certified_in_one_solve(monkeypatch, scale):
+    # exact sums of 1-3 squares: their Gram matrices lie on the boundary of
+    # the PSD cone, and the tolerance of the one solve scales with f
+    solves = count_solves(monkeypatch)
+    rng = random.Random(84)
+    for trial in range(8):
+        E = grown_grounded(rng, rng.randint(9, 15))
+        f = zero(F2)
+        for _ in range(rng.randint(1, 3)):
+            xi = random_supported_element(rng, E)
+            f = f + convolve(involve(xi), xi)
+        f = scale * f
+        solves.clear()
+        cert = certify_sos(f, E, tol=1e-9)
+        assert isinstance(cert, SosCertificate), f"trial {trial}: {cert}"
+        assert len(solves) == 1
+        assert verify_sos(cert, f) <= 1e-9
+
+
+def test_rejected_converged_solve_reports_verified_residual(monkeypatch):
+    import freecert.certify as certify_mod
+
+    solve = certify_mod.solve_feasibility
+    # a loose solve converges to a Gram matrix the verifier rejects
+    monkeypatch.setattr(certify_mod, "solve_feasibility",
+                        lambda inst, tol: solve(inst, tol=1e-2))
+    E = grown_grounded(random.Random(85), 12)
+    xi = random_supported_element(random.Random(86), E)
+    out = certify_sos(convolve(involve(xi), xi), E, tol=1e-9)
+    assert isinstance(out, NotCertified) and out.status == "converged"
+    residual = float(out.message.split("verified residual ")[1].split()[0])
+    assert 1e-9 < residual < 1.0
+
+
 def test_sos_soundness_bridge():
     rng = random.Random(82)
     nprng = np.random.default_rng(83)
@@ -297,16 +355,7 @@ def test_certificate_json_roundtrip():
 @pytest.mark.parametrize("runner", [certify_sos, certify_trace])
 @pytest.mark.parametrize("which", ["criterion3", "square_minus_unit"])
 def test_refutation_ends_at_first_certificate(monkeypatch, runner, which):
-    import freecert.certify as certify_mod
-
-    solves = []
-    solve = certify_mod.solve_feasibility
-
-    def counting(*args, **kwargs):
-        solves.append(solve(*args, **kwargs))
-        return solves[-1]
-
-    monkeypatch.setattr(certify_mod, "solve_feasibility", counting)
+    solves = count_solves(monkeypatch)
     xi = one(F2) - delta(g(1))
     f = {"criterion3": delta(g(1)) + delta(g(1, -1)),
          "square_minus_unit": convolve(involve(xi), xi) - delta(U, 0.25)}[which]

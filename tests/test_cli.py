@@ -1,5 +1,6 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +46,28 @@ def test_certify_and_verify_roundtrip(tmp_path, capsys):
 
     code, out = run(capsys, ["verify", "--cert", cert_path,
                              "--input", fpath, "--tol", "1e-8"])
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
+# an exact sum of 3 squares on 13 words whose Gram matrices lie on the
+# boundary of the PSD cone: the benchmark's SOS generator without its unit
+# margin (bench/workloads.py, random.Random(5), the 93rd draw of a shape,
+# a grounded set and hermitize(_sos(...)))
+BOUNDARY_SUPPORT = ("e,g1^-1,g2^1,g1^-2,g2^2,g1^-1 g2^1,g2^1 g1^-1,g1^1 g2^2,"
+                    "g1^-1 g2^2,g1^-2 g2^2,g2^1 g1^-1 g2^1,g2^-1,"
+                    "g2^1 g1^-2 g2^2")
+
+
+def test_certify_boundary_element(tmp_path, capsys):
+    fpath = str(Path(__file__).parent / "data" / "boundary_sos_13.json")
+    cert_path = str(tmp_path / "cert.json")
+    code, out = run(capsys, ["certify", "--input", fpath, "--support",
+                             BOUNDARY_SUPPORT, "--out", cert_path])
+    assert code == 0
+    assert json.loads(out)["certified"] is True
+    code, out = run(capsys, ["verify", "--cert", cert_path, "--input", fpath,
+                             "--tol", "1e-9"])
     assert code == 0
     assert json.loads(out)["ok"] is True
 
@@ -489,6 +512,20 @@ def _partial_json():
             "values": [{"word": "e", "re": 1.0, "im": 0.0},
                        {"word": "g1^1", "re": 0.5, "im": 0.25},
                        {"word": "g1^-1", "re": 0.5, "im": -0.25}]}
+
+
+@pytest.mark.parametrize("command", ["extend", "gns"])
+def test_asymmetric_partial_function_exit_one(tmp_path, capsys, command):
+    obj = _partial_json()
+    obj["values"][2]["im"] = 0.0  # g(g1^-1) is no longer conj(g(g1))
+    ipath = write(tmp_path, "g.json", obj)
+    argv = [command, "--input", ipath]
+    code = main(argv + (["--target", "g1^2"] if command == "extend" else []))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "hermitian symmetry" in captured.err
 
 
 def test_every_written_json_is_canonical(tmp_path, capsys):

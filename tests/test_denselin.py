@@ -5,11 +5,9 @@ from freecert.denselin import (
     PartialBlockMatrix,
     complete_block,
     eigh,
-    format_matrix,
     hermitian,
     pinv_psd,
     psd_floor,
-    sqrt_psd,
 )
 
 
@@ -52,26 +50,31 @@ def test_psd_floor_example():
     assert psd_floor(np.array([[1.0, 2.0], [2.0, 1.0]])) == pytest.approx(-1.0)
 
 
-def test_sqrt_pinv_examples():
-    assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+def test_pinv_examples_and_cutoff():
     assert np.allclose(pinv_psd(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
+    # eigenvalues at or below max(EIG_CUTOFF * top, tol) count as zero
+    assert np.allclose(pinv_psd(np.diag([1.0, 1e-9])), np.diag([1.0, 0.0]))
+    assert np.allclose(pinv_psd(np.diag([1.0, 1e-9]), tol=1e-11),
+                       np.diag([1.0, 1e9]))
+    assert np.allclose(pinv_psd(np.diag([1e6, 1e-7]), tol=1e-11),
+                       np.diag([1e-6, 0.0]))
 
 
-def test_sqrt_pinv_defining_identities():
+def test_pinv_defining_identity():
     rng = np.random.default_rng(52)
     for _ in range(200):
         n = int(rng.integers(1, 7))
         M = random_psd(rng, n)
         scale = max(1.0, np.max(np.abs(M)))
-        R = sqrt_psd(M)
-        assert np.max(np.abs(R @ R - M)) <= 1e-8 * scale
         P = pinv_psd(M)
         assert np.max(np.abs(M @ P @ M - M)) <= 1e-8 * scale
 
 
-def test_sqrt_rejects_indefinite():
-    with pytest.raises(ValueError):
-        sqrt_psd(np.diag([1.0, -1.0]))
+def test_pinv_rejects_indefinite():
+    with pytest.raises(ValueError, match="not PSD"):
+        pinv_psd(np.diag([1.0, -1.0]))
+    # a negative eigenvalue within tol of the scale is forgiven
+    assert np.allclose(pinv_psd(np.diag([1.0, -1e-9])), np.diag([1.0, 0.0]))
 
 
 def test_hermitian_constructor():
@@ -147,7 +150,3 @@ def test_complete_block_rejects_bad_compression():
     with pytest.raises(ValueError):
         complete_block(PartialBlockMatrix(one, two, one, one, one))
 
-
-def test_format_matrix_smoke():
-    out = format_matrix(np.array([[1.0 + 2.0j, 0.0], [0.0, -1.0]]))
-    assert "+1" in out and "i" in out and "\n" in out
