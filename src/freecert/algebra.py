@@ -15,10 +15,10 @@ from .words import (
     FREE,
     GroupSpec,
     Word,
+    WordReader,
     format_word,
     inverse,
     multiply,
-    parse_word,
     sort_key,
     unit,
 )
@@ -57,8 +57,9 @@ class GroupAlgebraElement:
 
     def __post_init__(self):
         cleaned = {}
+        spec = self.spec
         for w, c in self.terms.items():
-            if w.spec != self.spec:
+            if w.spec is not spec and w.spec != spec:
                 raise ValueError("term word spec mismatch")
             c = complex(c)
             if abs(c) >= COEFF_PURGE:
@@ -269,13 +270,19 @@ def element_to_json(f: GroupAlgebraElement) -> dict:
     return {"group": f.spec.to_json(), "terms": terms}
 
 
-def element_from_json(obj: dict) -> GroupAlgebraElement:
+def element_from_json(obj: dict,
+                      read: WordReader | None = None) -> GroupAlgebraElement:
+    """The element of obj. Its words go through `read` when that reader's
+    group is the element's, so the words of one file are parsed once and
+    share one GroupSpec; otherwise through a reader of its own."""
     spec = GroupSpec.from_json(obj["group"])
+    if read is None or read.spec != spec:
+        read = WordReader(spec)
     terms: dict[Word, complex] = {}
     for t in obj["terms"]:
-        w = parse_word(spec, t["word"])
+        w = read(t["word"])
         terms[w] = terms.get(w, 0j) + complex_from_json(t)
-    return GroupAlgebraElement(spec, terms)
+    return GroupAlgebraElement(read.spec, terms)
 
 
 def complex_from_json(t: dict) -> complex:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denselin import eigh, psd_floor
-from .quotients import QuotientTable, label_pairs
+from .quotients import QuotientTable
 from .sdpcore import SdpInstance, maximize
 from .words import (
     GroupSpec,
@@ -257,7 +257,10 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
     class."""
     E = hierarchy_words(s, level)
     table = QuotientTable(E)
-    classes = label_pairs(table.labels)
+    # the first (row, col) of each class in row-major order
+    rows, cols = np.divmod(
+        np.unique(table.labels, return_index=True)[1], len(E))
+    first = list(zip(rows.tolist(), cols.tolist()))
 
     spec = _product_spec(s)
     cyc = spec.left
@@ -266,6 +269,13 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
     c = functional.coeff
     for k in range(s.d):
         for l in range(s.d):
+            # the entry of A_k^v B_l^w, v, w = 1..m: every such quotient
+            # lies in the table from level 1 on
+            entry = [[first[table.index[pair_word(
+                        spec, generator(cyc, k + 1, v % s.m),
+                        generator(cyc, l + 1, w % s.m))]]
+                      for w in range(1, s.m + 1)]
+                     for v in range(1, s.m + 1)]
             for i in range(s.m):
                 for j in range(s.m):
                     coef = c[k][l][i][j]
@@ -273,14 +283,10 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
                         continue
                     for v in range(1, s.m + 1):
                         for w in range(1, s.m + 1):
-                            target = pair_word(
-                                spec,
-                                generator(cyc, k + 1, v % s.m),
-                                generator(cyc, l + 1, w % s.m))
                             weight = (coef / s.m ** 2
                                       * omega ** (-(i + 1) * v - (j + 1) * w))
-                            r0, c0 = classes[table.index[target]][0]
-                            obj[(r0, c0)] = obj.get((r0, c0), 0j) + weight
+                            pos = entry[v - 1][w - 1]
+                            obj[pos] = obj.get(pos, 0j) + weight
     objective = tuple((r, c0, coef) for (r, c0), coef in sorted(obj.items()))
     pinned = [1.0 if q.is_unit else None for q in table.classes]
     return SdpInstance(table.labels, pinned, False, objective), E

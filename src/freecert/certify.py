@@ -31,7 +31,7 @@ from .denselin import eigh, psd_floor
 from .grounded import GroundedSet
 from .quotients import QuotientTable
 from .sdpcore import SdpInstance, solve_feasibility
-from .words import Word, conjugacy_canonical, sort_key, unit
+from .words import Word, WordReader, conjugacy_canonical, sort_key, unit
 
 __all__ = [
     "SosCertificate",
@@ -206,8 +206,12 @@ def _residual_terms(cert: SosCertificate,
     spec = f.spec
     if cert.E.spec != spec or any(xi.spec != spec for xi in cert.factors):
         raise ValueError("elements live in different group algebras")
-    table = QuotientTable(dict.fromkeys(
-        w for xi in cert.factors for w in xi.terms))
+    support = tuple(dict.fromkeys(w for xi in cert.factors for w in xi.terms))
+    # a table is a function of its word tuple alone: when the factors list
+    # E's words in E's order (as every certificate made by certify does),
+    # E's own table is that table
+    table = (cert.E.quotients if support == cert.E.elements
+             else QuotientTable(support))
     column = {w: j for j, w in enumerate(table.words)}
     Xi = np.zeros((len(cert.factors), len(column)), dtype=complex)
     for k, xi in enumerate(cert.factors):
@@ -360,23 +364,29 @@ def certificate_to_json(cert: SosCertificate) -> dict:
     return out
 
 
-def certificate_from_json(obj: dict) -> SosCertificate:
+def certificate_from_json(obj: dict,
+                          read: WordReader | None = None) -> SosCertificate:
+    """The certificate of obj. One reader parses its support, every factor
+    and its class residuals: a factor lists each support word again."""
     from .algebra import element_from_json
     from .grounded import grounded_set
-    from .words import GroupSpec, parse_word
+    from .words import GroupSpec
 
     spec = GroupSpec.from_json(obj["group"])
-    E = grounded_set(spec, {parse_word(spec, s) for s in obj["support"]})
+    if read is None or read.spec != spec:
+        read = WordReader(spec)
+    spec = read.spec
+    E = grounded_set(spec, {read(s) for s in obj["support"]})
     gram = np.array([[complex(re, im) for re, im in row]
                      for row in obj["gram"]], dtype=complex)
     if gram.size == 0:
         gram = np.zeros((len(E), len(E)), dtype=complex)
-    factors = [element_from_json(e) for e in obj["factors"]]
+    factors = [element_from_json(e, read) for e in obj["factors"]]
     if obj.get("kind") == "trace":
         cert = TraceCertificate(E, float(obj["epsilon"]), gram, factors,
                                 float(obj["residual"]))
         cert.class_residuals = {
-            parse_word(spec, w): complex(re, im)
+            read(w): complex(re, im)
             for w, (re, im) in obj.get("class_residuals", {}).items()}
         return cert
     return SosCertificate(E, float(obj["epsilon"]), gram, factors,

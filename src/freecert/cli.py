@@ -50,7 +50,7 @@ from .extendpt import PartialPositiveType, extend_to, partial_positive_type
 from .gnsrep import gns
 from .grounded import grounded_hull, grounded_set
 from .sdpcore import SdpError, instance_to_json
-from .words import GroupSpec, format_word, parse_word
+from .words import GroupSpec, WordReader, format_word
 
 __all__ = ["main"]
 
@@ -211,41 +211,44 @@ def _emit(report: dict, out_path: str | None):
         print(text)
 
 
-def _parse_words(spec: GroupSpec, blob: str):
+def _parse_words(read: WordReader, blob: str):
     try:
-        return [parse_word(spec, tok.strip()) for tok in blob.split(",")
-                if tok.strip()]
+        return [read(tok.strip()) for tok in blob.split(",") if tok.strip()]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _load_element(path):
+def _load_element(path, read: WordReader | None = None):
+    """The element in the file and the reader of its words, which goes on
+    to read the words given on the command line."""
     obj = _load_json(path)
     try:
-        return element_from_json(obj)
+        if read is None:
+            read = WordReader(GroupSpec.from_json(obj["group"]))
+        return element_from_json(obj, read), read
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _support_set(f, blob: str | None):
+def _support_set(f, read: WordReader, blob: str | None):
     if blob is None or blob == "auto":
         return grounded_hull(f.spec, f.terms.keys())
-    words = _parse_words(f.spec, blob)
+    words = _parse_words(read, blob)
     try:
         return grounded_set(f.spec, set(words))
     except ValueError as exc:
         raise InputError(f"--support: {exc}") from exc
 
 
-def _load_partial(path) -> PartialPositiveType:
+def _load_partial(path) -> tuple[PartialPositiveType, WordReader]:
     obj = _load_json(path)
     try:
-        spec = GroupSpec.from_json(obj["group"])
-        E = grounded_set(spec, {parse_word(spec, s) for s in obj["domain"]})
+        read = WordReader(GroupSpec.from_json(obj["group"]))
+        E = grounded_set(read.spec, {read(s) for s in obj["domain"]})
         values = {}
         for t in obj["values"]:
-            values[parse_word(spec, t["word"])] = complex_from_json(t)
-        return partial_positive_type(E, values)
+            values[read(t["word"])] = complex_from_json(t)
+        return partial_positive_type(E, values), read
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -291,8 +294,8 @@ def _load_functional(path):
 
 
 def _cmd_certify(args, trace: bool):
-    f = _load_element(args.input)
-    E = _support_set(f, args.support)
+    f, read = _load_element(args.input)
+    E = _support_set(f, read, args.support)
     runner = certify_trace if trace else certify_sos
     try:
         result = runner(f, E, epsilon=args.epsilon, tol=args.tol)
@@ -336,10 +339,11 @@ def _cmd_certify(args, trace: bool):
 def _cmd_verify(args):
     cert_obj = _load_json(args.cert)
     try:
-        cert = certificate_from_json(cert_obj)
+        read = WordReader(GroupSpec.from_json(cert_obj["group"]))
+        cert = certificate_from_json(cert_obj, read)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{args.cert}: {exc}") from exc
-    f = _load_element(args.input)
+    f, _ = _load_element(args.input, read)
     trace = isinstance(cert, TraceCertificate)
     try:
         checked = verify_trace(cert, f) if trace else verify_sos(cert, f)
@@ -361,8 +365,8 @@ def _cmd_verify(args):
 
 
 def _cmd_extend(args):
-    g = _load_partial(args.input)
-    targets = _parse_words(g.spec, args.target)
+    g, read = _load_partial(args.input)
+    targets = _parse_words(read, args.target)
     try:
         F = grounded_set(g.spec, g.E.as_set() | set(targets))
         out = extend_to(g, F)
@@ -398,7 +402,7 @@ def _cmd_complete(args):
 
 
 def _cmd_falsify(args):
-    f = _load_element(args.input)
+    f, _ = _load_element(args.input)
     try:
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
         report = falsify(f, args.mode, dims, args.samples, args.seed)
@@ -422,7 +426,7 @@ def _cmd_falsify(args):
 
 
 def _cmd_gns(args):
-    g = _load_partial(args.input)
+    g, _ = _load_partial(args.input)
     try:
         data = gns(g)
     except ValueError as exc:

@@ -70,7 +70,7 @@ def is_grounded(spec: GroupSpec, words: Iterable[Word]) -> bool:
     _require_free(spec)
     pool = set(words)
     for w in pool:
-        if w.spec != spec:
+        if w.spec is not spec and w.spec != spec:
             raise ValueError("word spec mismatch")
     if unit(spec) not in pool:
         return False
@@ -96,7 +96,7 @@ def grounded_hull(spec: GroupSpec, words: Iterable[Word]) -> GroundedSet:
     _require_free(spec)
     pool = {unit(spec)}
     for w in words:
-        if w.spec != spec:
+        if w.spec is not spec and w.spec != spec:
             raise ValueError("word spec mismatch")
         while not w.is_unit:
             if w in pool:

@@ -5,12 +5,14 @@ Labels number the distinct quotients in row-major order of first
 appearance, so anything built class by class from the table keeps the order
 of a plain double loop over W. Gram and moment constraints, Toeplitz
 compressions and the extension chain read E^-1 E from the table of E; the
-certificate verifier builds one over the support of the factors.
+certificate verifier reads the table of the factors' support, which is E's
+own table when the factors list E's words in E's order.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -26,16 +28,16 @@ class QuotientTable:
     the label of classes[k]^-1."""
 
     def __init__(self, words: Iterable[Word]):
-        self.words = tuple(words)
-        n = len(self.words)
+        self.words = words = tuple(words)
+        n = len(words)
         index: dict[Word, int] = {}
-        labels = np.empty((n, n), dtype=np.intp)
-        for i, s in enumerate(self.words):
+        label = index.setdefault
+        flat: list[int] = []
+        for s in words:
             s_inv = inverse(s)
-            row = labels[i]
-            for j, t in enumerate(self.words):
-                row[j] = index.setdefault(multiply(s_inv, t), len(index))
-        self.labels = labels
+            flat += [label(q, len(index))
+                     for q in map(multiply, repeat(s_inv, n), words)]
+        self.labels = labels = np.array(flat, dtype=np.intp).reshape(n, n)
         self.index = index
         self.classes = tuple(index)
         # (s^-1 t)^-1 = t^-1 s

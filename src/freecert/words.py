@@ -30,6 +30,7 @@ __all__ = [
     "sort_key",
     "format_word",
     "parse_word",
+    "WordReader",
 ]
 
 FREE = "free"
@@ -140,7 +141,9 @@ class Word:
             if self.pair is None or self.letters:
                 raise ValueError("product words are component pairs")
             lw, rw = self.pair
-            if lw.spec != self.spec.left or rw.spec != self.spec.right:
+            left, right = self.spec.left, self.spec.right
+            if ((lw.spec is not left and lw.spec != left)
+                    or (rw.spec is not right and rw.spec != right)):
                 raise ValueError("component spec mismatch")
         else:
             if self.pair is not None:
@@ -150,13 +153,21 @@ class Word:
                 object.__setattr__(self, "letters", reduced)
 
     def __hash__(self) -> int:
-        # words key every quotient table and value map; hash them once
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.spec, self.letters, self.pair))
-            self.__dict__["_hash"] = h
-            return h
+        # words key every quotient table and value map: hash each one once,
+        # by its letters and pair only; __eq__ tells apart equal letters in
+        # different groups
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.letters, self.pair))
+        return h
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Word:
+            return NotImplemented
+        return (self.letters == other.letters and self.pair == other.pair
+                and (self.spec is other.spec or self.spec == other.spec))
 
     def __getstate__(self):
         # string hashes differ between processes: never pickle the cache
@@ -200,11 +211,12 @@ def pair_word(spec: GroupSpec, left: Word, right: Word) -> Word:
     return Word(spec, pair=(left, right))
 
 
-def _from_reduced(spec: GroupSpec, letters: tuple) -> Word:
-    """A base-group word from letters that are already reduced and in range;
-    skips the validation of the public constructor."""
+def _from_reduced(spec: GroupSpec, letters: tuple, pair=None) -> Word:
+    """A word from base-group letters that are already reduced and in range,
+    or from a pair of words over spec's two factors; skips the validation of
+    the public constructor."""
     w = object.__new__(Word)
-    w.__dict__.update(spec=spec, letters=letters, pair=None)
+    w.__dict__.update(spec=spec, letters=letters, pair=pair)
     return w
 
 
@@ -217,8 +229,8 @@ def multiply(a: Word, b: Word) -> Word:
     _check_specs(a, b)
     spec = a.spec
     if spec.is_product:
-        return Word(spec, pair=(multiply(a.pair[0], b.pair[0]),
-                                multiply(a.pair[1], b.pair[1])))
+        return _from_reduced(spec, (), (multiply(a.pair[0], b.pair[0]),
+                                        multiply(a.pair[1], b.pair[1])))
     x, y = a.letters, b.letters
     if not x:
         return b
@@ -246,7 +258,8 @@ def multiply(a: Word, b: Word) -> Word:
 def inverse(a: Word) -> Word:
     spec = a.spec
     if spec.is_product:
-        return Word(spec, pair=(inverse(a.pair[0]), inverse(a.pair[1])))
+        return _from_reduced(spec, (), (inverse(a.pair[0]),
+                                        inverse(a.pair[1])))
     m = spec.m if spec.kind == CYCLIC else 0
     return _from_reduced(spec, tuple((g, (m - e) if m else -e)
                                 for g, e in reversed(a.letters)))
@@ -324,9 +337,6 @@ def sort_key(a: Word):
     return (word_length(a), _atoms(a))
 
 
-_TOKEN = re.compile(r"^g(\d+)(?:\^(-?\d+))?$")
-
-
 def format_word(a: Word) -> str:
     if a.spec.is_product:
         return f"({format_word(a.pair[0])})x({format_word(a.pair[1])})"
@@ -350,10 +360,30 @@ def parse_word(spec: GroupSpec, text: str) -> Word:
         return unit(spec)
     letters = []
     for token in text.split():
-        m = _TOKEN.match(token)
-        if not m:
+        # g<digits>, then optionally ^<digits> or ^-<digits>; a digit is
+        # any Unicode decimal digit (category Nd), as int() reads them
+        g, caret, e = token[1:].partition("^")
+        if (token[0] != "g" or not g.isdecimal()
+                or caret and not (e[1:] if e[:1] == "-" else e).isdecimal()):
             raise ValueError(f"malformed word token {token!r}")
-        g = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) is not None else 1
-        letters.append((g, e))
-    return Word(spec, tuple(letters))
+        letters.append((int(g), int(e) if caret else 1))
+    return _from_reduced(spec, _reduce(letters, spec))
+
+
+class WordReader:
+    """parse_word over one GroupSpec with a text -> Word memo.
+
+    One reader serves all the words read from one file: each distinct text
+    is parsed and hashed once, and every word carries the reader's spec
+    object, so per-term spec checks hit their identity case. The memo lives
+    as long as the reader, which the CLI keeps for one command call only."""
+
+    def __init__(self, spec: GroupSpec):
+        self.spec = spec
+        self._words: dict[str, Word] = {}
+
+    def __call__(self, text: str) -> Word:
+        w = self._words.get(text)
+        if w is None:
+            w = self._words[text] = parse_word(self.spec, text)
+        return w

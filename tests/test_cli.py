@@ -507,6 +507,47 @@ def test_verify_group_mismatch_exit_one(tmp_path, capsys, command, mismatch):
     assert "different group" in proc.stderr
 
 
+@pytest.fixture
+def table_sizes(monkeypatch):
+    """The word count of every QuotientTable formed, in order."""
+    from freecert import quotients
+
+    sizes = []
+    init = quotients.QuotientTable.__init__
+
+    def counting(self, words):
+        init(self, words)
+        sizes.append(len(self.words))
+
+    monkeypatch.setattr(quotients.QuotientTable, "__init__", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+def test_one_quotient_table_per_word_list(tmp_path, capsys, table_sizes,
+                                          command):
+    # certify forms E's table for the Gram instance and its verifier reuses
+    # it, since the factors list E's words in E's order; verify forms the
+    # table of the factor words it reads
+    fpath = str(Path(__file__).parent / "data" / "boundary_sos_13.json")
+    cert_path = str(tmp_path / "cert.json")
+    code, _ = run(capsys, [command, "--input", fpath, "--support",
+                           BOUNDARY_SUPPORT, "--out", cert_path,
+                           "--dump-sdp", str(tmp_path / "sdp.json")])
+    assert code == 0 and table_sizes == [13]
+    table_sizes.clear()
+    code, _ = run(capsys, ["verify", "--cert", cert_path, "--input", fpath])
+    assert code == 0 and table_sizes == [13]
+    table_sizes.clear()
+    ipath = write(tmp_path, "g.json", _partial_json())
+    code, _ = run(capsys, ["extend", "--input", ipath, "--target",
+                           "g1^2,g2^1,g2^1 g1^1"])
+    assert code == 0 and table_sizes == [2, 5]
+    table_sizes.clear()
+    code, _ = run(capsys, ["gns", "--input", ipath])
+    assert code == 0 and table_sizes == [2]
+
+
 def _partial_json():
     return {"group": {"kind": "free", "d": 2}, "domain": ["e", "g1^1"],
             "values": [{"word": "e", "re": 1.0, "im": 0.0},

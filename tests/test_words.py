@@ -1,4 +1,7 @@
+import itertools
+import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -235,3 +238,147 @@ def test_out_of_range_generator_still_raises(spec, k, e):
             generator(spec, g_bad, e)
     with pytest.raises(ValueError):
         parse_word(spec, f"g1 g{spec.d + 1 + k}^{e}")
+
+
+# ------------------------------------------------- parsing
+
+_TOKEN = re.compile(r"^g(\d+)(?:\^(-?\d+))?$")
+
+
+def reference_parse(spec, text):
+    """The word grammar as one anchored regular expression per token: the
+    reference that parse_word's tokenizer must agree with, text by text and
+    message by message."""
+    text = text.strip()
+    if spec.is_product:
+        match = re.match(r"^\((.*)\)x\((.*)\)$", text)
+        if not match:
+            raise ValueError(f"malformed product word {text!r}")
+        return Word(spec, pair=(reference_parse(spec.left, match.group(1)),
+                                reference_parse(spec.right, match.group(2))))
+    if text == "e":
+        return unit(spec)
+    letters = []
+    for token in text.split():
+        m = _TOKEN.match(token)
+        if not m:
+            raise ValueError(f"malformed word token {token!r}")
+        e = int(m.group(2)) if m.group(2) is not None else 1
+        letters.append((int(m.group(1)), e))
+    return Word(spec, tuple(letters))
+
+
+def _outcome(parse, spec, text):
+    try:
+        w = parse(spec, text)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("word", w, w.letters, w.pair)
+
+
+PARSE_SPECS = (F2, Z3, direct_product(Z2, Z3), direct_product(F2, F2))
+# "\u0663" is a decimal digit outside ASCII, "\u00b2" a digit that is not
+# decimal, "\t" a second kind of space
+FRAGMENTS = list("ge^-+_()x0123456789 ") + [")x(", "\u0663", "\u00b2", "\t"]
+_TOKENS = st.builds(
+    "".join, st.tuples(st.sampled_from(["g", "g", "g", "g", "e", "G", ""]),
+                       st.text("0123456789\u0663\u00b2", max_size=2),
+                       st.sampled_from(["", "^", "^", "^-", "^-", "^+", "^^",
+                                        "_", "-"]),
+                       st.text("0123456789\u0663\u00b2", max_size=2),
+                       st.sampled_from([" ", " ", " ", "", "\t"])))
+# mostly token-shaped text, so that a fault late in a word is reached
+_TEXTS = st.lists(st.one_of(_TOKENS, _TOKENS, _TOKENS,
+                            st.sampled_from(FRAGMENTS)),
+                  max_size=6).map("".join)
+WORD_TEXTS = st.one_of(_TEXTS, st.builds("({})x({})".format, _TEXTS, _TEXTS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(PARSE_SPECS), WORD_TEXTS)
+def test_parse_word_matches_reference_grammar(spec, text):
+    assert _outcome(parse_word, spec, text) == \
+        _outcome(reference_parse, spec, text)
+
+
+def test_parse_word_matches_reference_on_every_short_text():
+    # every text of up to five symbols over the letters that matter to a
+    # token, "\u00b2" being a digit that is not decimal
+    alphabet = "g1^-+ e_\u00b2"
+    for n in range(6):
+        for chars in itertools.product(alphabet, repeat=n):
+            text = "".join(chars)
+            assert _outcome(parse_word, F2, text) == \
+                _outcome(reference_parse, F2, text), text
+
+
+@pytest.mark.parametrize("text", [
+    "g1", "g1^", "g1^+1", "g1^1_0", "g1^^2", "g 1", "ee", "  g1^2 g2^-1\t",
+    " e ", "", "g1^-", "g1^--1", "g-1", "g01^-02", "g3", "g1^0 g2",
+    "G1", "g\u0663^\u0661", "(g1)x(g2^-1)", " (e)x(g1 g2) ", "(g1)x g2"])
+@pytest.mark.parametrize("spec", PARSE_SPECS)
+def test_parse_word_explicit_cases(spec, text):
+    assert _outcome(parse_word, spec, text) == \
+        _outcome(reference_parse, spec, text)
+
+
+def test_word_reader_parses_each_text_once(monkeypatch):
+    from freecert import words
+
+    calls = []
+
+    def counting(spec, text):
+        calls.append(text)
+        return parse_word(spec, text)
+
+    monkeypatch.setattr(words, "parse_word", counting)
+    read = words.WordReader(free_group(2))
+    a, b, c = read("g1 g2^-1"), read("g1 g2^-1"), read(" g1 g2^-1")
+    assert a is b and a == c and a is not c
+    assert calls == ["g1 g2^-1", " g1 g2^-1"]
+    assert a.spec is read.spec
+    with pytest.raises(ValueError, match="malformed word token"):
+        read("g1 h2")
+
+
+# ------------------------------------------------- hashing and equality
+
+def test_words_over_equal_specs_are_equal():
+    a = parse_word(free_group(2), "g1 g2^-1")
+    b = parse_word(free_group(2), "g1 g2^-1")
+    assert a.spec is not b.spec
+    assert a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    pa = parse_word(direct_product(Z2, Z3), "(g1)x(g2^2)")
+    pb = parse_word(direct_product(cyclic_free_product(2, 2), Z3),
+                    "(g1)x(g2^2)")
+    assert pa == pb and hash(pa) == hash(pb)
+
+
+def test_same_letters_in_different_groups_are_unequal():
+    a = parse_word(F2, "g1 g2")
+    b = parse_word(Z3, "g1 g2")
+    assert a.letters == b.letters
+    assert a != b
+    assert len({a, b}) == 2
+
+
+def test_hash_is_that_of_letters_and_pair():
+    w = parse_word(Z3, "g1^2 g2")
+    assert hash(w) == hash((w.letters, None))
+    spec = direct_product(Z2, Z3)
+    p = multiply(pair_word(spec, g(1, 1, Z2), unit(Z3)),
+                 pair_word(spec, unit(Z2), g(2, 2, Z3)))
+    assert hash(p) == hash(((), p.pair))
+    assert p == pair_word(spec, g(1, 1, Z2), g(2, 2, Z3))
+    assert hash(p) == hash(pair_word(spec, g(1, 1, Z2), g(2, 2, Z3)))
+
+
+def test_pickle_drops_the_cached_hash():
+    for w in (parse_word(F2, "g1 g2^-3"),
+              parse_word(direct_product(Z2, Z3), "(g1)x(g2^2)")):
+        h = hash(w)
+        assert "_hash" in w.__dict__
+        back = pickle.loads(pickle.dumps(w))
+        assert "_hash" not in back.__dict__
+        assert back == w and hash(back) == h
