@@ -13,12 +13,16 @@ for the state h of the moment matrix.
 The outer bound is the dual bound of sdpcore.maximize on that moment matrix.
 
 The see-saw (inner_bound) holds each party's measurements as one
-(d, m, dim, dim) stack of effects (PvmFamily). It alternates the state, the
-top eigenvector of the Bell operator, with measurement updates of one party
-at a time against its effect multipliers G (one einsum over the other
-party's stack). Two outcomes have a closed-form update: the spectral
-projectors of G_1 - G_2, one stacked eigh over the d settings. For m >= 3
-outcomes each setting's update is a small SDP over POVMs,
+(d, m, dim, dim) stack of effects (PvmFamily), and runs all its restarts as
+one stack along a leading axis: (R, d, m, dim, dim) effects, (R, N, N) Bell
+operators with N = dim^2, and the restarts still improving as the active
+rows. It alternates the state, the top eigenvector of the Bell operator
+(one stacked eigh), with measurement updates of one party at a time against
+its effect multipliers G (one einsum over the other party's stack). Every
+new family and every correlation is checked at every step, one check over
+the stack. Two outcomes have a closed-form update: the spectral projectors
+of G_1 - G_2, one stacked eigh over the R d settings. For m >= 3 outcomes
+each (restart, setting) update is a small SDP over POVMs,
 max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I (povm_instance),
 solved by sdpcore.maximize to a duality gap that scales with G
 (_update_povm). Its effects are checked as a POVM within PVM_TOL and
@@ -26,11 +30,20 @@ rounded back to a PVM of the same dimension (_round_to_pvm), which settles
 weights and scores within TIE_TOL of a tie by a fixed rule, so a last-bit
 change in the solve does not change the path. naimark_dilate, the dilation
 of a POVM to a PVM on a larger space, is not part of the see-saw.
+
+Each restart r draws its start from default_rng([seed, r]), is compared
+with ACCEPT_MARGIN against its own value and stops on its own, so the
+result is bit for bit that of running the restarts one after another. The
+Bell operators of a step come from tables of R T N^2 complex entries for
+the T <= d^2 m^2 nonzero coefficients. When several restarts fail a check
+in the same step, the error raised is that of the stack, which need not be
+the one the first failing restart alone would raise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +108,20 @@ def _adjoint(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2).conj()
 
 
+def _check_pvms(P: np.ndarray, dim: int, ndim: int = 4) -> None:
+    """Raise ValueError unless P, an ndim-dimensional stack (..., d, m, dim,
+    dim) of effects, holds one PVM per setting within PVM_TOL: hermitian,
+    idempotent effects that sum to the identity."""
+    if P.ndim != ndim or P.shape[-2:] != (dim, dim):
+        raise ValueError("projection dimension mismatch")
+    if np.max(np.abs(P - _adjoint(P))) > PVM_TOL:
+        raise ValueError("effect is not hermitian")
+    if np.max(np.abs(P @ P - P)) > PVM_TOL:
+        raise ValueError("effect is not idempotent")
+    if np.max(np.abs(P.sum(axis=-3) - np.eye(dim))) > PVM_TOL:
+        raise ValueError("effects do not sum to the identity")
+
+
 @dataclass
 class PvmFamily:
     """One m-outcome projective measurement per setting on a common space:
@@ -106,15 +133,29 @@ class PvmFamily:
 
     def __post_init__(self):
         P = np.asarray(self.settings, dtype=complex)
-        if P.ndim != 4 or P.shape[2:] != (self.dim, self.dim):
-            raise ValueError("projection dimension mismatch")
-        if np.max(np.abs(P - _adjoint(P))) > PVM_TOL:
-            raise ValueError("effect is not hermitian")
-        if np.max(np.abs(P @ P - P)) > PVM_TOL:
-            raise ValueError("effect is not idempotent")
-        if np.max(np.abs(P.sum(axis=1) - np.eye(self.dim))) > PVM_TOL:
-            raise ValueError("effects do not sum to the identity")
+        _check_pvms(P, self.dim)
         self.settings = P
+
+
+def _check_correlations(g: np.ndarray, ndim: int = 4) -> None:
+    """Raise ValueError unless g, an ndim-dimensional stack (..., d, d, m,
+    m) of joint outcome probabilities, holds nonnegative, normalized
+    distributions whose marginals do not depend on the other party's
+    setting."""
+    if (g.ndim != ndim or g.shape[-4] != g.shape[-3]
+            or g.shape[-2] != g.shape[-1]):
+        raise ValueError("correlation tensor must be d x d x m x m")
+    if np.min(g) < -1e-10:
+        raise ValueError("negative probability entry")
+    sums = g.sum(axis=(-2, -1))
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        raise ValueError("outcome distributions do not normalize")
+    margA = g.sum(axis=-1)  # [..., k, l, i]
+    if np.max(np.abs(margA - margA[..., :, :1, :])) > 1e-9:
+        raise ValueError("A-marginals depend on B's setting")
+    margB = g.sum(axis=-2)  # [..., k, l, j]
+    if np.max(np.abs(margB - margB[..., :1, :, :])) > 1e-9:
+        raise ValueError("B-marginals depend on A's setting")
 
 
 @dataclass
@@ -126,20 +167,7 @@ class Correlation:
 
     def __post_init__(self):
         g = np.asarray(self.data, dtype=float)
-        d, d2, m, m2 = g.shape
-        if d != d2 or m != m2:
-            raise ValueError("correlation tensor must be d x d x m x m")
-        if np.min(g) < -1e-10:
-            raise ValueError("negative probability entry")
-        sums = g.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-9:
-            raise ValueError("outcome distributions do not normalize")
-        margA = g.sum(axis=3)  # [k, l, i]
-        if np.max(np.abs(margA - margA[:, :1, :])) > 1e-9:
-            raise ValueError("A-marginals depend on B's setting")
-        margB = g.sum(axis=2)  # [k, l, j]
-        if np.max(np.abs(margB - margB[:1, :, :])) > 1e-9:
-            raise ValueError("B-marginals depend on A's setting")
+        _check_correlations(g)
         object.__setattr__(self, "data", g)
 
 
@@ -176,20 +204,33 @@ class BellFunctional:
 def correlation_of(A: PvmFamily, B: PvmFamily, xi: np.ndarray) -> Correlation:
     """gamma[k][l][i][j] = <(P_i^k (x) Q_j^l) xi, xi> for a unit vector xi on
     the tensor product space."""
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.size != A.dim * B.dim:
+    xi = np.asarray(xi, dtype=complex).reshape(1, -1)
+    return Correlation(_correlations(A.settings[None], B.settings[None],
+                                     xi)[0])
+
+
+def _correlations(A: np.ndarray, B: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The (R, d, d, m, m) correlation tensors of a stack of strategies:
+    effect stacks A (R, d, m, dim_A, dim_A) and B (R, d, m, dim_B, dim_B)
+    and states xi (R, dim_A dim_B), each checked to be a unit vector. The
+    caller checks the tensors: Correlation, or _check_correlations on the
+    stack."""
+    dim_a, dim_b = A.shape[-1], B.shape[-1]
+    if xi.shape[-1] != dim_a * dim_b:
         raise ValueError("state dimension does not match the PVM spaces")
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-12:
+    if np.any(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) > 1e-12):
         raise ValueError("state vector is not normalized")
-    K = _transfer(xi.reshape(A.dim, B.dim), B.settings)
-    return Correlation(np.einsum("kiab,ljba->klij", A.settings, K).real)
+    K = _transfer(xi.reshape(-1, dim_a, dim_b), B)
+    return np.einsum("rkiab,rljba->rklij", A, K).real
 
 
 def _transfer(Xi: np.ndarray, settings: np.ndarray) -> np.ndarray:
-    """K[l, j] = Xi Q_j^(l)T Xi* for a state Xi (as a dim_A x dim_B matrix)
-    and party B's effects Q, so that <(P (x) Q_j^(l)) xi, xi> = tr(P K[l, j])
-    for every operator P of party A."""
-    return Xi @ np.swapaxes(settings, -1, -2) @ Xi.conj().T
+    """K[..., l, j] = Xi Q_j^(l)T Xi* for a stack of states Xi (each as a
+    dim_A x dim_B matrix) and party B's effect stacks Q, so that
+    <(P (x) Q_j^(l)) xi, xi> = tr(P K[l, j]) for every operator P of
+    party A."""
+    Xi = Xi[..., None, None, :, :]
+    return Xi @ np.swapaxes(settings, -1, -2) @ _adjoint(Xi)
 
 
 def pvm_unitary(pvm, omega: complex) -> np.ndarray:
@@ -395,13 +436,13 @@ def _round_to_pvm(povm) -> np.ndarray:
 
 def _update_two_outcome(G: np.ndarray) -> np.ndarray:
     """The two-outcome measurement update of every setting at once: for the
-    (d, 2, n, n) multipliers G, the exact maximizer of
+    (..., 2, n, n) multipliers G, the exact maximizer of
     tr(G_1 M) + tr(G_2 (I - M)) over 0 <= M <= I is the spectral projector
-    onto the positive part of G_1 - G_2. Returns the (d, 2, n, n) stack of
+    onto the positive part of G_1 - G_2. Returns the (..., 2, n, n) stack of
     projector pairs."""
-    w, U = eigh(G[:, 0] - G[:, 1])
-    P1 = (U * (w > 0.0)[:, None, :]) @ _adjoint(U)
-    return np.stack((P1, np.eye(G.shape[-1]) - P1), axis=1)
+    w, U = eigh(G[..., 0, :, :] - G[..., 1, :, :])
+    P1 = (U * (w > 0.0)[..., None, :]) @ _adjoint(U)
+    return np.stack((P1, np.eye(G.shape[-1]) - P1), axis=-3)
 
 
 def _update_povm(G):
@@ -443,31 +484,41 @@ def povm_instance(G) -> SdpInstance:
                        tuple(objective))
 
 
-def _bell_operator(functional: BellFunctional, A: PvmFamily, B: PvmFamily):
-    """sum c[k,l,i,j] (P_i^k (x) Q_j^l), the terms added in row-major order
-    of c. All d^2 m^2 Kronecker products come from one broadcast product,
-    which multiplies the same entry pairs as np.kron."""
-    c = functional.coeff
-    d, m = c.shape[0], c.shape[2]
-    N = A.dim * B.dim
-    P = np.asarray(A.settings)[:, None, :, None, :, None, :, None]
-    Q = np.asarray(B.settings)[None, :, None, :, None, :, None, :]
-    kron = (P * Q).reshape(d, d, m, m, N, N)
-    W = np.zeros((N, N), dtype=complex)
-    for k, l, i, j in zip(*np.nonzero(c)):
-        W += c[k, l, i, j] * kron[k, l, i, j]
-    return W
+def _update_povms(G: np.ndarray, info: dict) -> np.ndarray:
+    """The m >= 3 measurement update of a (..., m, n, n) stack of
+    multipliers: one POVM solve per (m, n, n) entry, rounded to a PVM, in
+    row-major order. Adds each solve to info."""
+    out = np.empty_like(G)
+    for idx in np.ndindex(G.shape[:-3]):
+        effects, res = _update_povm(G[idx])
+        info["sdp_calls"] += 1
+        info["iterations"] += res.iterations
+        info["max_gap"] = (res.gap if info["max_gap"] is None
+                           else max(info["max_gap"], res.gap))
+        out[idx] = _round_to_pvm(effects)
+    return out
 
 
-def _top_state(W: np.ndarray) -> np.ndarray:
-    w, U = eigh(W)
-    xi = U[:, -1]
-    return xi / np.linalg.norm(xi)
+def _bell_operator(c: np.ndarray, A: np.ndarray, B: np.ndarray):
+    """sum c[k,l,i,j] (P_i^k (x) Q_j^l) for each pair of a stack of effect
+    arrays A (..., d, m, dim_A, dim_A) and B (..., d, m, dim_B, dim_B).
+    The Kronecker products of the nonzero terms come from one broadcast
+    product, which multiplies the same entry pairs as np.kron, and the
+    terms are added one by one from 0 in row-major order of c (one
+    accumulate), as a loop of W += term would add them."""
+    k, l, i, j = np.nonzero(c)
+    N = A.shape[-1] * B.shape[-1]
+    kron = A[..., k, i, :, None, :, None] * B[..., l, j, None, :, None, :]
+    kron = kron.reshape(kron.shape[:-4] + (N, N))
+    terms = np.zeros(kron.shape[:-3] + (len(k) + 1, N, N), dtype=complex)
+    np.multiply(c[k, l, i, j, None, None], kron, out=terms[..., 1:, :, :])
+    return np.add.accumulate(terms, axis=-3)[..., -1, :, :]
 
 
-def _random_pvm_family(dim: int, s: BellScenario, rng) -> PvmFamily:
-    """Per setting, the columns of a random unitary in random order, dealt
-    to the effects in turn."""
+def _random_settings(dim: int, s: BellScenario, rng) -> np.ndarray:
+    """The (d, m, dim, dim) effects of a random PVM family: per setting, the
+    columns of a random unitary in random order, dealt to the effects in
+    turn."""
     settings = np.zeros((s.d, s.m, dim, dim), dtype=complex)
     for effects in settings:
         Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -477,17 +528,44 @@ def _random_pvm_family(dim: int, s: BellScenario, rng) -> PvmFamily:
         rank_one = (np.ones((1, 1, 1)) if dim == 1
                     else V[:, :, None] * V.conj()[:, None, :])
         np.add.at(effects, np.arange(dim) % s.m, rank_one)
-    return PvmFamily(dim, settings)
+    return settings
 
 
-def _effect_multipliers(c: np.ndarray, other: PvmFamily, Xi):
+def _effect_multipliers(c: np.ndarray, other: np.ndarray, Xi: np.ndarray):
     """G[k, i]: hermitian matrices so that party A's objective is
     sum_{k,i} tr(P_i^(k) G[k, i]) at the fixed state Xi (as a
-    dim_A x dim_B matrix) and fixed party B (`other`), for the coefficients
-    c[k, l, i, j]; a (d, m, dim_A, dim_A) stack. Party B's are party A's
-    for c.transpose(1, 0, 3, 2) and Xi.T."""
-    acc = np.einsum("klij,ljab->kiab", c, _transfer(Xi, other.settings))
+    dim_A x dim_B matrix) and party B's fixed effects `other`
+    (d, m, dim_B, dim_B), for the coefficients c[k, l, i, j]; a
+    (d, m, dim_A, dim_A) array, or a stack of them for stacks of Xi and
+    `other`. Party B's are party A's for c.transpose(1, 0, 3, 2) and
+    Xi.T."""
+    acc = np.einsum("klij,...ljab->...kiab", c, _transfer(Xi, other))
     return 0.5 * (acc + _adjoint(acc))
+
+
+class _Strategies(NamedTuple):
+    """See-saw strategies of the restarts `rows`: effect stacks A and B,
+    (R, d, m, dim, dim) each, unit states xi (R, dim^2) and values (R,)."""
+
+    rows: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    xi: np.ndarray
+    value: np.ndarray
+
+
+def _evaluate(c: np.ndarray, rows: np.ndarray, A: np.ndarray,
+              B: np.ndarray) -> _Strategies:
+    """The state step of the restarts `rows` with effects A and B: each
+    state is the top eigenvector of its Bell operator (one stacked eigh),
+    and each value is sum c * gamma over its checked correlation."""
+    _, U = eigh(_bell_operator(c, A, B))
+    xi = U[..., -1]
+    # np.linalg.norm per state: norm(axis=-1) sums in another order
+    xi = xi / np.array([np.linalg.norm(v) for v in xi])[:, None]
+    g = _correlations(A, B, xi)
+    _check_correlations(g, ndim=5)
+    return _Strategies(rows, A, B, xi, np.sum(c * g, axis=(1, 2, 3, 4)))
 
 
 def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
@@ -498,9 +576,12 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     Alternates the state step (top eigenvector of the Bell operator) with
     the measurement updates of one party: closed-form projector pairs for
     m = 2, and per setting a POVM solve rounded back to a PVM for m >= 3.
-    Updates are accepted, and a restart replaces the best one so far, only
-    when the exactly re-evaluated value rises by more than ACCEPT_MARGIN.
-    Returns (value, A, B, xi) for the best run, and with
+    Restart r starts from families drawn from default_rng([seed, r]); all
+    restarts advance as one stack, and a restart leaves the stack after an
+    iteration in which neither party's update was accepted. Updates are
+    accepted, and a restart replaces the best one so far (in restart
+    order), only when the exactly re-evaluated value rises by more than
+    ACCEPT_MARGIN. Returns (value, A, B, xi) for the best run, and with
     return_info a fifth entry on the POVM updates (sdpcore.maximize over
     povm_instance) over all restarts: {"sdp_calls", "iterations",
     "max_gap"}, their number, their interior-point iterations and the
@@ -515,41 +596,44 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
         raise ValueError("iters must be >= 0")
     c = functional.coeff
     c_swapped = c.transpose(1, 0, 3, 2)
-    best = None
     info = {"sdp_calls": 0, "iterations": 0, "max_gap": None}
+    draws = []
     for r in range(restarts):
         rng = np.random.default_rng([int(seed), r])
-        A = _random_pvm_family(dim, s, rng)
-        B = _random_pvm_family(dim, s, rng)
-        xi = _top_state(_bell_operator(functional, A, B))
-        value = functional.value(correlation_of(A, B, xi))
-        for _ in range(iters):
-            improved = False
-            for party in (0, 1):
-                # party B is party A of the swapped functional and state
-                Xi = xi.reshape(A.dim, B.dim)
-                G = (_effect_multipliers(c, B, Xi) if party == 0 else
-                     _effect_multipliers(c_swapped, A, Xi.T))
-                if s.m == 2:
-                    new_settings = _update_two_outcome(G)
-                else:
-                    new_settings = []
-                    for Gk in G:
-                        effects, res = _update_povm(Gk)
-                        info["sdp_calls"] += 1
-                        info["iterations"] += res.iterations
-                        info["max_gap"] = (res.gap if info["max_gap"] is None
-                                           else max(info["max_gap"], res.gap))
-                        new_settings.append(_round_to_pvm(effects))
-                pair = [A, B]
-                pair[party] = PvmFamily(dim, new_settings)
-                xi_new = _top_state(_bell_operator(functional, *pair))
-                val_new = functional.value(correlation_of(*pair, xi_new))
-                if val_new > value + ACCEPT_MARGIN:
-                    (A, B), xi, value = pair, xi_new, val_new
-                    improved = True
-            if not improved:
-                break
-        if best is None or value > best[0] + ACCEPT_MARGIN:
-            best = (value, A, B, xi)
-    return best + (info,) if return_info else best
+        draws.append((_random_settings(dim, s, rng),
+                      _random_settings(dim, s, rng)))
+    A, B = (np.array(family) for family in zip(*draws))
+    _check_pvms(A, dim, ndim=5)
+    _check_pvms(B, dim, ndim=5)
+    # every restart's current strategy; the running ones are rows
+    state = _evaluate(c, np.arange(restarts), A, B)
+    rows = state.rows
+    for _ in range(iters):
+        if not rows.size:
+            break
+        improved = np.zeros(rows.size, dtype=bool)
+        for party in (0, 1):
+            A, B, xi = state.A[rows], state.B[rows], state.xi[rows]
+            # party B is party A of the swapped functional and state
+            Xi = xi.reshape(-1, dim, dim)
+            G = (_effect_multipliers(c, B, Xi) if party == 0 else
+                 _effect_multipliers(c_swapped, A, np.swapaxes(Xi, 1, 2)))
+            new = (_update_two_outcome(G) if s.m == 2 else
+                   _update_povms(G, info))
+            _check_pvms(new, dim, ndim=5)
+            pair = [A, B]
+            pair[party] = new
+            trial = _evaluate(c, rows, *pair)
+            up = trial.value > state.value[rows] + ACCEPT_MARGIN
+            # the accepted rows of the trial replace those restarts' strategy
+            for kept, got in zip(state[1:], trial[1:]):
+                kept[trial.rows[up]] = got[up]
+            improved |= up
+        rows = rows[improved]
+    best = 0
+    for r in range(1, restarts):
+        if state.value[r] > state.value[best] + ACCEPT_MARGIN:
+            best = r
+    result = (float(state.value[best]), PvmFamily(dim, state.A[best]),
+              PvmFamily(dim, state.B[best]), state.xi[best].copy())
+    return result + (info,) if return_info else result

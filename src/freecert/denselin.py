@@ -120,8 +120,17 @@ def complete_block(P: PartialBlockMatrix) -> tuple[np.ndarray, np.ndarray]:
     """
     n0, n1, n2 = P.sizes
     scale = P.scale()
-    upper = np.block([[P.A, P.X], [P.X.conj().T, P.B]])
-    lower = np.block([[P.B, P.Y], [P.Y.conj().T, P.C]])
+    # the blocks by slice assignment; the compressions are views of full
+    m1 = n0 + n1
+    full = np.empty((m1 + n2, m1 + n2), dtype=complex)
+    full[:n0, :n0] = P.A
+    full[:n0, n0:m1] = P.X
+    full[n0:m1, :n0] = P.X.conj().T
+    full[n0:m1, n0:m1] = P.B
+    full[n0:m1, m1:] = P.Y
+    full[m1:, n0:m1] = P.Y.conj().T
+    full[m1:, m1:] = P.C
+    upper, lower = full[:m1, :m1], full[n0:, n0:]
     for name, comp in (("upper", upper), ("lower", lower)):
         if comp.size and psd_floor(comp) < -PSD_INPUT_TOL * scale:
             raise ValueError(f"{name} compression is not PSD within tolerance")
@@ -129,9 +138,6 @@ def complete_block(P: PartialBlockMatrix) -> tuple[np.ndarray, np.ndarray]:
         Z = np.zeros((n0, n2), dtype=complex)
     else:
         Z = P.X @ pinv_psd(P.B, tol=PSD_INPUT_TOL * scale) @ P.Y
-    full = np.block([
-        [P.A, P.X, Z],
-        [P.X.conj().T, P.B, P.Y],
-        [Z.conj().T, P.Y.conj().T, P.C],
-    ])
+    full[:n0, m1:] = Z
+    full[m1:, :n0] = Z.conj().T
     return Z, 0.5 * (full + full.conj().T)

@@ -383,6 +383,8 @@ class WordReader:
         self._words: dict[str, Word] = {}
 
     def __call__(self, text: str) -> Word:
+        if not isinstance(text, str):  # a JSON number, list or null
+            raise ValueError(f"a word must be a string, got {text!r}")
         w = self._words.get(text)
         if w is None:
             w = self._words[text] = parse_word(self.spec, text)

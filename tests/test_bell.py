@@ -81,13 +81,17 @@ def test_correlation_maximally_entangled():
             assert corr.data[k][l][0][1] == pytest.approx(0.0)
 
 
+def random_family(dim, s, rng):
+    from freecert.bell import _random_settings
+
+    return PvmFamily(dim, _random_settings(dim, s, rng))
+
+
 def test_correlation_invariants_random():
     rng = np.random.default_rng(101)
-    from freecert.bell import _random_pvm_family
-
     for _ in range(20):
-        A = _random_pvm_family(3, S22, rng)
-        B = _random_pvm_family(2, S22, rng)
+        A = random_family(3, S22, rng)
+        B = random_family(2, S22, rng)
         xi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         xi /= np.linalg.norm(xi)
         corr = correlation_of(A, B, xi)  # validates invariants on build
@@ -125,11 +129,9 @@ def _multipliers_loop(c, other, Xi):
 
 
 def _random_strategy(rng, d, m, dim_a, dim_b):
-    from freecert.bell import _random_pvm_family
-
     s = BellScenario(d, m)
-    A = _random_pvm_family(dim_a, s, rng)
-    B = _random_pvm_family(dim_b, s, rng)
+    A = random_family(dim_a, s, rng)
+    B = random_family(dim_b, s, rng)
     xi = (rng.standard_normal(dim_a * dim_b)
           + 1j * rng.standard_normal(dim_a * dim_b))
     c = rng.uniform(-1, 1, size=(d, d, m, m))
@@ -148,15 +150,17 @@ def test_stacked_contractions_match_loops():
         got = correlation_of(A, B, xi).data
         assert np.max(np.abs(got - _correlation_loop(A, B, xi))) <= 1e-12
         for G, ref in (
-                (_effect_multipliers(c, B, Xi), _multipliers_loop(c, B, Xi)),
-                (_effect_multipliers(c.transpose(1, 0, 3, 2), A, Xi.T),
+                (_effect_multipliers(c, B.settings, Xi),
+                 _multipliers_loop(c, B, Xi)),
+                (_effect_multipliers(c.transpose(1, 0, 3, 2), A.settings,
+                                     Xi.T),
                  _multipliers_loop(c.transpose(1, 0, 3, 2), A, Xi.T))):
             assert G.shape == ref.shape
             assert np.max(np.abs(G - ref)) <= 1e-12
 
 
 def _random_family_loop(dim, s, rng):
-    # _random_pvm_family as one outer product added per direction
+    # _random_settings as one outer product added per direction
     settings = []
     for _ in range(s.d):
         Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -175,13 +179,13 @@ def _random_family_loop(dim, s, rng):
 
 def test_stacked_builders_match_loops():
     # the same floats, and the same random draws, as the loops
-    from freecert.bell import _random_pvm_family
+    from freecert.bell import _random_settings
 
     for d, m, dim in itertools.product((1, 2, 3), (2, 3, 4), (1, 2, 3, 5)):
         s = BellScenario(d, m)
-        got = _random_pvm_family(dim, s, np.random.default_rng([113, dim]))
+        got = _random_settings(dim, s, np.random.default_rng([113, dim]))
         ref = _random_family_loop(dim, s, np.random.default_rng([113, dim]))
-        assert got.settings.tobytes() == ref.tobytes()
+        assert got.tobytes() == ref.tobytes()
     w = np.random.default_rng(114).uniform(-1, 1, size=(3, 3))
     c = np.zeros((3, 3, 2, 2))
     for k, l, i, j in itertools.product(range(3), range(3), range(2),
@@ -200,8 +204,8 @@ def test_effect_multipliers_give_the_functional_value():
         A, B, xi, c = _random_strategy(rng, d, m, dim_a, dim_b)
         Xi = xi.reshape(dim_a, dim_b)
         value = BellFunctional(c).value(correlation_of(A, B, xi))
-        G_a = _effect_multipliers(c, B, Xi)
-        G_b = _effect_multipliers(c.transpose(1, 0, 3, 2), A, Xi.T)
+        G_a = _effect_multipliers(c, B.settings, Xi)
+        G_b = _effect_multipliers(c.transpose(1, 0, 3, 2), A.settings, Xi.T)
         for P, G in ((A.settings, G_a), (B.settings, G_b)):
             total = np.einsum("kiab,kiba->", P, G)
             assert abs(total.imag) <= 1e-12
@@ -220,12 +224,10 @@ def test_fourier_consistency():
     # build h from explicit PVMs and recover gamma through the inverse
     # transform used by the outer bound
     rng = np.random.default_rng(102)
-    from freecert.bell import _random_pvm_family
-
     for m in (2, 3):
         s = BellScenario(2, m)
-        A = _random_pvm_family(3, s, rng)
-        B = _random_pvm_family(3, s, rng)
+        A = random_family(3, s, rng)
+        B = random_family(3, s, rng)
         xi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         xi /= np.linalg.norm(xi)
         corr = correlation_of(A, B, xi)
@@ -344,30 +346,226 @@ def test_inner_bound_chsh_quantum():
 def test_inner_bound_restart_independent_of_rounding(monkeypatch, sign):
     # the dim-2 CHSH restarts all reach 2 sqrt 2 to within rounding, so a
     # change below 1e-13 in each restart's value must not change which
-    # strategy is reported
+    # strategy is reported. Every value the see-saw compares comes from
+    # _evaluate, which labels each strategy with its restart
     import freecert.bell as bell_mod
 
     def run():
         return inner_bound(S22, CHSH, dim=2, iters=50, seed=2, restarts=4)
 
     _, A, B, xi = run()
-    draws = [0]
-    draw, value_of = bell_mod._random_pvm_family, BellFunctional.value
+    evaluate = bell_mod._evaluate
+    nudged_rows = set()
 
-    def counting(*args):
-        draws[0] += 1  # two families per restart
-        return draw(*args)
+    def nudged(c, rows, A, B):
+        got = evaluate(c, rows, A, B)
+        nudged_rows.update(rows.tolist())
+        return got._replace(value=got.value + sign * 2e-14 * rows)
 
-    def nudged(self, corr):
-        restart = (draws[0] - 1) // 2
-        return value_of(self, corr) + sign * 2e-14 * restart
-
-    monkeypatch.setattr(bell_mod, "_random_pvm_family", counting)
-    monkeypatch.setattr(BellFunctional, "value", nudged)
+    monkeypatch.setattr(bell_mod, "_evaluate", nudged)
     _, A2, B2, xi2 = run()
+    assert nudged_rows == {0, 1, 2, 3}
     assert np.array_equal(A2.settings, A.settings)
     assert np.array_equal(B2.settings, B.settings)
     assert np.array_equal(xi2, xi)
+
+
+# The see-saw one restart at a time, as it ran before the restarts were
+# stacked: the reference for the stacked inner_bound, with the per-family
+# Bell operator, state step and multipliers of that version.
+
+def _reference_bell_operator(c, A, B):
+    d, m = c.shape[0], c.shape[2]
+    N = A.dim * B.dim
+    P = A.settings[:, None, :, None, :, None, :, None]
+    Q = B.settings[None, :, None, :, None, :, None, :]
+    kron = (P * Q).reshape(d, d, m, m, N, N)
+    W = np.zeros((N, N), dtype=complex)
+    for k, l, i, j in zip(*np.nonzero(c)):
+        W += c[k, l, i, j] * kron[k, l, i, j]
+    return W
+
+
+def _reference_top_state(W):
+    from freecert.denselin import eigh
+
+    _, U = eigh(W)
+    xi = U[:, -1]
+    return xi / np.linalg.norm(xi)
+
+
+def _reference_multipliers(c, other, Xi):
+    K = Xi @ np.swapaxes(other.settings, -1, -2) @ Xi.conj().T
+    acc = np.einsum("klij,ljab->kiab", c, K)
+    return 0.5 * (acc + np.swapaxes(acc, -1, -2).conj())
+
+
+def _reference_inner_bound(s, functional, dim, iters, seed, restarts):
+    # also returns the number of iterations each restart ran
+    from freecert.bell import (ACCEPT_MARGIN, _random_settings,
+                               _round_to_pvm, _update_povm,
+                               _update_two_outcome)
+
+    c = functional.coeff
+    c_swapped = c.transpose(1, 0, 3, 2)
+    best = None
+    info = {"sdp_calls": 0, "iterations": 0, "max_gap": None}
+    ran = []
+    for r in range(restarts):
+        rng = np.random.default_rng([int(seed), r])
+        A = PvmFamily(dim, _random_settings(dim, s, rng))
+        B = PvmFamily(dim, _random_settings(dim, s, rng))
+        xi = _reference_top_state(_reference_bell_operator(c, A, B))
+        value = functional.value(correlation_of(A, B, xi))
+        ran.append(0)
+        for _ in range(iters):
+            ran[-1] += 1
+            improved = False
+            for party in (0, 1):
+                Xi = xi.reshape(A.dim, B.dim)
+                G = (_reference_multipliers(c, B, Xi) if party == 0 else
+                     _reference_multipliers(c_swapped, A, Xi.T))
+                if s.m == 2:
+                    new_settings = _update_two_outcome(G)
+                else:
+                    new_settings = []
+                    for Gk in G:
+                        effects, res = _update_povm(Gk)
+                        info["sdp_calls"] += 1
+                        info["iterations"] += res.iterations
+                        info["max_gap"] = (res.gap if info["max_gap"] is None
+                                           else max(info["max_gap"], res.gap))
+                        new_settings.append(_round_to_pvm(effects))
+                pair = [A, B]
+                pair[party] = PvmFamily(dim, new_settings)
+                xi_new = _reference_top_state(
+                    _reference_bell_operator(c, *pair))
+                val_new = functional.value(correlation_of(*pair, xi_new))
+                if val_new > value + ACCEPT_MARGIN:
+                    (A, B), xi, value = pair, xi_new, val_new
+                    improved = True
+            if not improved:
+                break
+        if best is None or value > best[0] + ACCEPT_MARGIN:
+            best = (value, A, B, xi)
+    return best + (info,), ran
+
+
+def _relabelled(rng, w):
+    # a correlator functional under setting permutations, outcome flips
+    # and a party swap
+    d = len(w)
+    w = np.asarray(w)[rng.permutation(d)][:, rng.permutation(d)]
+    w = w * rng.choice([-1.0, 1.0], size=d)[:, None]
+    w = w * rng.choice([-1.0, 1.0], size=d)[None, :]
+    return BellFunctional.from_correlators(w.T if rng.random() < 0.5 else w)
+
+
+def _seesaw_cases():
+    chained = [[1.0, 0.0, -1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
+    chsh = [[1.0, 1.0], [1.0, -1.0]]
+    cases = []
+    for k in range(10):
+        rng = np.random.default_rng([115, k])
+        for w in (chained, chsh):
+            f = _relabelled(rng, w)
+            cases.append((f, dict(dim=2, iters=50, seed=k, restarts=4)))
+    # CGLMP I_3
+    cglmp = np.zeros((2, 2, 3, 3))
+    for a, b in itertools.product(range(3), range(3)):
+        cglmp[0, 0, a, b] = (a == b) - (b == (a + 1) % 3)
+        cglmp[1, 0, a, b] = (b == (a + 1) % 3) - (a == b)
+        cglmp[1, 1, a, b] = (a == b) - (b == (a + 1) % 3)
+        cglmp[0, 1, a, b] = (b == a) - (a == (b + 1) % 3)
+    for restarts in (1, 3):
+        cases.append((BellFunctional(cglmp),
+                      dict(dim=2, iters=2, seed=2, restarts=restarts)))
+    rng = np.random.default_rng(116)
+    for dim, iters in itertools.product((1, 2, 3), (0, 1, 40)):
+        cases.append((BellFunctional(rng.uniform(-1, 1, size=(2, 2, 2, 2))),
+                      dict(dim=dim, iters=iters, seed=dim, restarts=5)))
+    return cases
+
+
+@pytest.mark.parametrize("f, kw", _seesaw_cases())
+def test_stacked_seesaw_matches_reference_loop(f, kw):
+    ref, _ = _reference_inner_bound(f.scenario, f, **kw)
+    got = inner_bound(f.scenario, f, return_info=True, **kw)
+    assert got[0] == ref[0] and type(got[0]) is float
+    for x, y in ((got[1], ref[1]), (got[2], ref[2])):
+        assert x.settings.tobytes() == y.settings.tobytes()
+    assert got[3].tobytes() == ref[3].tobytes()
+    assert got[4] == ref[4]
+
+
+def test_stacked_seesaw_when_restarts_stop_apart():
+    # at this scale the first updates of restart 3 gain less than
+    # ACCEPT_MARGIN, so it stops after its first iteration while the others
+    # go on for two or three
+    f = BellFunctional(1e-11 * CHSH.coeff)
+    kw = dict(dim=2, iters=50, seed=2, restarts=4)
+    ref, ran = _reference_inner_bound(S22, f, **kw)
+    assert ran == [2, 2, 3, 1]
+    got = inner_bound(S22, f, return_info=True, **kw)
+    assert got[0] == ref[0]
+    assert got[1].settings.tobytes() == ref[1].settings.tobytes()
+    assert got[2].settings.tobytes() == ref[2].settings.tobytes()
+    assert got[3].tobytes() == ref[3].tobytes()
+
+
+def test_seesaw_checks_every_restart(monkeypatch):
+    # an update that is no PVM for one restart of four is refused
+    import freecert.bell as bell_mod
+
+    update = bell_mod._update_two_outcome
+
+    def broken(G):
+        new = update(G)
+        if len(new) == 4:
+            new[2, 0] *= 0.5
+        return new
+
+    monkeypatch.setattr(bell_mod, "_update_two_outcome", broken)
+    with pytest.raises(ValueError, match="not idempotent"):
+        inner_bound(S22, CHSH, dim=2, iters=5, seed=0, restarts=4)
+
+
+def test_stack_checks_find_one_bad_entry():
+    # each check of PvmFamily and Correlation, on a stack where only one
+    # entry breaks it
+    from freecert.bell import _check_correlations, _check_pvms
+
+    rng = np.random.default_rng(118)
+    A, B, xi, _ = _random_strategy(rng, 2, 2, 2, 2)
+    P = np.stack([A.settings, B.settings] * 2)
+    _check_pvms(P, 2, ndim=5)
+    breaks = {
+        "not hermitian": lambda Q: Q.__setitem__((3, 1, 0, 0, 1), 0.5),
+        "not idempotent": lambda Q: Q.__imul__(
+            np.array([1, 1, 0.5, 1])[:, None, None, None, None]),
+        "sum to the identity": lambda Q: Q.__setitem__(
+            (1, 0, 1), Q[1, 0, 0].copy()),
+    }
+    for reason, spoil in breaks.items():
+        Q = P.copy()
+        spoil(Q)
+        with pytest.raises(ValueError, match=reason):
+            _check_pvms(Q, 2, ndim=5)
+    g = np.stack([correlation_of(A, B, xi).data] * 3)
+    _check_correlations(g, ndim=5)
+    uniform = np.full((2, 2, 2, 2), 0.25)
+    signalling = uniform.copy()
+    signalling[0, 0] = [[0.5, 0.0], [0.5, 0.0]]
+    signalling[1, 0] = [[0.0, 0.5], [0.0, 0.5]]
+    for reason, bad in (
+            ("negative probability", uniform + [[0.3, -0.3], [-0.3, 0.3]]),
+            ("do not normalize", 2 * uniform),
+            ("B-marginals", signalling),
+            ("A-marginals", signalling.transpose(1, 0, 3, 2))):
+        h = g.copy()
+        h[1] = bad
+        with pytest.raises(ValueError, match=reason):
+            _check_correlations(h, ndim=5)
 
 
 def test_inner_bound_three_outcomes_smoke():
@@ -444,12 +642,12 @@ def test_outer_bound_not_below_classical_random(coeffs):
                                         (1, 2, (1, 3))])
 def test_bell_operator_matches_kron_loop(d, m, dims):
     # the same floats as adding c * np.kron(P, Q) term by term, in order
-    from freecert.bell import _bell_operator, _random_pvm_family
+    from freecert.bell import _bell_operator
 
     rng = np.random.default_rng(106)
     s = BellScenario(d, m)
-    A = _random_pvm_family(dims[0], s, rng)
-    B = _random_pvm_family(dims[1], s, rng)
+    A = random_family(dims[0], s, rng)
+    B = random_family(dims[1], s, rng)
     c = rng.uniform(-1, 1, size=(d, d, m, m))
     c[rng.uniform(size=c.shape) < 0.3] = 0.0
     c.flat[0] = -0.0
@@ -458,7 +656,13 @@ def test_bell_operator_matches_kron_loop(d, m, dims):
                                         range(m)):
         if c[k][l][i][j] != 0.0:
             W += c[k][l][i][j] * np.kron(A.settings[k][i], B.settings[l][j])
-    assert _bell_operator(BellFunctional(c), A, B).tobytes() == W.tobytes()
+    assert _bell_operator(c, A.settings, B.settings).tobytes() == W.tobytes()
+    # and the same floats for each pair of a stack
+    A2 = random_family(dims[0], s, rng)
+    B2 = random_family(dims[1], s, rng)
+    stack = _bell_operator(c, np.stack([A2.settings, A.settings]),
+                           np.stack([B2.settings, B.settings]))
+    assert stack[1].tobytes() == W.tobytes()
 
 
 def _random_hermitian_stack(rng, m, n):

@@ -342,6 +342,57 @@ def test_non_finite_numbers_exit_one(tmp_path, capsys, command, blob, flag,
     assert captured.err.count("\n") == 1
 
 
+def _numeric_word_inputs(tmp_path, capsys, where):
+    # the input files of each command, with the number 5 for one word
+    element = toy_json()
+    partial = _partial_json()
+    cert_path = str(tmp_path / "cert.json")
+    fpath = write(tmp_path, "f.json", element)
+    assert main(["certify", "--input", fpath, "--support", "e,g1^1",
+                 "--out", cert_path]) == 0
+    capsys.readouterr()
+    cert = json.loads(Path(cert_path).read_text())
+    if where == "element":
+        element["terms"][1]["word"] = 5
+    elif where == "certificate":
+        cert["support"][1] = 5
+    else:
+        partial[where][1 if where == "domain" else 0] = (
+            5 if where == "domain" else {**partial[where][0], "word": 5})
+    return (write(tmp_path, "f.json", element),
+            write(tmp_path, "cert.json", cert),
+            write(tmp_path, "g.json", partial))
+
+
+@pytest.mark.parametrize("command, where", [
+    ("falsify", "element"),
+    ("certify", "element"),
+    ("certify-trace", "element"),
+    ("verify", "certificate"),
+    ("verify", "element"),
+    ("extend", "domain"),
+    ("extend", "values"),
+    ("gns", "domain"),
+])
+def test_numeric_word_exit_one(tmp_path, capsys, command, where):
+    fpath, cert_path, gpath = _numeric_word_inputs(tmp_path, capsys, where)
+    argv = {
+        "falsify": ["--input", fpath, "--dims", "1", "--samples", "1",
+                    "--seed", "1"],
+        "certify": ["--input", fpath, "--support", "e,g1^1"],
+        "certify-trace": ["--input", fpath, "--support", "e,g1^1"],
+        "verify": ["--cert", cert_path, "--input", fpath],
+        "extend": ["--input", gpath, "--target", "g1^2"],
+        "gns": ["--input", gpath],
+    }[command]
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "word must be a string, got 5" in captured.err
+
+
 def test_python_m_entry_point():
     import os
     import subprocess
@@ -766,6 +817,28 @@ def test_bell_inner_non_povm_update_exit_one(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: effects do not sum to the identity\n"
+
+
+def test_bell_inner_non_pvm_update_of_one_restart_exit_one(tmp_path, capsys,
+                                                         monkeypatch):
+    # the restarts run as one stack, and one restart's bad update is enough
+    import freecert.bell as bell
+
+    update = bell._update_two_outcome
+
+    def broken(G):
+        new = update(G)
+        if len(new) == 4:
+            new[2, 0] *= 0.5  # restart 2, setting 0: 0.5 P and 0.5 (I - P)
+        return new
+
+    monkeypatch.setattr(bell, "_update_two_outcome", broken)
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    code = main(["bell-inner", "--scenario", spath, "--dim", "2",
+                 "--restarts", "4", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: effect is not idempotent\n"
 
 
 def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):

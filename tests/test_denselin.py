@@ -150,3 +150,47 @@ def test_complete_block_rejects_bad_compression():
     with pytest.raises(ValueError):
         complete_block(PartialBlockMatrix(one, two, one, one, one))
 
+
+
+def _complete_block_by_np_block(P):
+    # complete_block as it was assembled with np.block
+    upper = np.block([[P.A, P.X], [P.X.conj().T, P.B]])
+    lower = np.block([[P.B, P.Y], [P.Y.conj().T, P.C]])
+    if P.B.size == 0:
+        Z = np.zeros((P.A.shape[0], P.C.shape[0]), dtype=complex)
+    else:
+        Z = P.X @ pinv_psd(P.B, tol=1e-8 * P.scale()) @ P.Y
+    full = np.block([[P.A, P.X, Z],
+                     [P.X.conj().T, P.B, P.Y],
+                     [Z.conj().T, P.Y.conj().T, P.C]])
+    return upper, lower, Z, 0.5 * (full + full.conj().T)
+
+
+def test_complete_block_matches_np_block(monkeypatch):
+    # slice assignment copies the same entries: the same bits, for every
+    # block size down to empty, and the same compressions are checked
+    import freecert.denselin as denselin
+
+    checked = []
+
+    def floor(M):
+        checked.append(np.array(M))
+        return psd_floor(M)
+
+    monkeypatch.setattr(denselin, "psd_floor", floor)
+    rng = np.random.default_rng(55)
+    for n0, n1, n2 in [(0, 0, 1), (1, 0, 0), (0, 2, 0), (2, 0, 3),
+                       (0, 1, 2), (3, 2, 0), (1, 1, 1), (2, 3, 4)]:
+        M = random_psd(rng, n0 + n1 + n2)
+        m1 = n0 + n1
+        P = PartialBlockMatrix(M[:n0, :n0], M[:n0, n0:m1], M[n0:m1, n0:m1],
+                               M[n0:m1, m1:], M[m1:, m1:])
+        checked.clear()
+        Z, full = complete_block(P)
+        upper, lower, Z0, full0 = _complete_block_by_np_block(P)
+        assert Z.tobytes() == Z0.tobytes() and Z.shape == Z0.shape
+        assert full.tobytes() == full0.tobytes() and full.shape == full0.shape
+        expected = [comp for comp in (upper, lower) if comp.size]
+        assert len(checked) == len(expected)
+        for got, want in zip(checked, expected):
+            assert got.tobytes() == want.tobytes()

@@ -339,6 +339,10 @@ def test_word_reader_parses_each_text_once(monkeypatch):
     assert a.spec is read.spec
     with pytest.raises(ValueError, match="malformed word token"):
         read("g1 h2")
+    # JSON values that are no text: a number, a list, null
+    for value in (5, 2.5, ["g1"], None):
+        with pytest.raises(ValueError, match="a word must be a string"):
+            read(value)
 
 
 # ------------------------------------------------- hashing and equality
