@@ -8,9 +8,12 @@ generator: p_i = (1/m) sum_v omega^{-iv} s^v, so
 
     gamma[k,l,i,j] = (1/m^2) sum_{v,w=1..m} omega^(-iv-jw) h(s_k^v t_l^w)
 
-for the state h of the moment matrix.
+for the state h of the moment matrix. The weights omega^k come from the
+table BellScenario.roots, exact at 1, -1 and +-i, so a two-outcome
+functional gives an exactly real instance.
 
-The outer bound is the dual bound of sdpcore.maximize on that moment matrix.
+The outer bound is the dual bound of sdpcore.maximize on that moment matrix,
+solved over real symmetric matrices when the instance is real.
 
 The see-saw (inner_bound) holds each party's measurements as one
 (d, m, dim, dim) stack of effects (PvmFamily), and runs all its restarts as
@@ -28,8 +31,7 @@ solved by sdpcore.maximize to a duality gap that scales with G
 (_update_povm). Its effects are checked as a POVM within PVM_TOL and
 rounded back to a PVM of the same dimension (_round_to_pvm), which settles
 weights and scores within TIE_TOL of a tie by a fixed rule, so a last-bit
-change in the solve does not change the path. naimark_dilate, the dilation
-of a POVM to a PVM on a larger space, is not part of the see-saw.
+change in the solve does not change the path.
 
 Each restart r draws its start from default_rng([seed, r]), is compared
 with ACCEPT_MARGIN against its own value and stops on its own, so the
@@ -70,11 +72,9 @@ __all__ = [
     "correlation_of",
     "outer_bound",
     "inner_bound",
-    "naimark_dilate",
     "hierarchy_words",
     "moment_instance",
     "povm_instance",
-    "pvm_unitary",
 ]
 
 PVM_TOL = 1e-9
@@ -99,8 +99,13 @@ class BellScenario:
             raise ValueError("need d >= 1 and m >= 2")
 
     @property
-    def omega(self) -> complex:
-        return np.exp(2j * np.pi / self.m)
+    def roots(self) -> tuple[complex, ...]:
+        """omega^k = exp(2 pi i k / m) for k = 0..m-1, exact at 1, -1 and
+        +-i (4k a multiple of m)."""
+        m = self.m
+        return tuple((1.0 + 0j, 1j, -1.0 + 0j, -1j)[4 * k // m]
+                     if 4 * k % m == 0 else complex(np.exp(2j * np.pi * k / m))
+                     for k in range(m))
 
 
 def _adjoint(M: np.ndarray) -> np.ndarray:
@@ -233,13 +238,6 @@ def _transfer(Xi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     return Xi @ np.swapaxes(settings, -1, -2) @ _adjoint(Xi)
 
 
-def pvm_unitary(pvm, omega: complex) -> np.ndarray:
-    """The order-m unitary sum_i omega^i P_i attached to an m-outcome PVM,
-    given as an (m, n, n) stack."""
-    pvm = np.asarray(pvm)
-    return np.tensordot(omega ** np.arange(1, len(pvm) + 1), pvm, axes=1)
-
-
 def _product_spec(s: BellScenario) -> GroupSpec:
     cyc = cyclic_free_product(s.d, s.m)
     return direct_product(cyc, cyc)
@@ -305,7 +303,7 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
 
     spec = _product_spec(s)
     cyc = spec.left
-    omega = s.omega
+    roots = s.roots
     obj: dict[tuple[int, int], complex] = {}
     c = functional.coeff
     for k in range(s.d):
@@ -324,8 +322,8 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
                         continue
                     for v in range(1, s.m + 1):
                         for w in range(1, s.m + 1):
-                            weight = (coef / s.m ** 2
-                                      * omega ** (-(i + 1) * v - (j + 1) * w))
+                            weight = (coef / s.m ** 2 * roots[
+                                (-(i + 1) * v - (j + 1) * w) % s.m])
                             pos = entry[v - 1][w - 1]
                             obj[pos] = obj.get(pos, 0j) + weight
     objective = tuple((r, c0, coef) for (r, c0), coef in sorted(obj.items()))
@@ -364,24 +362,6 @@ def _check_povm(povm: np.ndarray) -> None:
         raise ValueError("effect is not PSD within tolerance")
     if np.max(np.abs(povm.sum(axis=0) - np.eye(povm.shape[-1]))) > PVM_TOL:
         raise ValueError("effects do not sum to the identity")
-
-
-def naimark_dilate(povm) -> tuple[PvmFamily, np.ndarray]:
-    """Dilate a POVM (an (m, n, n) stack of PSD effects summing to I) to a
-    PVM on dim m*n: V x = sum_i e_i (x) (M_i^(1/2) x) and P_i the i-th
-    block projector."""
-    povm = np.asarray(povm, dtype=complex)
-    _check_povm(povm)
-    m, n = povm.shape[:2]
-    w, U = eigh(povm)
-    V = ((U * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ _adjoint(U)
-         ).reshape(m * n, n)
-    if np.max(np.abs(V.conj().T @ V - np.eye(n))) > PVM_TOL:
-        raise ValueError("dilation isometry check failed")
-    projections = np.zeros((1, m, m * n, m * n), dtype=complex)
-    diag = np.arange(m * n)
-    projections[0, diag // n, diag, diag] = 1.0
-    return PvmFamily(m * n, projections), V
 
 
 def _round_to_pvm(povm) -> np.ndarray:

@@ -231,11 +231,10 @@ def _load_element(path, read: WordReader | None = None):
 
 
 def _support_set(f, read: WordReader, blob: str | None):
-    if blob is None or blob == "auto":
-        return grounded_hull(f.spec, f.terms.keys())
-    words = _parse_words(read, blob)
     try:
-        return grounded_set(f.spec, set(words))
+        if blob is None or blob == "auto":
+            return grounded_hull(f.spec, f.terms.keys())
+        return grounded_set(f.spec, set(_parse_words(read, blob)))
     except ValueError as exc:
         raise InputError(f"--support: {exc}") from exc
 
@@ -384,7 +383,7 @@ def _cmd_complete(args):
             _matrix_from_json(obj["A"], "A"), _matrix_from_json(obj["X"], "X"),
             _matrix_from_json(obj["B"], "B"), _matrix_from_json(obj["Y"], "Y"),
             _matrix_from_json(obj["C"], "C"))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{args.blocks}: {exc}") from exc
     try:
         Z, full = complete_block(P)
@@ -405,6 +404,11 @@ def _cmd_falsify(args):
     f, _ = _load_element(args.input)
     try:
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise InputError(f"--dims: {exc}") from exc
+    if not dims or min(dims) < 1:
+        raise InputError("--dims entries must be >= 1")
+    try:
         report = falsify(f, args.mode, dims, args.samples, args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc

@@ -27,7 +27,13 @@ improving) or at "max_iter".
 Optimization (maximize) is one primal-dual interior-point solve over the
 directions of the affine set, the image of the same projection. It reports
 a dual bound, not the value of a feasible point, so a change that moves the
-iterates in their last bits moves the bound in its last bits only.
+iterates in their last bits moves the bound in its last bits only. An
+instance with exactly real data (SdpInstance.real: every two-outcome moment
+instance, whose Fourier weights come from bell's table of roots of unity)
+is solved over real symmetric matrices. Conjugation keeps its feasible set
+and objective, so (b + conj(b))/2 is a real feasible point as good as b,
+and a real symmetric dual has no part along the directions i (E_ij - E_ji),
+so it certifies the complex relaxation too.
 """
 
 from __future__ import annotations
@@ -108,6 +114,14 @@ class SdpInstance:
     def n(self) -> int:
         return self.labels.shape[0]
 
+    @property
+    def real(self) -> bool:
+        """Whether every right-hand side and objective coefficient is
+        exactly real (no tolerance)."""
+        return (all(r is None or r.imag == 0.0 for r in self.rhs)
+                and all(np.imag(coef) == 0.0
+                        for _, _, coef in self.objective))
+
 
 @dataclass
 class FeasibilityResult:
@@ -175,12 +189,13 @@ class _Partition:
 
     keep = 1 on sum classes and 0 on tie classes, and null(X), the same
     without x0, projects onto the directions of the affine set. S(X) is one
-    np.bincount over the float view of X, with labels 2k (real parts) and
-    2k + 1 (imaginary parts), so every matrix passed in is a C-contiguous
-    complex array.
+    np.bincount: over the labels for a real X, and over the float view of a
+    complex X with labels 2k (real parts) and 2k + 1 (imaginary parts), so
+    every complex matrix passed in is C-contiguous. With dtype float (for
+    a real instance) x0 and the directions are real symmetric.
     """
 
-    def __init__(self, inst: SdpInstance):
+    def __init__(self, inst: SdpInstance, dtype=complex):
         labels = inst.labels
         k = len(inst.rhs)
         self.n, self.labels = inst.n, labels
@@ -213,14 +228,18 @@ class _Partition:
                                                            1.0 / size))
         self._offset = np.where(sums, mean / size,
                                 np.where(pinned, mean, 0j))
+        self.dtype = np.dtype(dtype)
+        if self.dtype == float:
+            # exact: the right-hand sides of a real instance are real
+            self._offset = self._offset.real
         self.x0 = self._offset[labels]
         self._keep = sums[labels].astype(float) if sums.any() else None
+        self._flat = flat = labels.ravel()
         self._lab2 = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
-        self._k2 = 2 * k
+        self._k = k
         self._size, self._sums, self._pinned, self._rhs = (
             size, sums, pinned, rhs)
         self._transpose = transpose
-        flat = labels.ravel()
         _, first = np.unique(flat, return_index=True)
         self._ties = np.flatnonzero(~sums[flat])
         self._tie_labels = flat[self._ties]
@@ -232,8 +251,10 @@ class _Partition:
         self._tie_mean = np.where(sums | pinned, 0.0, 1.0 / size)
 
     def class_sums(self, X: np.ndarray) -> np.ndarray:
+        if X.dtype == float:
+            return np.bincount(self._flat, X.ravel(), self._k)
         return np.bincount(self._lab2, X.view(np.float64).ravel(),
-                           self._k2).view(complex)
+                           2 * self._k).view(complex)
 
     def _corrected(self, X: np.ndarray, offset) -> np.ndarray:
         out = (self._beta * self.class_sums(X) + offset)[self.labels]
@@ -296,13 +317,16 @@ class _Partition:
         with w != 0 (its indicator, and i times the indicator of k minus
         that of t); a sum class gives its units with w = 0 and the
         differences u/w - u0/w0 of the others. Pinned classes give none.
+        A real partition keeps the z = 1 directions, a basis of the real
+        symmetric matrices of that image, in the dtype of the partition.
         """
         out = []  # the (i, j, value) cells of each direction
+        zs = (1.0,) if self.dtype == float else (1.0, 1j)
         for k, pairs in enumerate(label_pairs(self.labels)):
             t = self._transpose[k]
             if t < k or self._pinned[k]:
                 continue
-            for z in (1.0, 1j):
+            for z in zs:
                 live, dead = [], []
                 for i, j in pairs:
                     if (i > j and t == k) or (i == j and z == 1j):
@@ -320,7 +344,7 @@ class _Partition:
                         out += [[(i, j, v / w) for i, j, v in u]
                                 + [(i, j, -v / w0) for i, j, v in u0]
                                 for u, w in rest]
-        D = np.zeros((len(out), self.n, self.n), dtype=complex)
+        D = np.zeros((len(out), self.n, self.n), dtype=self.dtype)
         for d, cells in enumerate(out):
             for i, j, v in cells:
                 D[d, i, j] += v
@@ -474,12 +498,14 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     return _solve(_Partition(inst), tol, max_iter)
 
 
-def _objective_matrix(inst: SdpInstance) -> np.ndarray:
-    """The hermitian C with <C, b> = Re sum coef * b[row, col]."""
+def _objective_matrix(inst: SdpInstance, dtype=complex) -> np.ndarray:
+    """The hermitian C with <C, b> = Re sum coef * b[row, col], in dtype:
+    float only for an instance whose coefficients are real."""
     C = np.zeros((inst.n, inst.n), dtype=complex)
     for r, c, coef in inst.objective:
         C[r, c] += np.conj(coef)
-    return _hermitian(C)
+    C = _hermitian(C)
+    return np.ascontiguousarray(C.real) if dtype == float else C
 
 
 def _inv_chol(X: np.ndarray) -> np.ndarray:
@@ -506,7 +532,9 @@ def maximize(inst: SdpInstance,
     <X + C, D_d> = 0 for every d, from S = x0 when x0 is positive definite
     (otherwise S is shifted by a multiple of the identity, and the shift
     decays with the steps). The HKM direction leaves one real m x m system
-    for dy, M[d, e] = <D_d, X D_e S^-1>.
+    for dy, M[d, e] = <D_d, X D_e S^-1>. The solve runs in float when
+    SdpInstance.real holds (see the module docstring) and in complex
+    otherwise; `b` and `dual` are complex arrays either way.
 
     `value` is the dual bound. With X' = X - null(X + C), the part of X + C
     along the directions removed, every feasible b has
@@ -530,18 +558,21 @@ def maximize(inst: SdpInstance,
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    part = _Partition(inst)
-    C = _objective_matrix(inst)
+    dtype = float if inst.real else complex
+    part = _Partition(inst, dtype)
+    C = _objective_matrix(inst, dtype)
     D = part.directions()
     m, n = len(D), inst.n
-    Dr = D.view(np.float64).reshape(m, 2 * n * n)
+    # the directions as float rows: n^2 entries, or 2 n^2 real and
+    # imaginary parts
+    Dr = D.reshape(m, n * n).view(np.float64)
 
     def adjoint(A):
-        """<D_d, A> for every d, A a C-contiguous complex n x n array."""
+        """<D_d, A> for every d, A a C-contiguous n x n array of dtype."""
         return Dr @ A.view(np.float64).ravel()
 
     def along(dy):
-        return np.tensordot(dy, D, 1)
+        return (dy @ Dr).view(dtype).reshape(n, n)
 
     x0, eye = part.x0, np.eye(n)
     trace = part.fixed_trace()
@@ -567,8 +598,9 @@ def maximize(inst: SdpInstance,
                 gap = bound - _inner(C, S)
             feasible = part.residual(S) <= tol
             if bound is not None and feasible and gap <= tol:
-                return MaximizeResult(bound, _hermitian(S), it, gap,
-                                      _hermitian(dual))
+                return MaximizeResult(
+                    bound, np.asarray(_hermitian(S), dtype=complex), it,
+                    gap, np.asarray(_hermitian(dual), dtype=complex))
             if it == IPM_MAX_ITER:
                 break
             try:

@@ -15,13 +15,21 @@ from freecert.bell import (
     hierarchy_words,
     inner_bound,
     moment_instance,
-    naimark_dilate,
     outer_bound,
-    pvm_unitary,
 )
 
 CHSH = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
 S22 = BellScenario(2, 2)
+# the chained inequality with three settings
+CHAINED = BellFunctional.from_correlators([[1.0, 0.0, -1.0], [1.0, 1.0, 0.0],
+                                           [0.0, 1.0, 1.0]])
+
+
+def criterion_8_functionals():
+    """The 20 functionals of selftest.criterion_8, in its order."""
+    rng = np.random.default_rng(20240808)
+    return [BellFunctional(rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2)))
+            for _ in range(20)]
 
 
 def comp_basis_pvm(dim, m):
@@ -32,7 +40,14 @@ def comp_basis_pvm(dim, m):
 
 
 def test_scenario_validation():
-    assert S22.omega == pytest.approx(-1.0)
+    assert S22.roots == (1.0, -1.0)
+    for m in (3, 4, 5, 6, 8):
+        roots = np.array(BellScenario(2, m).roots)
+        k = np.arange(m)
+        exact = 4 * k % m == 0
+        assert np.array_equal(roots[exact],
+                              np.array([1, 1j, -1, -1j])[4 * k[exact] // m])
+        assert np.max(np.abs(roots - np.exp(2j * np.pi * k / m))) <= 1e-15
     with pytest.raises(ValueError):
         BellScenario(0, 2)
     with pytest.raises(ValueError):
@@ -231,9 +246,14 @@ def test_fourier_consistency():
         xi = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         xi /= np.linalg.norm(xi)
         corr = correlation_of(A, B, xi)
-        UA = [pvm_unitary(pvm, s.omega) for pvm in A.settings]
-        UB = [pvm_unitary(pvm, s.omega) for pvm in B.settings]
-        omega = s.omega
+        omega = np.exp(2j * np.pi / m)
+
+        def unitary(pvm):
+            # the order-m unitary sum_i omega^i P_i of an m-outcome PVM
+            return np.tensordot(omega ** np.arange(1, m + 1), pvm, axes=1)
+
+        UA = [unitary(pvm) for pvm in A.settings]
+        UB = [unitary(pvm) for pvm in B.settings]
         for k in range(s.d):
             for l in range(s.d):
                 for i in range(1, m + 1):
@@ -275,44 +295,106 @@ def test_moment_instance_shape():
     assert inst.objective
 
 
-def test_naimark_dilate_examples():
-    povm = [0.5 * np.eye(1), 0.5 * np.eye(1)]
-    family, V = naimark_dilate(povm)
-    assert np.allclose(V, np.array([[1 / np.sqrt(2)], [1 / np.sqrt(2)]]))
-    for i, P in enumerate(family.settings[0]):
-        assert np.allclose(V.conj().T @ P @ V, povm[i])
+def _omega_objective(s, functional, level):
+    """The objective of moment_instance accumulated from powers of
+    omega = exp(2 pi i / m), as {(row, col): coef}: the reference for the
+    table of roots."""
+    from freecert.bell import _product_spec
+    from freecert.quotients import QuotientTable
+    from freecert.words import generator, pair_word
 
-    pvm = comp_basis_pvm(2, 2)
-    family, V = naimark_dilate(pvm)
-    for i, P in enumerate(family.settings[0]):
-        assert np.max(np.abs(V.conj().T @ P @ V - pvm[i])) <= 1e-12
+    E = hierarchy_words(s, level)
+    table = QuotientTable(E)
+    rows, cols = np.divmod(
+        np.unique(table.labels, return_index=True)[1], len(E))
+    spec = _product_spec(s)
+    cyc, m, c = spec.left, s.m, functional.coeff
+    omega = np.exp(2j * np.pi / m)
+    obj = {}
+    for k, l, i, j in itertools.product(range(s.d), range(s.d), range(m),
+                                        range(m)):
+        coef = c[k][l][i][j]
+        if coef == 0.0:
+            continue
+        for v, w in itertools.product(range(1, m + 1), repeat=2):
+            q = table.index[pair_word(spec, generator(cyc, k + 1, v % m),
+                                      generator(cyc, l + 1, w % m))]
+            pos = (int(rows[q]), int(cols[q]))
+            obj[pos] = obj.get(pos, 0j) + (
+                coef / m ** 2 * omega ** (-(i + 1) * v - (j + 1) * w))
+    return obj
 
 
-def test_naimark_dilate_random_povm():
-    rng = np.random.default_rng(103)
-    for _ in range(10):
-        n, m = 2, 3
-        raw = []
-        for _ in range(m):
-            Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            raw.append(Z @ Z.conj().T)
-        total = sum(raw)
-        w, U = np.linalg.eigh(total)
-        isqrt = (U / np.sqrt(w)) @ U.conj().T
-        povm = [isqrt @ M @ isqrt for M in raw]
-        family, V = naimark_dilate(povm)
-        assert np.max(np.abs(V.conj().T @ V - np.eye(n))) <= 1e-10
-        for i, P in enumerate(family.settings[0]):
-            assert np.max(np.abs(V.conj().T @ P @ V - povm[i])) <= 1e-10
+def test_moment_objective_from_the_roots_table():
+    # two outcomes: exactly real, with the real parts of the omega ** k
+    # accumulation bit for bit; three outcomes: within eps |c|_1 of it, the
+    # rounding of sums whose terms add up to at most |c|_1 in magnitude
+    rng = np.random.default_rng(111)
+    s23 = BellScenario(2, 3)
+    two = [CHSH, CHAINED, *criterion_8_functionals(),
+           BellFunctional(rng.uniform(-1.0, 1.0, size=(3, 3, 2, 2)))]
+    three = [BellFunctional(rng.uniform(-1.0, 1.0, size=(2, 2, 3, 3)))
+             for _ in range(3)]
+    for f, level in itertools.chain(
+            itertools.product(two, (1, "1ab")),
+            itertools.product([CHSH, CHAINED, two[-1], three[0]], (2,)),
+            itertools.product(three, (1, "1ab"))):
+        inst, _ = moment_instance(f.scenario, f, level)
+        ref = _omega_objective(f.scenario, f, level)
+        assert [(r, c) for r, c, _ in inst.objective] == sorted(ref)
+        got = np.array([coef for _, _, coef in inst.objective])
+        want = np.array([ref[r, c] for r, c, _ in inst.objective])
+        if f.scenario.m == 2:
+            assert inst.real and not got.imag.any()
+            assert got.real.tobytes() == want.real.tobytes()
+        else:
+            assert f.scenario == s23 and not inst.real
+            assert np.max(np.abs(got - want)) <= (
+                np.finfo(float).eps * np.abs(f.coeff).sum())
 
 
-def test_naimark_rejects_bad_povm():
+@pytest.mark.parametrize("level", [1, "1ab", 2])
+def test_real_outer_bound_certifies_the_complex_relaxation(monkeypatch,
+                                                           level):
+    # two-outcome moment instances are real and solved over real symmetric
+    # matrices: the dual is PSD, Z + C has no part along any direction of
+    # the complex relaxation (the imaginary ones included), and the bound
+    # is the complex solve's within tol
+    from freecert.bell import OUTER_DEFAULT_TOL
+    from freecert.denselin import psd_floor
+    from freecert.sdpcore import (
+        SdpInstance,
+        _objective_matrix,
+        _Partition,
+        maximize,
+    )
+
+    for f in [CHSH, CHAINED, *criterion_8_functionals()]:
+        inst, _ = moment_instance(f.scenario, f, level)
+        assert inst.real
+        res = maximize(inst, tol=OUTER_DEFAULT_TOL)
+        Z, C = res.dual, _objective_matrix(inst)
+        scale = 1.0 + np.max(np.abs(Z))
+        assert Z.dtype == complex and not Z.imag.any()
+        assert psd_floor(Z) >= -1e-12 * scale
+        D = _Partition(inst).directions()
+        along = np.einsum("dij,ij->d", D.conj(), Z + C).real
+        assert np.max(np.abs(along)) <= 1e-9 * scale
+        with monkeypatch.context() as patch:
+            patch.setattr(SdpInstance, "real", property(lambda self: False))
+            ref = maximize(inst, tol=OUTER_DEFAULT_TOL)
+        assert abs(res.value - ref.value) <= OUTER_DEFAULT_TOL
+
+
+def test_check_povm_rejects_bad_povm():
+    from freecert.bell import _check_povm
+
     with pytest.raises(ValueError, match="sum to the identity"):
-        naimark_dilate([np.eye(2), np.eye(2)])
+        _check_povm(np.array([np.eye(2), np.eye(2)]))
     with pytest.raises(ValueError, match="not PSD"):
-        naimark_dilate([np.diag([2.0, 0.5]), np.diag([-1.0, 0.5])])
+        _check_povm(np.array([np.diag([2.0, 0.5]), np.diag([-1.0, 0.5])]))
     with pytest.raises(ValueError, match="non-finite"):
-        naimark_dilate([np.diag([np.nan, 0.5]), np.diag([0.5, 0.5])])
+        _check_povm(np.array([np.diag([np.nan, 0.5]), np.diag([0.5, 0.5])]))
 
 
 def test_inner_bound_zero():
@@ -730,20 +812,6 @@ def test_povm_step_zero_and_tied_objectives():
     effects, _ = _update_povm(list(np.array([[[0.3]], [[0.3]], [[-1.0]]])))
     assert [M[0, 0].real for M in effects] == pytest.approx([0.5, 0.5, 0.0],
                                                            abs=1e-6)
-
-
-def test_naimark_dilate_tiny_effect_eigenvalues():
-    # three effects carry 5e-10 on one direction: dropping it would miss
-    # the identity by 1.5e-9 > PVM_TOL
-    rng = np.random.default_rng(109)
-    Z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    Q, _ = np.linalg.qr(Z)
-    diags = [(5e-10, 0.25), (5e-10, 0.25), (5e-10, 0.5), (1 - 1.5e-9, 0.0)]
-    povm = [Q @ np.diag(d) @ Q.conj().T for d in diags]
-    family, V = naimark_dilate(povm)
-    assert np.max(np.abs(V.conj().T @ V - np.eye(2))) <= 1e-12
-    for i, P in enumerate(family.settings[0]):
-        assert np.max(np.abs(V.conj().T @ P @ V - povm[i])) <= 1e-12
 
 
 def test_round_to_pvm_ignores_last_bits_of_a_tie():

@@ -287,10 +287,38 @@ def test_bell_bad_arguments_exit_one(tmp_path, capsys, command, extra):
 
 def test_falsify_bad_dims_exit_one(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", toy_json())
-    code = main(["falsify", "--input", fpath, "--dims", "1,x", "--seed", "1"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for dims in ("1,x", "0", "-3", "2,0", ","):
+        code = main(["falsify", "--input", fpath, "--dims", dims,
+                     "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --dims") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+@pytest.mark.parametrize("support", [[], ["--support", "auto"]])
+def test_non_free_group_auto_support_exit_one(tmp_path, capsys, command,
+                                              support):
+    # grounded sets, and so the automatic support, need a free group
+    fpath = write(tmp_path, "cyc.json", {
+        "group": {"kind": "cyclic_free_product", "d": 2, "m": 3},
+        "terms": [{"word": "e", "re": 1.0, "im": 0.0}]})
+    code = main([command, "--input", fpath, *support])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("error: --support: grounded sets are defined "
+                            "over free groups only\n")
+
+
+def test_complete_non_object_blocks_exit_one(tmp_path, capsys):
+    for blocks in ([1, 2], "A", 3, None):
+        bpath = write(tmp_path, "blocks.json", blocks)
+        code = main(["complete", "--blocks", bpath])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert (captured.err.startswith(f"error: {bpath}: ")
+                and captured.err.count("\n") == 1)
 
 
 def _nan_element():
@@ -700,6 +728,24 @@ def test_bell_outer_rerun_byte_identical(tmp_path, capsys):
     argv = ["bell-outer", "--scenario", spath, "--level", "2"]
     first = run(capsys, argv)
     assert first[0] == 0 and run(capsys, argv) == first
+
+
+@pytest.mark.parametrize("level", ["1", "1ab", "2"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_bell_outer_dump_sdp_rerun_byte_identical(tmp_path, capsys, m,
+                                                  level):
+    # the real (m = 2) and the complex (m = 3) solve give the same report
+    # and the same instance on every run
+    spath = write(tmp_path, "f.json", chsh_scenario() if m == 2
+                  else three_outcome_scenario())
+    outputs = []
+    for r in range(2):
+        dump = tmp_path / f"sdp{r}.json"
+        code, out = run(capsys, ["bell-outer", "--scenario", spath,
+                                 "--level", level, "--dump-sdp", str(dump)])
+        assert code == 0
+        outputs.append((out, dump.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def _three_outcome_coeff(first_shift):

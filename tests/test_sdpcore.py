@@ -60,16 +60,21 @@ def objective(inst, b):
     return sum(coef * b[r, c] for r, c, coef in inst.objective).real
 
 
+def objective_matrix(inst):
+    """The hermitian C with <C, b> = objective(inst, b)."""
+    C = np.zeros((inst.n, inst.n), dtype=complex)
+    for r, c, coef in inst.objective:
+        C[r, c] += np.conj(coef)
+    return 0.5 * (C + C.conj().T)
+
+
 def check_dual_certificate(inst, res, b):
     """The dual Z of a maximize result proves its value, checked against
     the rows of instance_to_json and a feasible point b: Z >= 0, and Z + C
     lies in the span of the rows, so <C + Z, .> is constant on the affine
     set; at b it is the value. Every feasible b' then has
     <C, b'> = value - <Z, b'> <= value."""
-    C = np.zeros((inst.n, inst.n), dtype=complex)
-    for r, c, coef in inst.objective:
-        C[r, c] += np.conj(coef)
-    C = 0.5 * (C + C.conj().T)
+    C = objective_matrix(inst)
     Z = res.dual
     scale = 1.0 + np.max(np.abs(Z))
     assert np.array_equal(Z, Z.conj().T)
@@ -245,6 +250,13 @@ def test_maximize_dependent_objective_row():
     res = maximize(inst, tol=1e-6)
     assert res.value == 1.0
     assert res.iterations == 0 and res.gap == 0.0
+    # every entry pinned: no directions at all, real or complex
+    for value in (0.5, 0.5j):
+        inst = part(2, UNIT_DIAG2 + [("pinned", [(0, 1)], value)],
+                    ((0, 1, 1.0),))
+        assert inst.real == (value == 0.5)
+        res = maximize(inst, tol=1e-6)
+        assert res.value == value.real and res.iterations == 0
 
 
 def test_feasible_output_reverified():
@@ -360,6 +372,66 @@ def test_certified_upper_bounds_every_feasible_value():
         check_feasible(inst, FeasibilityResult(True, b, 0, 0, 0), 1e-12)
         assert objective(inst, b) <= res.value
         check_dual_certificate(inst, res, b)
+
+
+def _real(inst):
+    """The instance with the real parts of its right-hand sides and
+    objective coefficients; a class and its transpose keep equal values."""
+    return SdpInstance(
+        inst.labels, [None if r is None else r.real for r in inst.rhs],
+        inst.sums, tuple((r, c, complex(complex(coef).real))
+                         for r, c, coef in inst.objective))
+
+
+def check_complex_dual(inst, res):
+    """The dual Z of a maximize result is PSD, and Z + C has no part along
+    any direction of the complex relaxation, the imaginary ones
+    i (E_ij - E_ji) included."""
+    from freecert.sdpcore import _Partition
+
+    Z = res.dual
+    scale = 1.0 + np.max(np.abs(Z))
+    assert Z.dtype == complex and res.b.dtype == complex
+    assert psd_floor(Z) >= -1e-12 * scale
+    C = objective_matrix(inst)
+    D = _Partition(inst).directions()
+    along = np.einsum("dij,ij->d", D.conj(), Z + C).real
+    assert np.max(np.abs(along), initial=0.0) <= 1e-9 * scale
+
+
+def test_realness_is_exact():
+    inst = part(2, UNIT_DIAG2, ((0, 1, 1.0), (1, 0, 1 + 0j)))
+    assert inst.real
+    assert not part(2, UNIT_DIAG2, ((0, 1, 1.0 + 1e-300j),)).real
+    assert not part(2, [("sum", [(0, 1)], 0.5 + 1e-300j)]).real
+    # free tie classes carry no right-hand side
+    assert part(3, [("tie", [(0, 1), (0, 2)], None)]).real
+
+
+def test_real_maximize_certifies_the_complex_relaxation(monkeypatch):
+    # a real instance is solved over real symmetric matrices: its dual
+    # certifies the complex relaxation, and its value is the complex
+    # solve's within tol
+    from freecert.sdpcore import _Partition
+
+    rng = np.random.default_rng(66)
+    for _ in range(8):
+        inst, (i, j, value) = _moment_like(rng, int(rng.integers(3, 7)))
+        inst = _real(inst)
+        assert inst.real
+        res = maximize(inst, tol=1e-6)
+        assert not res.b.imag.any() and not res.dual.imag.any()
+        check_complex_dual(inst, res)
+        b = np.eye(inst.n, dtype=complex)
+        b[i, j] = b[j, i] = value
+        check_dual_certificate(inst, res, b)
+        assert objective(inst, b) <= res.value
+        with monkeypatch.context() as patch:
+            patch.setattr(SdpInstance, "real", property(lambda self: False))
+            assert len(_Partition(inst).directions()) > len(
+                _Partition(inst, float).directions())
+            ref = maximize(inst, tol=1e-6)
+        assert ref.value == pytest.approx(res.value, abs=1e-6)
 
 
 def test_instance_json():
@@ -718,6 +790,29 @@ def test_directions_match_svd_null_space():
         assert np.array_equal(D, np.conj(np.swapaxes(D, 1, 2)))
         if len(D):
             V = np.array([hv.vec(Dd) for Dd in D])
+            assert np.max(np.abs(L @ V.T), initial=0.0) <= 1e-12
+            assert np.linalg.matrix_rank(V) == len(D)
+
+
+def test_real_directions_match_svd_null_space():
+    # for a real instance the directions are a basis of the real symmetric
+    # part of the null space: its realified vectors with no imaginary
+    # coordinates
+    from freecert.sdpcore import _Partition
+
+    rng = np.random.default_rng(63)
+    for inst in _partitions(rng, 10):
+        inst = _real(inst)
+        hv = Realified(inst.n)
+        L, _ = hv.system(inst)
+        re = inst.n + hv.k
+        rank = np.linalg.matrix_rank(L[:, :re]) if L.size else 0
+        D = _Partition(inst, float).directions()
+        assert D.dtype == float and len(D) == re - rank
+        assert np.array_equal(D, np.swapaxes(D, 1, 2))
+        if len(D):
+            V = np.array([hv.vec(Dd) for Dd in D])
+            assert not V[:, re:].any()
             assert np.max(np.abs(L @ V.T), initial=0.0) <= 1e-12
             assert np.linalg.matrix_rank(V) == len(D)
 
