@@ -27,8 +27,10 @@ the stack. Two outcomes have a closed-form update: the spectral projectors
 of G_1 - G_2, one stacked eigh over the R d settings. For m >= 3 outcomes
 each (restart, setting) update is a small SDP over POVMs,
 max sum_i tr(G_i M_i) with M_i >= 0 and sum_i M_i = I (povm_instance),
-solved by sdpcore.maximize to a duality gap that scales with G
-(_update_povm). Its effects are checked as a POVM within PVM_TOL and
+to a duality gap that scales with G. The R d updates of a step share
+their constraints, so they are one sdpcore.maximize_many call
+(_solve_povms), whose stacked interior point gives each the result of its
+own solve. Each update's effects are checked as a POVM within PVM_TOL and
 rounded back to a PVM of the same dimension (_round_to_pvm), which settles
 weights and scores within TIE_TOL of a tie by a fixed rule, so a last-bit
 change in the solve does not change the path.
@@ -51,7 +53,7 @@ import numpy as np
 
 from .denselin import eigh, psd_floor
 from .quotients import QuotientTable
-from .sdpcore import SdpInstance, maximize
+from .sdpcore import SdpInstance, maximize, maximize_many
 from .words import (
     GroupSpec,
     Word,
@@ -332,14 +334,17 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
 
 
 def outer_bound(s: BellScenario, functional: BellFunctional, level,
-                tol: float = OUTER_DEFAULT_TOL, return_info: bool = False):
+                tol: float = OUTER_DEFAULT_TOL, return_info: bool = False,
+                instance: SdpInstance | None = None):
     """Upper bound on the functional over commuting-model correlations via
     the level-indexed moment relaxation: the dual bound of
-    sdpcore.maximize, within tol of the relaxation's optimum. With
-    return_info, also the matrix size, the interior-point iterations, the
-    final gap (the bound minus the moment matrix's value) and the PSD floor
-    of that moment matrix."""
-    inst, _ = moment_instance(s, functional, level)
+    sdpcore.maximize, within tol of the relaxation's optimum. `instance`
+    is moment_instance(s, functional, level)[0] when the caller has built
+    it already. With return_info, also the matrix size, the interior-point
+    iterations, the final gap (the bound minus the moment matrix's value)
+    and the PSD floor of that moment matrix."""
+    inst = (moment_instance(s, functional, level)[0] if instance is None
+            else instance)
     res = maximize(inst, tol=tol)
     if return_info:
         info = {
@@ -425,22 +430,22 @@ def _update_two_outcome(G: np.ndarray) -> np.ndarray:
     return np.stack((P1, np.eye(G.shape[-1]) - P1), axis=-3)
 
 
-def _update_povm(G):
-    """The m >= 3 measurement update: effects maximizing sum_i tr(G_i M_i)
-    over POVMs for an (m, n, n) stack G, as an (m, n, n) stack checked to
-    be a POVM within PVM_TOL (ValueError otherwise), and the MaximizeResult
-    of that solve. The absolute gap is TIE_TOL / 10 times
-    max(1, n max_i |G_i|_2): well below the ties that the rounding to a PVM
-    settles, and above the 1e-8 relative gaps at which rounding stalls the
-    interior point on the rank-deficient G of a see-saw."""
-    G = np.asarray(G)
-    m, n = G.shape[:2]
-    scale = max(1.0, n * float(np.max(np.abs(np.linalg.eigvalsh(G)))))
-    res = maximize(povm_instance(G), tol=0.1 * TIE_TOL * scale)
-    blocks = res.b.reshape(m, n, m, n)
-    effects = blocks[np.arange(m), :, np.arange(m), :]
-    _check_povm(effects)
-    return effects, res
+def _solve_povms(G: np.ndarray):
+    """The m >= 3 measurement updates of a (B, m, n, n) stack of
+    multipliers G, as one sdpcore.maximize_many call: for each G_b, the
+    effects maximizing sum_i tr(G_i M_i) over POVMs. Returns the
+    (B, m, n, n) effects, unchecked, and the MaximizeResult of each solve.
+    The absolute gap of solve b is TIE_TOL / 10 times
+    max(1, n max_i |G_bi|_2): well below the ties that the rounding to a
+    PVM settles, and above the 1e-8 relative gaps at which rounding stalls
+    the interior point on the rank-deficient G of a see-saw."""
+    B, m, n = G.shape[:3]
+    scale = np.maximum(1.0, n * np.abs(np.linalg.eigvalsh(G)).max(
+        axis=(1, 2)))
+    results = maximize_many([povm_instance(Gb) for Gb in G],
+                            0.1 * TIE_TOL * scale)
+    blocks = np.array([res.b for res in results]).reshape(B, m, n, m, n)
+    return blocks[:, np.arange(m), :, np.arange(m), :].swapaxes(0, 1), results
 
 
 def povm_instance(G) -> SdpInstance:
@@ -466,17 +471,20 @@ def povm_instance(G) -> SdpInstance:
 
 def _update_povms(G: np.ndarray, info: dict) -> np.ndarray:
     """The m >= 3 measurement update of a (..., m, n, n) stack of
-    multipliers: one POVM solve per (m, n, n) entry, rounded to a PVM, in
-    row-major order. Adds each solve to info."""
-    out = np.empty_like(G)
-    for idx in np.ndindex(G.shape[:-3]):
-        effects, res = _update_povm(G[idx])
+    multipliers: one stacked POVM solve for all its (m, n, n) entries
+    (_solve_povms), then per entry in row-major order a check as a POVM
+    within PVM_TOL (ValueError otherwise) and the rounding to a PVM. Adds
+    each solve to info."""
+    effects, results = _solve_povms(G.reshape((-1,) + G.shape[-3:]))
+    out = np.empty_like(effects)
+    for b, res in enumerate(results):
+        _check_povm(effects[b])
         info["sdp_calls"] += 1
         info["iterations"] += res.iterations
         info["max_gap"] = (res.gap if info["max_gap"] is None
                            else max(info["max_gap"], res.gap))
-        out[idx] = _round_to_pvm(effects)
-    return out
+        out[b] = _round_to_pvm(effects[b])
+    return out.reshape(G.shape)
 
 
 def _bell_operator(c: np.ndarray, A: np.ndarray, B: np.ndarray):
@@ -555,18 +563,20 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
 
     Alternates the state step (top eigenvector of the Bell operator) with
     the measurement updates of one party: closed-form projector pairs for
-    m = 2, and per setting a POVM solve rounded back to a PVM for m >= 3.
+    m = 2, and per setting a POVM solve rounded back to a PVM for m >= 3,
+    every setting of every running restart in one stacked solve.
     Restart r starts from families drawn from default_rng([seed, r]); all
     restarts advance as one stack, and a restart leaves the stack after an
     iteration in which neither party's update was accepted. Updates are
     accepted, and a restart replaces the best one so far (in restart
     order), only when the exactly re-evaluated value rises by more than
     ACCEPT_MARGIN. Returns (value, A, B, xi) for the best run, and with
-    return_info a fifth entry on the POVM updates (sdpcore.maximize over
-    povm_instance) over all restarts: {"sdp_calls", "iterations",
-    "max_gap"}, their number, their interior-point iterations and the
-    largest duality gap they certified (0, 0 and None for m = 2, whose
-    updates are closed-form).
+    return_info a fifth entry on the POVM updates (povm_instance solves in
+    sdpcore.maximize_many stacks) over all restarts: {"sdp_calls",
+    "iterations", "max_gap"}, their number (one per update, not per
+    stack), their interior-point iterations and the largest duality gap
+    they certified (0, 0 and None for m = 2, whose updates are
+    closed-form).
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")

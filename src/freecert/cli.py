@@ -457,12 +457,16 @@ def _cmd_gns(args):
 
 def _cmd_bell_outer(args):
     scenario, functional = _load_functional(args.scenario)
+    _check_level(args.level)
     try:
+        inst = None
         if args.dump_sdp:
+            # the dumped instance is the one solved
             inst, _ = moment_instance(scenario, functional, args.level)
             _emit(instance_to_json(inst), args.dump_sdp)
         value, info = outer_bound(scenario, functional, args.level,
-                                  tol=args.tol, return_info=True)
+                                  tol=args.tol, return_info=True,
+                                  instance=inst)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     except SdpError as exc:
@@ -478,6 +482,19 @@ def _cmd_bell_outer(args):
     }
     _emit(report, args.out)
     return 0
+
+
+def _check_level(text: str) -> None:
+    """--level is "1ab" or an integer >= 1, read as hierarchy_words reads
+    it."""
+    level = text.lower().replace("+", "")
+    try:
+        ok = level == "1ab" or int(level) >= 1
+    except ValueError:
+        ok = False
+    if not ok:
+        raise InputError(f"--level must be 1ab or an integer >= 1, got "
+                         f"{text!r}")
 
 
 def _cmd_bell_inner(args):
@@ -524,6 +541,8 @@ def _check_numbers(args):
         raise InputError(f"--tol must be positive, got {args.tol}")
     if getattr(args, "iters", 0) < 0:
         raise InputError(f"--iters must be >= 0, got {args.iters}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _cmd_selftest(args):

@@ -3,7 +3,9 @@ W x W, formed once and labelled by the word it gives.
 
 Labels number the distinct quotients in row-major order of first
 appearance, so anything built class by class from the table keeps the order
-of a plain double loop over W. Gram and moment constraints, Toeplitz
+of a plain double loop over W. A list of direct-product words (x, y) has
+(x, y)^-1 (x', y') = (x^-1 x', y^-1 y'), so its table is read off one table
+per component word list, with no product of pair words. Gram and moment constraints, Toeplitz
 compressions and the extension chain read E^-1 E from the table of E; the
 certificate verifier reads the table of the factors' support, which is E's
 own table when the factors list E's words in E's order.
@@ -17,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .words import Word, conjugacy_canonical, inverse, multiply
+from .words import Word, conjugacy_canonical, inverse, multiply, pair_word
 
 __all__ = ["QuotientTable", "label_pairs"]
 
@@ -30,19 +32,25 @@ class QuotientTable:
     def __init__(self, words: Iterable[Word]):
         self.words = words = tuple(words)
         n = len(words)
-        index: dict[Word, int] = {}
-        label = index.setdefault
-        flat: list[int] = []
-        for s in words:
-            s_inv = inverse(s)
-            flat += [label(q, len(index))
-                     for q in map(multiply, repeat(s_inv, n), words)]
-        self.labels = labels = np.array(flat, dtype=np.intp).reshape(n, n)
-        self.index = index
-        self.classes = tuple(index)
+        spec = words[0].spec if words else None
+        if spec is not None and spec.is_product and all(
+                w.spec is spec or w.spec == spec for w in words):
+            self.labels, self.classes = _product_table(spec, words)
+            self.index = {q: k for k, q in enumerate(self.classes)}
+        else:
+            index: dict[Word, int] = {}
+            label = index.setdefault
+            flat: list[int] = []
+            for s in words:
+                s_inv = inverse(s)
+                flat += [label(q, len(index))
+                         for q in map(multiply, repeat(s_inv, n), words)]
+            self.labels = np.array(flat, dtype=np.intp).reshape(n, n)
+            self.index = index
+            self.classes = tuple(index)
         # (s^-1 t)^-1 = t^-1 s
-        self.inverse = np.empty(len(index), dtype=np.intp)
-        self.inverse[labels] = labels.T
+        self.inverse = np.empty(len(self.classes), dtype=np.intp)
+        self.inverse[self.labels] = self.labels.T
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -57,6 +65,31 @@ class QuotientTable:
             [index.setdefault(conjugacy_canonical(w), len(index))
              for w in self.classes], dtype=np.intp)
         return of_class, tuple(index)
+
+
+def _product_table(spec, words) -> tuple[np.ndarray, tuple[Word, ...]]:
+    """The labels and classes of direct-product words (x_i, y_i), whose
+    quotients are (x_i^-1 x_j, y_i^-1 y_j): the pair of labels from one
+    table per component word list, coded as label_x K_y + label_y and
+    renumbered in row-major order of first appearance."""
+    tables, at = [], []
+    for side in (0, 1):
+        component = [w.pair[side] for w in words]
+        distinct = {x: k for k, x in enumerate(dict.fromkeys(component))}
+        tables.append(QuotientTable(distinct))
+        at.append(np.array([distinct[x] for x in component], dtype=np.intp))
+    left, right = tables
+    code = (left.labels[np.ix_(at[0], at[0])] * len(right)
+            + right.labels[np.ix_(at[1], at[1])])
+    codes, first, inverse_ = np.unique(code, return_index=True,
+                                       return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    classes = tuple(pair_word(spec, left.classes[c // len(right)],
+                              right.classes[c % len(right)])
+                    for c in codes[order].tolist())
+    return rank[inverse_].reshape(code.shape), classes
 
 
 def label_pairs(labels: np.ndarray) -> list[list[tuple[int, int]]]:

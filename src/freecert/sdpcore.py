@@ -27,7 +27,14 @@ improving) or at "max_iter".
 Optimization (maximize) is one primal-dual interior-point solve over the
 directions of the affine set, the image of the same projection. It reports
 a dual bound, not the value of a feasible point, so a change that moves the
-iterates in their last bits moves the bound in its last bits only. An
+iterates in their last bits moves the bound in its last bits only. The
+solve runs along a leading stack axis (maximize_many): instances that
+share the partition and differ in objective and tolerance, such as the
+POVM updates of one see-saw step, take their iterations together, one
+batched factorization and eigendecomposition for the whole stack, and
+maximize is the stack of one. Small solves are bound by the cost of each
+numpy call rather than by arithmetic, so a stack of B costs far less than
+B solves. An
 instance with exactly real data (SdpInstance.real: every two-outcome moment
 instance, whose Fourier weights come from bell's table of roots of unity)
 is solved over real symmetric matrices. Conjugation keeps its feasible set
@@ -39,7 +46,7 @@ so it certifies the complex relaxation too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +62,7 @@ __all__ = [
     "UnboundedError",
     "solve_feasibility",
     "maximize",
+    "maximize_many",
     "instance_to_json",
 ]
 
@@ -160,8 +168,14 @@ class MaximizeResult:
     dual: np.ndarray
 
 
+def _adjoint(X: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of every matrix in a
+    stack."""
+    return X.swapaxes(-1, -2).conj()
+
+
 def _hermitian(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.conj().T)
+    return 0.5 * (X + _adjoint(X))
 
 
 def _inner(A: np.ndarray, B: np.ndarray) -> float:
@@ -172,6 +186,24 @@ def _inner(A: np.ndarray, B: np.ndarray) -> float:
 
 def _lmin(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(X)[0])
+
+
+class _Index(NamedTuple):
+    """Index arrays over one raveled matrix (rows = 1), or over a raveled
+    stack of `rows` matrices, where row b holds those of one matrix offset
+    by b times their range. One bincount or one gather over a stack so
+    treats each matrix alone, and in the order of its own."""
+
+    rows: int
+    real: np.ndarray  # the class of each entry, for bincount
+    cplx: np.ndarray  # 2 class, 2 class + 1 for the float view's parts
+    labels: np.ndarray  # the class of each entry, shaped as the matrices
+    beta: np.ndarray  # _Partition._beta, and _offset, once per matrix
+    offset: np.ndarray
+    sums: np.ndarray  # the sum classes
+    pinned: np.ndarray  # the entries of pinned classes
+    free: np.ndarray  # the entries of free tie classes
+    first: np.ndarray  # the first entry of the class of each of those
 
 
 class _Partition:
@@ -235,51 +267,90 @@ class _Partition:
         self.x0 = self._offset[labels]
         self._keep = sums[labels].astype(float) if sums.any() else None
         self._flat = flat = labels.ravel()
-        self._lab2 = (2 * labels.reshape(-1, 1) + np.arange(2)).ravel()
         self._k = k
-        self._size, self._sums, self._pinned, self._rhs = (
-            size, sums, pinned, rhs)
+        self._size, self._sums, self._pinned = size, sums, pinned
         self._transpose = transpose
         _, first = np.unique(flat, return_index=True)
-        self._ties = np.flatnonzero(~sums[flat])
-        self._tie_labels = flat[self._ties]
-        self._ref = first[self._tie_labels]
+        # the rows of residual: sum classes, pinned entries, and the
+        # entries of free tie classes against the first of their class
+        rhs = rhs.real if self.dtype == float else rhs
+        pinned_at, free_at = (np.flatnonzero(pinned[flat]),
+                              np.flatnonzero(~fixed[flat]))
+        self._sum_rhs = rhs[sums]
+        self._pinned_rhs = rhs[flat[pinned_at]]
+        self._one = _Index(1, flat,
+                           (2 * labels.reshape(-1, 1) + np.arange(2)).ravel(),
+                           labels, self._beta, self._offset,
+                           np.flatnonzero(sums), pinned_at, free_at,
+                           first[flat[free_at]])
+        self._stacks: dict[int, _Index] = {}
         # the multipliers of a tie class live on its entries but the first
         # (instance_to_json writes no row for it)
         self._lam_weight = np.where(sums[flat], 0.0, 1.0)
         self._lam_weight[first[~sums & ~pinned]] = 0.0
         self._tie_mean = np.where(sums | pinned, 0.0, 1.0 / size)
 
-    def class_sums(self, X: np.ndarray) -> np.ndarray:
-        if X.dtype == float:
-            return np.bincount(self._flat, X.ravel(), self._k)
-        return np.bincount(self._lab2, X.view(np.float64).ravel(),
-                           2 * self._k).view(complex)
+    def _index(self, X: np.ndarray) -> _Index:
+        """The _Index of one matrix, or of a stack of len(X)."""
+        if X.ndim == 2:
+            return self._one
+        ix = self._stacks.get(len(X))
+        if ix is None:
+            one, B = self._one, len(X)
+            k, nn, b = self._k, self.n * self.n, np.arange(B)[:, None]
+            ix = self._stacks[B] = _Index(
+                B, (one.real + k * b).ravel(), (one.cplx + 2 * k * b).ravel(),
+                (one.real + k * b).reshape(X.shape),
+                one.beta[None].repeat(B, 0).ravel(),
+                one.offset[None].repeat(B, 0).ravel(), one.sums + k * b,
+                one.pinned + nn * b, one.free + nn * b, one.first + nn * b
+            ) if B > 1 else one._replace(
+                labels=one.labels[None], sums=one.sums[None],
+                pinned=one.pinned[None], free=one.free[None],
+                first=one.first[None])
+        return ix
 
-    def _corrected(self, X: np.ndarray, offset) -> np.ndarray:
-        out = (self._beta * self.class_sums(X) + offset)[self.labels]
+    def _sums_of(self, X: np.ndarray, ix: _Index) -> np.ndarray:
+        """The class sums of every matrix of X, raveled."""
+        if X.dtype == float:
+            return np.bincount(ix.real, X.ravel(), ix.rows * self._k)
+        return np.bincount(ix.cplx, X.view(np.float64).ravel(),
+                           2 * ix.rows * self._k).view(complex)
+
+    def class_sums(self, X: np.ndarray) -> np.ndarray:
+        """S(X), a (k,) array, or S of every matrix of a (B, n, n) stack,
+        a (B, k) array."""
+        ix = self._index(X)
+        S = self._sums_of(X, ix)
+        return S if X.ndim == 2 else S.reshape(ix.rows, -1)
+
+    def _corrected(self, X: np.ndarray, offset: bool) -> np.ndarray:
+        ix = self._index(X)
+        out = ix.beta * self._sums_of(X, ix)
+        if offset:
+            out = out + ix.offset
+        out = out[ix.labels]
         if self._keep is not None:
             out += X * self._keep
         return out
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        return self._corrected(X, self._offset)
+        return self._corrected(X, True)
 
     def null(self, X: np.ndarray) -> np.ndarray:
-        return self._corrected(X, 0.0)
+        return self._corrected(X, False)
 
-    def residual(self, X: np.ndarray) -> float:
+    def residual(self, X: np.ndarray) -> np.ndarray:
         """The largest real or imaginary part of a row residual, for the
         rows of instance_to_json: S_k - r_k for a sum class, an entry minus
         r_k for a pinned class, and an entry minus the first entry of its
-        class for the other tie classes."""
-        flat = X.ravel()
-        S = self.class_sums(X)
-        lab = self._tie_labels
-        ref = np.where(self._pinned[lab], self._rhs[lab], flat[self._ref])
-        dev = np.concatenate([(S - self._rhs)[self._sums],
-                              flat[self._ties] - ref])
-        return float(np.max(np.abs(dev.view(np.float64)), initial=0.0))
+        class for the other tie classes. One per matrix of a stack."""
+        ix, flat = self._index(X), X.ravel()
+        dev = np.concatenate(
+            [self._sums_of(X, ix)[ix.sums] - self._sum_rhs,
+             flat[ix.pinned] - self._pinned_rhs,
+             flat[ix.free] - flat[ix.first]], axis=-1)
+        return np.abs(dev.view(np.float64)).max(axis=-1, initial=0.0)
 
     def multiplier_l1(self, w: np.ndarray) -> float:
         """|lam|_1 for real multipliers lam of the real and imaginary parts
@@ -365,8 +436,10 @@ FIXED_TRACE_REL = 1e-9
 # boundary that one step may cover
 IPM_MAX_ITER = 60
 STEP_FRACTION = 0.95
-# directions per block when forming the interior-point system
+# directions per block when forming the interior-point system: as many as
+# fit BLOCK_ENTRIES matrix entries, and at least BLOCK
 BLOCK = 16
+BLOCK_ENTRIES = 1 << 14
 
 
 class _DualGap:
@@ -471,7 +544,7 @@ def _solve(base: _Partition, tol, max_iter) -> FeasibilityResult:
     x, floor, it, status = _splitting(base.apply, base.x0, tol, max_iter,
                                       reject)
     psd_res = max(0.0, -floor)
-    aff_res = base.residual(x)
+    aff_res = float(base.residual(x))
     ok = psd_res <= tol and aff_res <= tol
     if not ok and status == "converged":
         # the floor was reached but the affine residual was not
@@ -508,22 +581,34 @@ def _objective_matrix(inst: SdpInstance, dtype=complex) -> np.ndarray:
     return np.ascontiguousarray(C.real) if dtype == float else C
 
 
-def _inv_chol(X: np.ndarray) -> np.ndarray:
-    """The inverse of the Cholesky factor L of X = L L^*."""
-    return np.linalg.inv(np.linalg.cholesky(X))
+def _steps(lo: np.ndarray) -> np.ndarray:
+    """The largest a with X + a dX PSD, for lo = lmin(L^-1 dX L^-*) and
+    X = L L^*: 1 / -lo, inf when dX keeps X PSD."""
+    return np.divide(-1.0, lo, out=np.full(lo.shape, np.inf), where=lo < 0.0)
 
 
-def _step(Li: np.ndarray, dX: np.ndarray) -> float:
-    """The largest a with X + a dX PSD, for X = L L^* and Li = L^-1:
-    1 / -lmin(L^-1 dX L^-*), inf when dX keeps X PSD."""
-    lo = _lmin(Li @ dX @ Li.conj().T)
-    return np.inf if lo >= 0.0 else -1.0 / lo
+class _Ascent(Exception):
+    """A predictor step from a feasible S is a PSD direction along which
+    the objective grows."""
 
 
 def maximize(inst: SdpInstance,
              tol: float = DEFAULT_OPT_TOL) -> MaximizeResult:
     """Maximize <C, b> = Re sum coef * b[row, col] over the PSD points b of
-    the affine set, and return a dual bound on it.
+    the affine set, and return a dual bound on it: maximize_many over a
+    stack of one, which describes the method, the bound and the
+    exceptions."""
+    return maximize_many([inst], [tol])[0]
+
+
+def maximize_many(instances: Sequence[SdpInstance],
+                  tols: Sequence[float]) -> list[MaximizeResult]:
+    """maximize for each instance of a stack that shares labels, rhs and
+    sums (ValueError otherwise), each to its own tolerance. One
+    interior-point iteration steps every instance of the stack, and an
+    instance leaves it when it is done. Every array operation acts on each
+    instance alone, so an instance takes the same steps, and gets the same
+    result, in a stack of any size.
 
     The affine set is b = x0 + sum_d y_d D_d over the directions of
     _Partition.directions. A primal-dual interior-point method (Helmberg,
@@ -533,8 +618,8 @@ def maximize(inst: SdpInstance,
     (otherwise S is shifted by a multiple of the identity, and the shift
     decays with the steps). The HKM direction leaves one real m x m system
     for dy, M[d, e] = <D_d, X D_e S^-1>. The solve runs in float when
-    SdpInstance.real holds (see the module docstring) and in complex
-    otherwise; `b` and `dual` are complex arrays either way.
+    SdpInstance.real holds for every instance (see the module docstring)
+    and in complex otherwise; `b` and `dual` are complex arrays either way.
 
     `value` is the dual bound. With X' = X - null(X + C), the part of X + C
     along the directions removed, every feasible b has
@@ -547,102 +632,213 @@ def maximize(inst: SdpInstance,
     `dual` of the result; when it is free, only a PSD X' gives a bound,
     and Z = X'. When C has no part along the directions the objective is
     constant on the affine set, and X = 0 gives the bound <C, x0> exactly.
-    An iterate that gives no bound keeps the last one formed. The solve
-    stops when the bound exceeds <C, S> by at most tol (absolute) at an S
-    whose row residuals are within tol.
+    An iterate that gives no bound keeps the last one formed. An instance
+    is done when its bound exceeds <C, S> by at most its tol (absolute) at
+    an S whose row residuals are within tol.
 
-    Raises UnboundedError when a predictor step from a feasible S is a PSD
-    direction along which the objective grows, or when no bound was
-    formed; InfeasibleError when no iterate met the rows within tol; and
-    SdpError when IPM_MAX_ITER iterations, or the numerics, end first.
+    An instance fails with UnboundedError when a predictor step from a
+    feasible S is a PSD direction along which the objective grows, or when
+    no bound was formed; with InfeasibleError when no iterate met the rows
+    within tol; and with SdpError when IPM_MAX_ITER iterations, or the
+    numerics, end first. The call raises the failure of the first instance
+    that fails, as a loop over the instances would, and drops the instances
+    after it from the stack.
     """
-    if not tol > 0:
+    instances = list(instances)
+    tol = np.array(tols, dtype=float)
+    if tol.shape != (len(instances),):
+        raise ValueError("need one tolerance per instance")
+    if not (tol > 0).all():
         raise ValueError("tol must be positive")
-    dtype = float if inst.real else complex
-    part = _Partition(inst, dtype)
-    C = _objective_matrix(inst, dtype)
+    if not instances:
+        return []
+    first = instances[0]
+    if any(inst.rhs != first.rhs or inst.sums != first.sums
+           or not np.array_equal(inst.labels, first.labels)
+           for inst in instances[1:]):
+        raise ValueError("the instances of a stack must share labels, rhs "
+                         "and sums")
+    dtype = float if all(inst.real for inst in instances) else complex
+    part = _Partition(first, dtype)
     D = part.directions()
-    m, n = len(D), inst.n
+    m, n = len(D), first.n
     # the directions as float rows: n^2 entries, or 2 n^2 real and
     # imaginary parts
     Dr = D.reshape(m, n * n).view(np.float64)
+    DrT = Dr.T
+    block = max(BLOCK, BLOCK_ENTRIES // max(1, n * n))
 
+    # y, c and the steps dy are (B, m, 1) columns, and every per-matrix
+    # product below is one BLAS call per matrix of the stack
     def adjoint(A):
-        """<D_d, A> for every d, A a C-contiguous n x n array of dtype."""
-        return Dr @ A.view(np.float64).ravel()
+        """<D_d, A_b> for every d and every matrix A_b of a C-contiguous
+        stack of dtype."""
+        return Dr @ A.view(np.float64).reshape(len(A), -1, 1)
 
     def along(dy):
-        return (dy @ Dr).view(dtype).reshape(n, n)
+        return (DrT @ dy).reshape(-1, n, Dr.shape[1] // n).view(dtype)
 
-    x0, eye = part.x0, np.eye(n)
+    def inner(A, B):
+        return np.vecdot(A.reshape(len(A), -1), B.reshape(len(B), -1)).real
+
+    x0, eye = part.x0, np.eye(n, dtype=dtype)
+    x0r = x0.ravel()
     trace = part.fixed_trace()
-    c, C_x0 = adjoint(C), _inner(C, x0)
+    C = np.array([_objective_matrix(inst, dtype) for inst in instances])
+    c = adjoint(C)
+    C_x0 = np.vecdot(C.reshape(len(C), -1), x0r).real
     lo = _lmin(x0)
-    S = x0 + (0.0 if lo > 0.0 else 1.0 - lo) * eye
-    X = (1.0 + float(np.max(np.abs(C), initial=0.0))) * eye
-    y = np.zeros(m)
-    bound, dual, gap, feasible = None, None, np.inf, False
+    S = (x0 + (0.0 if lo > 0.0 else 1.0 - lo) * eye)[None].repeat(len(C), 0)
+    X = (1.0 + np.abs(C).max(axis=(1, 2), initial=0.0))[:, None, None] * eye
+    y = np.zeros_like(c)
     # with c = 0 the objective is constant on the affine set, and X = 0 is
-    # an exact dual point
-    keep = 1.0 if c.any() else 0.0
+    # an exact dual point: keep is 0 on such rows (None when there is none)
+    keep = c.any(axis=(1, 2))
+    keep = None if keep.all() else keep.astype(float)[:, None, None]
+    bound = np.full(len(C), np.inf)  # inf until an iterate forms one
+    # the dual of the bound is X' + shift I
+    dual_X, dual_shift = np.zeros_like(C), np.zeros(len(C))
+    rows = np.arange(len(C))  # the instance on each row of the stack
+    results: list[MaximizeResult] = [None] * len(C)
+    errors: dict[int, SdpError] = {}
+
+    def step(S, X, R, c, tol):
+        """The predictor-corrector step (dy, dS, dX) and the step lengths
+        (ap, ad) of every row; _Ascent when a predictor step of a row whose
+        S meets the rows within tol is a PSD direction along which its
+        objective grows. Each
+        factorization, and the step bounds of each half-step, are one call
+        over the stack (S, S, X)."""
+        B = len(S)
+        L3 = np.linalg.inv(np.linalg.cholesky(np.concatenate((S, S, X))))
+        LH3 = _adjoint(L3)
+        L, LH = L3[B:], LH3[B:]  # the factors of (S, X)
+        Si = LH[:B] @ L[:B]
+        mu = inner(X, S) / n
+        XRS = X @ R @ Si
+        # K[e, d] = <X D_e S^-1, D_d>, a symmetric matrix, formed in
+        # blocks of directions to keep the temporaries small
+        K = np.empty((B, m, m))
+        for a in range(0, m, block):
+            T = (X[:, None] @ D[a:a + block] @ Si[:, None]).view(np.float64)
+            K[:, a:a + block] = T.reshape(B, -1, Dr.shape[1]) @ DrT
+
+        def direction(target, extra):
+            """The HKM direction to the target t: (t Si - X R Si - extra)
+            on the right-hand side, and dX = t Si - X - X dS Si - extra;
+            the predictor's t and extra are None (zero)."""
+            if target is None:
+                G, H = -XRS, -X
+            else:
+                tSi = target * Si
+                G, H = tSi - XRS - extra, tSi - X
+            dy = np.linalg.solve(K, c + adjoint(G))
+            dS = R + along(dy)
+            dX = H - X @ dS @ Si
+            return dy, dS, _hermitian(dX if extra is None else dX - extra)
+
+        dy, dS, dX = direction(None, None)
+        # lmin of the predictor's S-step along the directions alone, of dS
+        # and of dX, each in the metric of its factor
+        lo = np.linalg.eigvalsh(
+            L3 @ np.concatenate((along(dy), dS, dX)) @ LH3)[:, 0]
+        psd = lo[:B] >= 0.0
+        if psd.any() and (psd & (np.vecdot(c[..., 0], dy[..., 0]) > 0.0)
+                          & (part.residual(S) <= tol)).any():
+            raise _Ascent
+        # min(1, 1 / -lo), and 1 when lo >= 0
+        ap, ad = (1.0 / np.maximum(-lo[B:], 1.0)).reshape(2, B, 1, 1)
+        mu_aff = inner(X + ad * dX, S + ap * dS) / n
+        sigma = np.minimum(1.0, (mu_aff / mu) ** 3)
+        dy, dS, dX = direction((sigma * mu)[:, None, None], dX @ dS @ Si)
+        lo = np.linalg.eigvalsh(L @ np.concatenate((dS, dX)) @ LH)[:, 0]
+        ap, ad = np.minimum(1.0, STEP_FRACTION * _steps(lo)).reshape(
+            2, B, 1, 1)
+        return dy, dS, dX, ap, ad
+
+    def failure(b, it):
+        """Why row b ends unsolved at iteration it."""
+        if not part.residual(S[b:b + 1])[0] <= tol[b]:
+            return InfeasibleError("no iterate met the constraints within "
+                                   "tol")
+        if bound[b] == np.inf:
+            return UnboundedError("no dual bound was formed; the objective "
+                                  "may be unbounded")
+        return SdpError(f"stopped at duality gap {gap[b]:.3g} after {it} "
+                        f"iterations (tolerance {tol[b]:g})")
+
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for it in range(IPM_MAX_ITER + 1):
             R = x0 + along(y) - S
-            Xp = keep * X - part.null(keep * X + C)
-            floor = _lmin(Xp)
-            if trace is not None or floor >= 0.0:
-                shift = max(0.0, -floor)
-                bound = C_x0 + _inner(Xp, x0) + shift * (trace or 0.0)
-                dual = Xp + shift * eye
-            if bound is not None:
-                gap = bound - _inner(C, S)
-            feasible = part.residual(S) <= tol
-            if bound is not None and feasible and gap <= tol:
-                return MaximizeResult(
-                    bound, np.asarray(_hermitian(S), dtype=complex), it,
-                    gap, np.asarray(_hermitian(dual), dtype=complex))
+            W = X if keep is None else keep * X
+            Xp = W - part.null(W + C)
+            floor = np.linalg.eigvalsh(Xp)[:, 0]
+            shift = np.maximum(0.0, -floor)
+            formed = (C_x0 + np.vecdot(Xp.reshape(len(Xp), -1), x0r).real
+                      + shift * (trace or 0.0))
+            if trace is None:
+                # only a PSD X' gives a bound: keep the last one formed
+                ok = floor >= 0.0
+                bound = np.where(ok, formed, bound)
+                dual_X = np.where(ok[:, None, None], Xp, dual_X)
+                dual_shift = np.where(ok, shift, dual_shift)
+            else:
+                bound, dual_X, dual_shift = formed, Xp, shift
+            gap = bound - inner(C, S)
+            # the row residuals matter only where the gap is met
+            done = gap <= tol
+            if done.any():
+                done &= part.residual(S) <= tol
+            if errors:
+                # the instances after the first that failed would not run
+                done |= rows >= min(errors)
+            if done.any():
+                for b in done.nonzero()[0]:
+                    dual = dual_X[b] + dual_shift[b] * eye
+                    results[rows[b]] = MaximizeResult(
+                        float(bound[b]), np.asarray(_hermitian(S[b]), complex),
+                        it, float(gap[b]),
+                        np.asarray(_hermitian(dual), complex))
+                if done.all():
+                    break
+                live = ~done
+                (rows, S, X, y, R, C, c, C_x0, tol, bound, dual_X, dual_shift,
+                 gap) = (v[live] for v in (
+                     rows, S, X, y, R, C, c, C_x0, tol, bound, dual_X,
+                     dual_shift, gap))
+                keep = None if keep is None else keep[live]
             if it == IPM_MAX_ITER:
+                errors.update((rows[b], failure(b, it))
+                              for b in range(rows.size))
                 break
             try:
-                LS, LX = _inv_chol(S), _inv_chol(X)
-                Si = LS.conj().T @ LS
-                mu = _inner(X, S) / n
-                XRS = X @ R @ Si
-                # K[e, d] = <X D_e S^-1, D_d>, a symmetric matrix, formed
-                # in blocks of directions to keep the temporaries small
-                K = np.empty((m, m))
-                for a in range(0, m, BLOCK):
-                    T = (X @ D[a:a + BLOCK] @ Si).view(np.float64)
-                    K[a:a + BLOCK] = T.reshape(-1, Dr.shape[1]) @ Dr.T
-
-                def direction(target, extra):
-                    dy = np.linalg.solve(
-                        K, c + adjoint(target * Si - XRS - extra))
-                    dS = R + along(dy)
-                    dX = _hermitian(target * Si - X - X @ dS @ Si - extra)
-                    return dy, dS, dX
-
-                dy, dS, dX = direction(0.0, 0.0)
-                if (feasible and c @ dy > 0.0
-                        and _step(LS, along(dy)) == np.inf):
-                    raise UnboundedError("the objective grows without bound "
-                                         "along a PSD direction")
-                ap, ad = min(1.0, _step(LS, dS)), min(1.0, _step(LX, dX))
-                mu_aff = _inner(X + ad * dX, S + ap * dS) / n
-                sigma = min(1.0, (mu_aff / mu) ** 3)
-                dy, dS, dX = direction(sigma * mu, dX @ dS @ Si)
-                ap = min(1.0, STEP_FRACTION * _step(LS, dS))
-                ad = min(1.0, STEP_FRACTION * _step(LX, dX))
-            except (np.linalg.LinAlgError, FloatingPointError):
-                break
+                dy, dS, dX, ap, ad = step(S, X, R, c, tol)
+            except (np.linalg.LinAlgError, FloatingPointError, _Ascent):
+                # find the rows at fault: alone, a row takes the step that
+                # it takes in the stack. A row that fails stays put, and
+                # leaves the stack at the next iteration.
+                stay = (np.zeros((1, m, 1)), np.zeros((1, n, n), dtype),
+                        np.zeros((1, n, n), dtype), np.zeros((1, 1, 1)),
+                        np.zeros((1, 1, 1)))
+                parts = []
+                for b in range(rows.size):
+                    one = slice(b, b + 1)
+                    try:
+                        parts.append(step(S[one], X[one], R[one], c[one],
+                                          tol[one]))
+                        continue
+                    except _Ascent:
+                        errors[rows[b]] = UnboundedError(
+                            "the objective grows without bound along a "
+                            "PSD direction")
+                    except (np.linalg.LinAlgError, FloatingPointError):
+                        errors[rows[b]] = failure(b, it)
+                    parts.append(stay)
+                dy, dS, dX, ap, ad = (np.concatenate(v) for v in zip(*parts))
             y, S, X = y + ap * dy, S + ap * dS, X + ad * dX
-    if not feasible:
-        raise InfeasibleError("no iterate met the constraints within tol")
-    if bound is None:
-        raise UnboundedError("no dual bound was formed; the objective may "
-                             "be unbounded")
-    raise SdpError(f"stopped at duality gap {gap:.3g} after {it} "
-                   f"iterations (tolerance {tol:g})")
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def instance_to_json(inst: SdpInstance) -> dict:

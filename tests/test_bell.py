@@ -482,11 +482,20 @@ def _reference_multipliers(c, other, Xi):
     return 0.5 * (acc + np.swapaxes(acc, -1, -2).conj())
 
 
+def _update_povm(G):
+    # one setting's POVM update as a stack of one: its effects, checked,
+    # and its MaximizeResult
+    from freecert.bell import _check_povm, _solve_povms
+
+    effects, results = _solve_povms(np.asarray(G)[None])
+    _check_povm(effects[0])
+    return effects[0], results[0]
+
+
 def _reference_inner_bound(s, functional, dim, iters, seed, restarts):
     # also returns the number of iterations each restart ran
     from freecert.bell import (ACCEPT_MARGIN, _random_settings,
-                               _round_to_pvm, _update_povm,
-                               _update_two_outcome)
+                               _round_to_pvm, _update_two_outcome)
 
     c = functional.coeff
     c_swapped = c.transpose(1, 0, 3, 2)
@@ -566,6 +575,9 @@ def _seesaw_cases():
     for dim, iters in itertools.product((1, 2, 3), (0, 1, 40)):
         cases.append((BellFunctional(rng.uniform(-1, 1, size=(2, 2, 2, 2))),
                       dict(dim=dim, iters=iters, seed=dim, restarts=5)))
+    # each party's step of four restarts is one stack of eight POVM solves
+    cases.append((BellFunctional(cglmp),
+                  dict(dim=2, iters=3, seed=4, restarts=4)))
     return cases
 
 
@@ -759,7 +771,7 @@ def test_povm_step_certifies_its_optimum(n, m):
     # the solve, is the same for every i, so Y - G_i = Z_ii >= 0 makes Y a
     # dual point, and tr Y exceeds the effects' value by at most the gap
     # the update asks for
-    from freecert.bell import PVM_TOL, TIE_TOL, _update_povm
+    from freecert.bell import PVM_TOL, TIE_TOL
 
     rng = np.random.default_rng([107, n, m])
     G = _random_hermitian_stack(rng, m, n)
@@ -785,7 +797,7 @@ def test_povm_step_matches_closed_forms(n):
     # two outcomes: the projector onto the positive part of G_1 - G_2 is
     # optimal; diagonal G: each basis vector goes to the effect that values
     # it most
-    from freecert.bell import TIE_TOL, _update_povm, _update_two_outcome
+    from freecert.bell import TIE_TOL, _update_two_outcome
 
     rng = np.random.default_rng([108, n])
     two = _random_hermitian_stack(rng, 2, n)
@@ -803,9 +815,35 @@ def test_povm_step_matches_closed_forms(n):
         assert value >= reference - 0.1 * TIE_TOL * scale - 1e-12 * scale
 
 
-def test_povm_step_zero_and_tied_objectives():
-    from freecert.bell import _update_povm
+def test_stacked_povm_solves_match_single_solves():
+    # one stack over random, scaled and zero multipliers (the instances
+    # leave the stack at different iterations) against a stack of one per
+    # G, and the dual of each: Y = Z_ii + G_i is the same for every i,
+    # Y - G_i >= 0 and tr Y is the value
+    from freecert.bell import _solve_povms
 
+    rng = np.random.default_rng(125)
+    m, n = 3, 2
+    G = np.array([s * _random_hermitian_stack(rng, m, n)
+                  for s in (1.0, 1e-4, 0.0, 50.0, 1.0, 1.0)])
+    effects, results = _solve_povms(G)
+    assert [res.iterations for res in results] == [6, 7, 0, 8, 7, 8]
+    for b, res in enumerate(results):
+        one, (ref,) = _solve_povms(G[b:b + 1])
+        scale = max(1.0, n * max(np.linalg.norm(Gi, 2) for Gi in G[b]))
+        assert res.iterations == ref.iterations
+        assert abs(res.value - ref.value) <= 1e-12 * scale
+        assert abs(res.gap - ref.gap) <= 1e-12 * scale
+        assert np.max(np.abs(effects[b] - one[0])) <= 1e-12
+        Ys = [res.dual[i * n:(i + 1) * n, i * n:(i + 1) * n] + G[b, i]
+              for i in range(m)]
+        assert max(np.max(np.abs(Y - Ys[0])) for Y in Ys) <= 1e-12 * scale
+        assert np.linalg.eigvalsh(Ys[0] - G[b]).min() >= -1e-12 * scale
+        assert np.trace(Ys[0]).real == pytest.approx(res.value,
+                                                     abs=1e-12 * scale)
+
+
+def test_povm_step_zero_and_tied_objectives():
     effects, _ = _update_povm(list(np.zeros((3, 2, 2), dtype=complex)))
     assert np.allclose(effects, np.eye(2) / 3)
     # a direction every effect values alike is split evenly

@@ -285,6 +285,28 @@ def test_bell_bad_arguments_exit_one(tmp_path, capsys, command, extra):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, extra, flag", [
+    ("bell-outer", ["--level", "x"], "--level"),
+    ("bell-outer", ["--level", "0"], "--level"),
+    ("bell-outer", ["--level", "-1", "--dump-sdp", "{tmp}/sdp.json"],
+     "--level"),
+    ("bell-inner", ["--seed", "-5"], "--seed"),
+    ("falsify", ["--seed", "-5"], "--seed"),
+])
+def test_bad_level_or_seed_names_the_flag(tmp_path, capsys, command, extra,
+                                          flag):
+    path = (write(tmp_path, "f.json", toy_json()) if command == "falsify"
+            else write(tmp_path, "chsh.json", chsh_scenario()))
+    option = "--input" if command == "falsify" else "--scenario"
+    extra = [a.format(tmp=tmp_path) for a in extra]
+    code = main([command, option, path, *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sdp.json").exists()
+
+
 def test_falsify_bad_dims_exit_one(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", toy_json())
     for dims in ("1,x", "0", "-3", "2,0", ","):
@@ -748,6 +770,32 @@ def test_bell_outer_dump_sdp_rerun_byte_identical(tmp_path, capsys, m,
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("dump", [False, True])
+def test_bell_outer_builds_the_moment_instance_once(tmp_path, capsys,
+                                                    monkeypatch, dump):
+    # --dump-sdp writes the instance that outer_bound then solves
+    import freecert.bell as bell
+    import freecert.cli as cli
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return moment_instance(*args, **kwargs)
+
+    moment_instance = bell.moment_instance
+    monkeypatch.setattr(bell, "moment_instance", counted)
+    monkeypatch.setattr(cli, "moment_instance", counted)
+    spath = write(tmp_path, "chsh.json", chsh_scenario())
+    argv = ["bell-outer", "--scenario", spath, "--level", "1ab"]
+    if dump:
+        argv += ["--dump-sdp", str(tmp_path / "sdp.json")]
+    code, out = run(capsys, argv)
+    assert code == 0 and len(built) == 1
+    monkeypatch.undo()
+    assert run(capsys, argv) == (0, out)
+
+
 def _three_outcome_coeff(first_shift):
     """sum of P(A1 = B1) + P(B1 = A2 + 1) + P(A2 = B2) + P(B2 = A1), minus
     P(B1 = A1 + first_shift) + P(B1 = A2) + P(A2 = B2 - 1)
@@ -820,7 +868,7 @@ def test_bell_inner_scaled_cglmp_solves(tmp_path, capsys,
 def test_bell_inner_cglmp_dilates(tmp_path, capsys, three_outcome_outer,
                                   dim, iters, restarts):
     # POVM steps leave effect eigenvalues below zero by less than PVM_TOL,
-    # which the POVM check of bell._update_povm must accept
+    # which the POVM check of bell._update_povms must accept
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     code, out = run(capsys, ["bell-inner", "--scenario", spath, "--dim",
                              str(dim), "--iters", str(iters), "--restarts",
@@ -851,12 +899,12 @@ def test_bell_inner_non_povm_update_exit_one(tmp_path, capsys, monkeypatch):
 
     import freecert.bell as bell
 
-    def doubled(inst, tol):
-        res = maximize(inst, tol)
-        return dataclasses.replace(res, b=2.0 * res.b)
+    def doubled(instances, tols):
+        return [dataclasses.replace(res, b=2.0 * res.b)
+                for res in maximize_many(instances, tols)]
 
-    maximize = bell.maximize
-    monkeypatch.setattr(bell, "maximize", doubled)
+    maximize_many = bell.maximize_many
+    monkeypatch.setattr(bell, "maximize_many", doubled)
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     code = main(["bell-inner", "--scenario", spath, "--dim", "2", "--iters",
                  "1", "--restarts", "1", "--seed", "2"])
@@ -890,22 +938,24 @@ def test_bell_inner_non_pvm_update_of_one_restart_exit_one(tmp_path, capsys,
 def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
     import freecert.bell as bell
 
-    seen = []
+    seen, stacks = [], []
 
-    def counted(inst, tol):
-        res = maximize(inst, tol)
-        seen.append(res)
-        return res
+    def counted(instances, tols):
+        results = maximize_many(instances, tols)
+        seen.extend(results)
+        stacks.append(len(results))
+        return results
 
-    maximize = bell.maximize
-    monkeypatch.setattr(bell, "maximize", counted)
+    maximize_many = bell.maximize_many
+    monkeypatch.setattr(bell, "maximize_many", counted)
     spath = write(tmp_path, "three.json", three_outcome_scenario())
     argv = ["bell-inner", "--scenario", spath, "--dim", "2", "--iters", "2",
             "--restarts", "1", "--seed", "2"]
     code, out = run(capsys, argv)
     assert code == 0
-    # two iterations of two parties with two settings each
-    assert len(seen) == 8
+    # two iterations of two parties, each one stacked solve over the two
+    # settings
+    assert stacks == [2, 2, 2, 2]
     assert json.loads(out)["solver"] == {
         "sdp_calls": 8,
         "iterations": sum(res.iterations for res in seen),

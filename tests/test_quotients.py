@@ -115,6 +115,39 @@ def test_label_pairs_group_positions_row_major(case):
     assert label_pairs(T.labels) == [groups[k] for k in range(len(T))]
 
 
+PAIR_SPECS = tuple(direct_product(cyclic_free_product(d, m),
+                                  cyclic_free_product(d, m))
+                   for d, m in ((2, 2), (3, 2), (2, 3)))
+
+
+@st.composite
+def pair_lists(draw):
+    # pairs of words from two short component lists, so that components
+    # repeat across the list as in a moment hierarchy
+    spec = draw(st.sampled_from(PAIR_SPECS))
+    left = draw(st.lists(_words(spec.left), min_size=1, max_size=4))
+    right = draw(st.lists(_words(spec.right), min_size=1, max_size=4))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(left),
+                                    st.sampled_from(right)), max_size=12))
+    return list(dict.fromkeys(pair_word(spec, x, y) for x, y in pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_lists())
+def test_product_table_matches_word_products(words):
+    # the table read off the component tables against the one formed from
+    # every product of pair words
+    T = QuotientTable(words)
+    index: dict = {}
+    labels = [[index.setdefault(multiply(inverse(s), t), len(index))
+               for t in words] for s in words]
+    assert np.array_equal(T.labels, np.array(labels, dtype=np.intp)
+                          .reshape(len(words), len(words)))
+    assert T.classes == tuple(index) and T.index == index
+    for k, q in enumerate(T.classes):
+        assert T.classes[T.inverse[k]] == inverse(q)
+
+
 def test_grounded_set_shares_one_table():
     E = grounded_set(F2, {unit(F2), g(1), g(2)})
     assert E.quotients is E.quotients

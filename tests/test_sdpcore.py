@@ -6,10 +6,12 @@ from freecert.sdpcore import (
     FeasibilityResult,
     InconsistentConstraintsError,
     InfeasibleError,
+    SdpError,
     SdpInstance,
     UnboundedError,
     instance_to_json,
     maximize,
+    maximize_many,
     solve_feasibility,
 )
 
@@ -432,6 +434,110 @@ def test_real_maximize_certifies_the_complex_relaxation(monkeypatch):
                 _Partition(inst, float).directions())
             ref = maximize(inst, tol=1e-6)
         assert ref.value == pytest.approx(res.value, abs=1e-6)
+
+
+def _with_objective(inst, objective):
+    return SdpInstance(inst.labels, inst.rhs, inst.sums, objective)
+
+
+def _check_matches_single_solves(instances, tols):
+    # each result of the stack against a solve of its instance alone
+    got = maximize_many(instances, tols)
+    assert len(got) == len(instances)
+    for inst, tol, res in zip(instances, tols, got):
+        ref = maximize(inst, tol)
+        scale = 1.0 + abs(ref.value)
+        assert res.iterations == ref.iterations
+        assert abs(res.value - ref.value) <= 1e-12 * scale
+        assert abs(res.gap - ref.gap) <= 1e-12 * scale
+        assert np.max(np.abs(res.b - ref.b)) <= 1e-12 * scale
+        assert np.max(np.abs(res.dual - ref.dual)) <= 1e-12 * scale
+    return got
+
+
+def test_maximize_many_matches_single_solves():
+    # one structure, objectives of several scales and a zero one (c = 0,
+    # done at once), and several tolerances: the instances leave the stack
+    # at different iterations
+    rng = np.random.default_rng(70)
+    for n in (3, 4, 6):
+        inst, (i, j, value) = _moment_like(rng, n)
+        instances = [_with_objective(inst, tuple(
+            (r, c, s * coef) for r, c, coef in inst.objective))
+            for s in (1.0, 1e-3, 30.0)]
+        instances.insert(1, _with_objective(inst, ()))
+        instances.append(_with_objective(inst, tuple(
+            (r, c, complex(*rng.standard_normal(2))) for r, c, _ in
+            inst.objective)))
+        tols = [1e-6, 1e-6, 1e-9, 1e-4, 1e-7]
+        got = _check_matches_single_solves(instances, tols)
+        assert got[1].iterations == 0
+        assert len({res.iterations for res in got}) >= 3
+        b = np.eye(n, dtype=complex)
+        b[i, j], b[j, i] = value, np.conj(value)
+        for inst_, res in zip(instances, got):
+            check_dual_certificate(inst_, res, b)
+        # a real instance in a complex stack is solved over complex
+        # matrices, within tol of its real solve
+        real = _real(instances[0])
+        res = maximize_many([real, instances[0]], [1e-6, 1e-6])[0]
+        assert abs(res.value - maximize(real, 1e-6).value) <= 1e-6
+        check_dual_certificate(real, res, b.real.astype(complex))
+    # a real stack, and a free trace with a bound from a PSD dual
+    inst = part(2, [("sum", [(0, 1)], 0.5)])
+    _check_matches_single_solves(
+        [_with_objective(inst, ((0, 0, -s), (1, 1, -1.0))) for s in
+         (1.0, 2.0, 0.5)], [1e-6, 1e-8, 1e-6])
+    assert maximize_many([], []) == []
+
+
+def test_maximize_many_rejects_mismatched_stacks():
+    base = part(2, UNIT_DIAG2, ((0, 1, 1.0), (1, 0, 1.0)))
+    other_labels = part(3, [("sum", [(0, 0)], 1.0)])
+    other_rhs = part(2, [("sum", [(0, 0)], 2.0), ("sum", [(1, 1)], 1.0)])
+    other_sums = SdpInstance(base.labels, base.rhs,
+                             [False] + list(base.sums[1:]))
+    for other in (other_labels, other_rhs, other_sums):
+        with pytest.raises(ValueError, match="share labels, rhs and sums"):
+            maximize_many([base, other], [1e-6, 1e-6])
+    for tols in ([1e-6], [1e-6, 1e-6, 1e-6], [1e-6, 0.0],
+                 [1e-6, float("nan")]):
+        with pytest.raises(ValueError):
+            maximize_many([base, base], tols)
+
+
+def _first_failure(instances, tols):
+    """The loop over the instances: the exception of the first that
+    fails."""
+    for inst, tol in zip(instances, tols):
+        try:
+            maximize(inst, tol)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return exc
+    return None
+
+
+def test_maximize_many_raises_like_the_loop():
+    # a free trace: -(b00 + b11) is bounded, b00 grows without bound along
+    # E00, and a tolerance of 1e-300 is never met
+    inst = part(2, [("sum", [(0, 1)], 0.5)])
+    bounded = _with_objective(inst, ((0, 0, -1.0), (1, 1, -1.0)))
+    unbounded = _with_objective(inst, ((0, 0, 1.0),))
+    stacks = [
+        ([bounded, unbounded, bounded], [1e-6, 1e-6, 1e-6]),
+        ([bounded, bounded, unbounded], [1e-6, 1e-300, 1e-6]),
+        ([unbounded, bounded], [1e-6, 1e-300]),
+        ([bounded, bounded], [1e-6, 1e-300]),
+    ]
+    infeasible = part(2, [("sum", DIAG2, 0.0), ("sum", [(0, 1)], 1.0)])
+    stacks.append(([_with_objective(infeasible, ((0, 0, s),))
+                    for s in (1.0, 2.0)], [1e-4, 1e-4]))
+    for instances, tols in stacks:
+        ref = _first_failure(instances, tols)
+        assert isinstance(ref, SdpError)
+        with pytest.raises(type(ref)) as got:
+            maximize_many(instances, tols)
+        assert str(got.value) == str(ref)
 
 
 def test_instance_json():
