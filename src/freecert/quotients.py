@@ -81,15 +81,15 @@ def _product_table(spec, words) -> tuple[np.ndarray, tuple[Word, ...]]:
     left, right = tables
     code = (left.labels[np.ix_(at[0], at[0])] * len(right)
             + right.labels[np.ix_(at[1], at[1])])
-    codes, first, inverse_ = np.unique(code, return_index=True,
-                                       return_inverse=True)
+    codes, first, of_code = np.unique(code, return_index=True,
+                                      return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     classes = tuple(pair_word(spec, left.classes[c // len(right)],
                               right.classes[c % len(right)])
                     for c in codes[order].tolist())
-    return rank[inverse_].reshape(code.shape), classes
+    return rank[of_code].reshape(code.shape), classes
 
 
 def label_pairs(labels: np.ndarray) -> list[list[tuple[int, int]]]:

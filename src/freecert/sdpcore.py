@@ -223,8 +223,10 @@ class _Partition:
     without x0, projects onto the directions of the affine set. S(X) is one
     np.bincount: over the labels for a real X, and over the float view of a
     complex X with labels 2k (real parts) and 2k + 1 (imaginary parts), so
-    every complex matrix passed in is C-contiguous. With dtype float (for
-    a real instance) x0 and the directions are real symmetric.
+    every complex matrix passed in is C-contiguous. apply, null, class_sums
+    and residual also take a (B, n, n) stack, with one bincount and one
+    gather for all of it (_Index). With dtype float (for a real instance)
+    x0 and the directions are real symmetric.
     """
 
     def __init__(self, inst: SdpInstance, dtype=complex):
@@ -303,11 +305,7 @@ class _Partition:
                 (one.real + k * b).reshape(X.shape),
                 one.beta[None].repeat(B, 0).ravel(),
                 one.offset[None].repeat(B, 0).ravel(), one.sums + k * b,
-                one.pinned + nn * b, one.free + nn * b, one.first + nn * b
-            ) if B > 1 else one._replace(
-                labels=one.labels[None], sums=one.sums[None],
-                pinned=one.pinned[None], free=one.free[None],
-                first=one.first[None])
+                one.pinned + nn * b, one.free + nn * b, one.first + nn * b)
         return ix
 
     def _sums_of(self, X: np.ndarray, ix: _Index) -> np.ndarray:
@@ -706,9 +704,8 @@ def maximize_many(instances: Sequence[SdpInstance],
         """The predictor-corrector step (dy, dS, dX) and the step lengths
         (ap, ad) of every row; _Ascent when a predictor step of a row whose
         S meets the rows within tol is a PSD direction along which its
-        objective grows. Each
-        factorization, and the step bounds of each half-step, are one call
-        over the stack (S, S, X)."""
+        objective grows. The factorizations, and the step bounds of each
+        half-step, are one call over the stack (S, S, X)."""
         B = len(S)
         L3 = np.linalg.inv(np.linalg.cholesky(np.concatenate((S, S, X))))
         LH3 = _adjoint(L3)
