@@ -83,7 +83,7 @@ def _product_table(spec, words) -> tuple[np.ndarray, tuple[Word, ...]]:
             + right.labels[np.ix_(at[1], at[1])])
     codes, first, of_code = np.unique(code, return_index=True,
                                       return_inverse=True)
-    order = np.argsort(first)
+    order = np.argsort(first, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     classes = tuple(pair_word(spec, left.classes[c // len(right)],

@@ -223,9 +223,9 @@ class _Partition:
     without x0, projects onto the directions of the affine set. S(X) is one
     np.bincount: over the labels for a real X, and over the float view of a
     complex X with labels 2k (real parts) and 2k + 1 (imaginary parts), so
-    every complex matrix passed in is C-contiguous. apply, null, class_sums
-    and residual also take a (B, n, n) stack, with one bincount and one
-    gather for all of it (_Index). With dtype float (for a real instance)
+    every complex matrix passed in is C-contiguous. apply, null and
+    residual also take a (B, n, n) stack, with one bincount and one gather
+    for all of it (_Index). With dtype float (for a real instance)
     x0 and the directions are real symmetric.
     """
 
@@ -316,11 +316,7 @@ class _Partition:
                            2 * ix.rows * self._k).view(complex)
 
     def class_sums(self, X: np.ndarray) -> np.ndarray:
-        """S(X), a (k,) array, or S of every matrix of a (B, n, n) stack,
-        a (B, k) array."""
-        ix = self._index(X)
-        S = self._sums_of(X, ix)
-        return S if X.ndim == 2 else S.reshape(ix.rows, -1)
+        return self._sums_of(X, self._one)
 
     def _corrected(self, X: np.ndarray, offset: bool) -> np.ndarray:
         ix = self._index(X)
@@ -743,8 +739,7 @@ def maximize_many(instances: Sequence[SdpInstance],
         if psd.any() and (psd & (np.vecdot(c[..., 0], dy[..., 0]) > 0.0)
                           & (part.residual(S) <= tol)).any():
             raise _Ascent
-        # min(1, 1 / -lo), and 1 when lo >= 0
-        ap, ad = (1.0 / np.maximum(-lo[B:], 1.0)).reshape(2, B, 1, 1)
+        ap, ad = np.minimum(1.0, _steps(lo[B:])).reshape(2, B, 1, 1)
         mu_aff = inner(X + ad * dX, S + ap * dS) / n
         sigma = np.minimum(1.0, (mu_aff / mu) ** 3)
         dy, dS, dX = direction((sigma * mu)[:, None, None], dX @ dS @ Si)
