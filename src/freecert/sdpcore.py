@@ -296,9 +296,15 @@ class _Partition:
         """The _Index of one matrix, or of a stack of len(X)."""
         if X.ndim == 2:
             return self._one
-        ix = self._stacks.get(len(X))
-        if ix is None:
-            one, B = self._one, len(X)
+        one, B = self._one, len(X)
+        ix = self._stacks.get(B)
+        if ix is None and B == 1:
+            # the arrays of one matrix, as views with a leading axis
+            ix = self._stacks[1] = one._replace(
+                labels=one.labels[None], sums=one.sums[None],
+                pinned=one.pinned[None], free=one.free[None],
+                first=one.first[None])
+        elif ix is None:
             k, nn, b = self._k, self.n * self.n, np.arange(B)[:, None]
             ix = self._stacks[B] = _Index(
                 B, (one.real + k * b).ravel(), (one.cplx + 2 * k * b).ravel(),

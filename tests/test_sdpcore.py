@@ -512,7 +512,7 @@ def _first_failure(instances, tols):
     for inst, tol in zip(instances, tols):
         try:
             maximize(inst, tol)
-        except Exception as exc:  # noqa: BLE001 - compared below
+        except SdpError as exc:
             return exc
     return None
 
