@@ -268,7 +268,7 @@ class _Partition:
             self._offset = self._offset.real
         self.x0 = self._offset[labels]
         self._keep = sums[labels].astype(float) if sums.any() else None
-        self._flat = flat = labels.ravel()
+        flat = labels.ravel()
         self._k = k
         self._size, self._sums, self._pinned = size, sums, pinned
         self._transpose = transpose
