@@ -74,6 +74,7 @@ __all__ = [
     "correlation_of",
     "outer_bound",
     "inner_bound",
+    "parse_level",
     "hierarchy_words",
     "moment_instance",
     "povm_instance",
@@ -263,6 +264,22 @@ def _base_words(cyc: GroupSpec, syllables: int) -> list[Word]:
     return out
 
 
+def parse_level(level) -> str | int:
+    """A hierarchy level, or its text: "1ab" ("1+ab" reads the same), or
+    an integer >= 1. ValueError for anything else."""
+    lvl = str(level).lower().replace("+", "")
+    if lvl == "1ab":
+        return lvl
+    try:
+        n = int(lvl)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"level must be 1ab or an integer >= 1, got "
+                         f"{level!r}")
+    return n
+
+
 def hierarchy_words(s: BellScenario, level) -> list[Word]:
     """The index set E_n of the moment matrix.
 
@@ -271,7 +288,7 @@ def hierarchy_words(s: BellScenario, level) -> list[Word]:
     """
     spec = _product_spec(s)
     cyc = spec.left
-    lvl = str(level).lower().replace("+", "")
+    lvl = parse_level(level)
     if lvl == "1ab":
         singles = [w for w in _base_words(cyc, 1) if not w.is_unit]
         words = [unit(spec)]
@@ -279,9 +296,7 @@ def hierarchy_words(s: BellScenario, level) -> list[Word]:
         words += [pair_word(spec, unit(cyc), y) for y in singles]
         words += [pair_word(spec, x, y) for x in singles for y in singles]
     else:
-        n = int(lvl)
-        if n < 1:
-            raise ValueError("level must be >= 1")
+        n = lvl
         words = []
         left = _base_words(cyc, n)
         for x in left:

@@ -32,6 +32,7 @@ from .bell import (
     inner_bound,
     moment_instance,
     outer_bound,
+    parse_level,
 )
 from .certify import (
     NotCertified,
@@ -457,14 +458,17 @@ def _cmd_gns(args):
 
 def _cmd_bell_outer(args):
     scenario, functional = _load_functional(args.scenario)
-    _check_level(args.level)
+    try:
+        level = parse_level(args.level)
+    except ValueError as exc:
+        raise InputError(f"--{exc}") from exc
     try:
         inst = None
         if args.dump_sdp:
             # the dumped instance is the one solved
-            inst, _ = moment_instance(scenario, functional, args.level)
+            inst, _ = moment_instance(scenario, functional, level)
             _emit(instance_to_json(inst), args.dump_sdp)
-        value, info = outer_bound(scenario, functional, args.level,
+        value, info = outer_bound(scenario, functional, level,
                                   tol=args.tol, return_info=True,
                                   instance=inst)
     except ValueError as exc:
@@ -482,19 +486,6 @@ def _cmd_bell_outer(args):
     }
     _emit(report, args.out)
     return 0
-
-
-def _check_level(text: str) -> None:
-    """--level is "1ab" or an integer >= 1, read as hierarchy_words reads
-    it."""
-    level = text.lower().replace("+", "")
-    try:
-        ok = level == "1ab" or int(level) >= 1
-    except ValueError:
-        ok = False
-    if not ok:
-        raise InputError(f"--level must be 1ab or an integer >= 1, got "
-                         f"{text!r}")
 
 
 def _cmd_bell_inner(args):

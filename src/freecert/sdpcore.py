@@ -298,13 +298,7 @@ class _Partition:
             return self._one
         one, B = self._one, len(X)
         ix = self._stacks.get(B)
-        if ix is None and B == 1:
-            # the arrays of one matrix, as views with a leading axis
-            ix = self._stacks[1] = one._replace(
-                labels=one.labels[None], sums=one.sums[None],
-                pinned=one.pinned[None], free=one.free[None],
-                first=one.first[None])
-        elif ix is None:
+        if ix is None:
             k, nn, b = self._k, self.n * self.n, np.arange(B)[:, None]
             ix = self._stacks[B] = _Index(
                 B, (one.real + k * b).ravel(), (one.cplx + 2 * k * b).ravel(),
@@ -436,10 +430,11 @@ FIXED_TRACE_REL = 1e-9
 # boundary that one step may cover
 IPM_MAX_ITER = 60
 STEP_FRACTION = 0.95
-# directions per block when forming the interior-point system: as many as
-# fit BLOCK_ENTRIES matrix entries, and at least BLOCK
-BLOCK = 16
-BLOCK_ENTRIES = 1 << 14
+# the matrix entries of one instance's block of directions when forming the
+# interior-point system. The cap is per instance, so a stack of B holds B
+# times as many: the rounding of K depends on the block size, and a cap
+# over the stack would give an instance other bits in a larger stack.
+BLOCK_ENTRIES = 1 << 17
 
 
 class _DualGap:
@@ -666,7 +661,7 @@ def maximize_many(instances: Sequence[SdpInstance],
     # imaginary parts
     Dr = D.reshape(m, n * n).view(np.float64)
     DrT = Dr.T
-    block = max(BLOCK, BLOCK_ENTRIES // max(1, n * n))
+    block = max(1, BLOCK_ENTRIES // (n * n))
 
     # y, c and the steps dy are (B, m, 1) columns, and every per-matrix
     # product below is one BLAS call per matrix of the stack
@@ -679,14 +674,17 @@ def maximize_many(instances: Sequence[SdpInstance],
         return (DrT @ dy).reshape(-1, n, Dr.shape[1] // n).view(dtype)
 
     def inner(A, B):
-        return np.vecdot(A.reshape(len(A), -1), B.reshape(len(B), -1)).real
+        """<A_b, B_b> for every b, B a stack or one matrix: one dot
+        product per row."""
+        a = A.reshape(-1, 1, n * n).conj()
+        b = B.reshape(-1, 1, n * n)
+        return (a @ b.swapaxes(1, 2))[:, 0, 0].real
 
     x0, eye = part.x0, np.eye(n, dtype=dtype)
-    x0r = x0.ravel()
     trace = part.fixed_trace()
     C = np.array([_objective_matrix(inst, dtype) for inst in instances])
     c = adjoint(C)
-    C_x0 = np.vecdot(C.reshape(len(C), -1), x0r).real
+    C_x0 = inner(C, x0)
     lo = _lmin(x0)
     S = (x0 + (0.0 if lo > 0.0 else 1.0 - lo) * eye)[None].repeat(len(C), 0)
     X = (1.0 + np.abs(C).max(axis=(1, 2), initial=0.0))[:, None, None] * eye
@@ -706,17 +704,16 @@ def maximize_many(instances: Sequence[SdpInstance],
         """The predictor-corrector step (dy, dS, dX) and the step lengths
         (ap, ad) of every row; _Ascent when a predictor step of a row whose
         S meets the rows within tol is a PSD direction along which its
-        objective grows. The factorizations, and the step bounds of each
-        half-step, are one call over the stack (S, S, X)."""
+        objective grows. The factorizations of (S, X), and the step bounds
+        of each half-step, are one call over the stack."""
         B = len(S)
-        L3 = np.linalg.inv(np.linalg.cholesky(np.concatenate((S, S, X))))
-        LH3 = _adjoint(L3)
-        L, LH = L3[B:], LH3[B:]  # the factors of (S, X)
+        L = np.linalg.inv(np.linalg.cholesky(np.concatenate((S, X))))
+        LH = _adjoint(L)
         Si = LH[:B] @ L[:B]
         mu = inner(X, S) / n
         XRS = X @ R @ Si
         # K[e, d] = <X D_e S^-1, D_d>, a symmetric matrix, formed in
-        # blocks of directions to keep the temporaries small
+        # blocks of directions to bound the temporaries (BLOCK_ENTRIES)
         K = np.empty((B, m, m))
         for a in range(0, m, block):
             T = (X[:, None] @ D[a:a + block] @ Si[:, None]).view(np.float64)
@@ -737,12 +734,13 @@ def maximize_many(instances: Sequence[SdpInstance],
             return dy, dS, _hermitian(dX if extra is None else dX - extra)
 
         dy, dS, dX = direction(None, None)
-        # lmin of the predictor's S-step along the directions alone, of dS
-        # and of dX, each in the metric of its factor
-        lo = np.linalg.eigvalsh(
-            L3 @ np.concatenate((along(dy), dS, dX)) @ LH3)[:, 0]
+        # lmin of the predictor's S-step along the directions alone (is it
+        # PSD?), and of dS and dX in the metric of their factors (the step
+        # bounds): one call
+        lo = np.linalg.eigvalsh(np.concatenate(
+            (along(dy), L @ np.concatenate((dS, dX)) @ LH)))[:, 0]
         psd = lo[:B] >= 0.0
-        if psd.any() and (psd & (np.vecdot(c[..., 0], dy[..., 0]) > 0.0)
+        if psd.any() and (psd & ((c.swapaxes(1, 2) @ dy)[:, 0, 0] > 0.0)
                           & (part.residual(S) <= tol)).any():
             raise _Ascent
         ap, ad = np.minimum(1.0, _steps(lo[B:])).reshape(2, B, 1, 1)
@@ -772,8 +770,7 @@ def maximize_many(instances: Sequence[SdpInstance],
             Xp = W - part.null(W + C)
             floor = np.linalg.eigvalsh(Xp)[:, 0]
             shift = np.maximum(0.0, -floor)
-            formed = (C_x0 + np.vecdot(Xp.reshape(len(Xp), -1), x0r).real
-                      + shift * (trace or 0.0))
+            formed = C_x0 + inner(Xp, x0) + shift * (trace or 0.0)
             if trace is None:
                 # only a PSD X' gives a bound: keep the last one formed
                 ok = floor >= 0.0

@@ -16,6 +16,7 @@ from freecert.bell import (
     inner_bound,
     moment_instance,
     outer_bound,
+    parse_level,
 )
 
 CHSH = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
@@ -233,6 +234,15 @@ def test_hierarchy_words_counts():
     assert len(hierarchy_words(S22, 2)) == 13
     s23 = BellScenario(2, 3)
     assert len(hierarchy_words(s23, 1)) == 1 + 2 * 2 * 2
+
+
+def test_parse_level():
+    assert [parse_level(v) for v in (1, "2", "1ab", "1+AB")] == [1, 2, "1ab",
+                                                                "1ab"]
+    for bad in ("x", 0, "-1", "1.5", ""):
+        with pytest.raises(ValueError, match="level must be 1ab or an "
+                                             "integer >= 1"):
+            hierarchy_words(S22, bad)
 
 
 def test_fourier_consistency():
