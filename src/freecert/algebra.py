@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .denselin import HERMITIAN_TOL, hermitian
 from .quotients import QuotientTable
 from .words import (
     CYCLIC,
@@ -74,7 +75,8 @@ class GroupAlgebraElement:
 
     def is_hermitian(self) -> bool:
         scale = 1.0 + max((abs(c) for c in self.terms.values()), default=0.0)
-        return all(abs(c - self.coeff(inverse(w)).conjugate()) <= 1e-12 * scale
+        return all(abs(c - self.coeff(inverse(w)).conjugate())
+                   <= HERMITIAN_TOL * scale
                    for w, c in self.terms.items())
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -159,14 +161,10 @@ def toeplitz_matrix(g, E) -> np.ndarray:
 
 def hermitian_toeplitz(M: np.ndarray) -> np.ndarray:
     """Check that the gathered compression M[s, t] = g(s^{-1}t) respects
-    g(a^{-1}) = conj(g(a)) within 1e-12 of its scale; return its hermitian
-    part."""
-    if M.size:
-        scale = 1.0 + float(np.max(np.abs(M)))
-        if np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
-            raise ValueError(
-                "values break hermitian symmetry g(a^{-1}) = conj(g(a))")
-    return 0.5 * (M + M.conj().T)
+    g(a^{-1}) = conj(g(a)) within HERMITIAN_TOL of its scale; return its
+    hermitian part."""
+    return hermitian(
+        M, "values break hermitian symmetry g(a^{-1}) = conj(g(a))")
 
 
 @dataclass(frozen=True)

@@ -154,10 +154,11 @@ def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
 
 
 def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
-                tol: float = 1e-9):
+                tol: float = 1e-9, instance=None):
     """Search for a sum-of-hermitian-squares factorization of f + eps*delta_1
-    with factors supported in E. Returns an SosCertificate or NotCertified."""
-    inst, fscale = gram_instance(f, E, epsilon)
+    with factors supported in E. Returns an SosCertificate or NotCertified.
+    `instance` is gram_instance(f, E, epsilon) if the caller has built it."""
+    inst, fscale = instance or gram_instance(f, E, epsilon)
     return _certify(inst, fscale, tol,
                     lambda b: _build_sos(E, epsilon, b, f),
                     "Gram SDP found no PSD solution within tolerance")
@@ -239,11 +240,12 @@ def verify_sos(cert: SosCertificate, f: GroupAlgebraElement) -> float:
 
 
 def certify_trace(f: GroupAlgebraElement, E: GroundedSet,
-                  epsilon: float = 0.0, tol: float = 1e-9):
+                  epsilon: float = 0.0, tol: float = 1e-9, instance=None):
     """Certify trace positivity: find a Gram matrix whose factorization
     matches f + eps*delta_1 on every conjugacy class sum. Words of supp f
-    must be conjugate into E^-1E."""
-    inst, fscale = gram_instance(f, E, epsilon, trace=True)
+    must be conjugate into E^-1E. `instance` is gram_instance(f, E,
+    epsilon, trace=True) if the caller has built it."""
+    inst, fscale = instance or gram_instance(f, E, epsilon, trace=True)
     return _certify(inst, fscale, tol,
                     lambda b: _build_trace(E, epsilon, b, f),
                     "class-sum Gram SDP found no PSD solution")

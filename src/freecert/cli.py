@@ -298,12 +298,13 @@ def _cmd_certify(args, trace: bool):
     E = _support_set(f, read, args.support)
     runner = certify_trace if trace else certify_sos
     try:
-        result = runner(f, E, epsilon=args.epsilon, tol=args.tol)
+        built = gram_instance(f, E, args.epsilon, trace)
+        result = runner(f, E, epsilon=args.epsilon, tol=args.tol,
+                        instance=built)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if args.dump_sdp:
-        inst, _ = gram_instance(f, E, args.epsilon, trace)
-        _emit(instance_to_json(inst), args.dump_sdp)
+    if args.dump_sdp:  # the instance that was solved
+        _emit(instance_to_json(built[0]), args.dump_sdp)
     report = {
         "command": "certify-trace" if trace else "certify",
         "inputs": _digest([args.input],

@@ -11,11 +11,16 @@ __all__ = [
     "hermitian",
     "eigh",
     "psd_floor",
+    "eig_floor",
     "pinv_psd",
     "PartialBlockMatrix",
     "complete_block",
+    "complete_gathered",
 ]
 
+# how far M - M* (or a unit value's imaginary part) may reach, relative to
+# 1 + max |M|, and still count as hermitian: rounding leaves a few ulps
+HERMITIAN_TOL = 1e-12
 # relative eigenvalue cutoff of the pseudo-inverse
 EIG_CUTOFF = 1e-12
 # relative eigenvalue cutoff for the rank of GNS Gram matrices
@@ -25,16 +30,24 @@ RANK_CUTOFF = 1e-10
 PSD_INPUT_TOL = 1e-8
 
 
-def hermitian(M: np.ndarray) -> np.ndarray:
-    """Symmetrize to (M + M*)/2 after checking M is nearly hermitian."""
+def hermitian(M: np.ndarray,
+              what: str = "matrix is not hermitian within tolerance"
+              ) -> np.ndarray:
+    """Symmetrize to (M + M*)/2 after checking that M is hermitian within
+    HERMITIAN_TOL of its scale (raising ValueError(what) if not)."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    if M.size:
-        scale = 1.0 + float(np.max(np.abs(M)))
-        if np.max(np.abs(M - M.conj().T)) > 1e-12 * scale:
-            raise ValueError("matrix is not hermitian within tolerance")
+    _check_hermitian(M, np.abs(M - M.conj().T), what)
     return 0.5 * (M + M.conj().T)
+
+
+def _check_hermitian(M: np.ndarray, dev: np.ndarray,
+                     what: str = "matrix is not hermitian within tolerance"):
+    """Raise ValueError(what) unless dev = |M - M*| stays within
+    HERMITIAN_TOL of 1 + max |M|."""
+    if M.size and dev.max() > HERMITIAN_TOL * (1.0 + float(np.abs(M).max())):
+        raise ValueError(what)
 
 
 def eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,6 +68,13 @@ def psd_floor(M: np.ndarray) -> float:
     return float(w[0])
 
 
+def eig_floor(M: np.ndarray) -> float:
+    """psd_floor of an exactly hermitian M by an eigenvalue-only solve."""
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
+    return float(np.linalg.eigvalsh(M)[0]) if M.size else 0.0
+
+
 def pinv_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
     """Pseudo-inverse of a PSD matrix; eigenvalues at or below
     max(EIG_CUTOFF * top, tol) count as zero, so a near-singular direction
@@ -67,7 +87,9 @@ def pinv_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
     if w[0] < -tol * scale:
         raise ValueError(f"matrix is not PSD within tolerance (min eig {w[0]:g})")
     cut = max(EIG_CUTOFF * max(top, 0.0), tol)
-    vals = np.array([1.0 / x if x > cut else 0.0 for x in w])
+    keep = w > cut
+    vals = np.zeros_like(w)
+    vals[keep] = 1.0 / w[keep]
     return (U * vals) @ U.conj().T
 
 
@@ -112,32 +134,46 @@ class PartialBlockMatrix:
 
 def complete_block(P: PartialBlockMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Fill the unspecified corner with Z = X B^+ Y and assemble the full
-    hermitian matrix.
+    hermitian matrix (by complete_gathered).
 
     Requires the two specified compressions [[A,X],[X*,B]] and [[B,Y],[Y*,C]]
     to be PSD within 1e-8 * scale; the assembled matrix is then PSD within
     1e-7 * scale.
     """
     n0, n1, n2 = P.sizes
-    scale = P.scale()
-    # the blocks by slice assignment; the compressions are views of full
     m1 = n0 + n1
-    full = np.empty((m1 + n2, m1 + n2), dtype=complex)
-    full[:n0, :n0] = P.A
-    full[:n0, n0:m1] = P.X
-    full[n0:m1, :n0] = P.X.conj().T
-    full[n0:m1, n0:m1] = P.B
-    full[n0:m1, m1:] = P.Y
-    full[m1:, n0:m1] = P.Y.conj().T
-    full[m1:, m1:] = P.C
-    upper, lower = full[:m1, :m1], full[n0:, n0:]
-    for name, comp in (("upper", upper), ("lower", lower)):
-        if comp.size and psd_floor(comp) < -PSD_INPUT_TOL * scale:
+    M = np.zeros((m1 + n2, m1 + n2), dtype=complex)
+    M[:n0, :n0] = P.A
+    M[:n0, n0:m1] = P.X
+    M[n0:m1, n0:m1] = P.B
+    M[n0:m1, m1:] = P.Y
+    M[m1:, m1:] = P.C
+    return complete_gathered(M, n0, n1)
+
+
+def complete_gathered(M: np.ndarray, n0: int,
+                      n1: int) -> tuple[np.ndarray, np.ndarray]:
+    """complete_block on the blocks of M, gathered in the order (A, B, C) of
+    sizes (n0, n1, rest), its two unknown corner blocks zero. Reads the
+    diagonal blocks, X and Y, and overwrites the other blocks of M. The
+    checks are those of PartialBlockMatrix and complete_block, in that
+    order; the compressions' floors are eigenvalue-only."""
+    m1 = n0 + n1
+    X, Y = M[:n0, n0:m1], M[n0:m1, m1:]
+    M[n0:m1, :n0] = X.conj().T
+    M[m1:, n0:m1] = Y.conj().T
+    dev = np.abs(M - M.conj().T)
+    for b in (slice(0, n0), slice(n0, m1), slice(m1, None)):
+        _check_hermitian(M[b, b], dev[b, b])
+    H = 0.5 * (M + M.conj().T)
+    scale = 1.0 + (float(np.max(np.abs(H))) if H.size else 0.0)
+    for name, comp in (("upper", H[:m1, :m1]), ("lower", H[n0:, n0:])):
+        if eig_floor(comp) < -PSD_INPUT_TOL * scale:
             raise ValueError(f"{name} compression is not PSD within tolerance")
     if n1 == 0:
-        Z = np.zeros((n0, n2), dtype=complex)
+        Z = np.zeros((n0, len(M) - m1), dtype=complex)
     else:
-        Z = P.X @ pinv_psd(P.B, tol=PSD_INPUT_TOL * scale) @ P.Y
-    full[:n0, m1:] = Z
-    full[m1:, :n0] = Z.conj().T
-    return Z, 0.5 * (full + full.conj().T)
+        Z = X @ pinv_psd(H[n0:m1, n0:m1], tol=PSD_INPUT_TOL * scale) @ Y
+    M[:n0, m1:] = Z
+    M[m1:, :n0] = Z.conj().T
+    return Z, 0.5 * (M + M.conj().T)

@@ -8,10 +8,11 @@ and the rest (E0), and the unknown entries are read off the canonical
 three-block completion with block order (E0, E1, {t0}).
 
 `extend_to` forms the |F|^2 word products s^-1 t over the target set F once,
-as a table of indices into one value vector; each step of the chain is then
-index arithmetic over that table, the block completion, and one
-eigendecomposition of the (|E|+1)-sized Toeplitz matrix for the PSD floor.
-`extend_one` is the one-step case.
+as a table of indices into one value vector. A step gathers the values of
+E u {t0} in block order (E0, E1, t0), completes them in one matrix
+(denselin.complete_gathered: one eigendecomposition, of the E1 block, and
+eigenvalue-only floors) and checks that matrix, the Toeplitz matrix of
+E u {t0} up to a permutation. `extend_one` is the one-step case.
 
 The construction needs the Cayley graph to be a tree, which is why only free
 groups are accepted: on groups with relations (already on the Z x Z lattice)
@@ -33,10 +34,11 @@ from .algebra import (
     toeplitz_matrix,
 )
 from .denselin import (
+    HERMITIAN_TOL,
     PSD_INPUT_TOL,
-    PartialBlockMatrix,
-    complete_block,
-    psd_floor,
+    complete_gathered,
+    eig_floor,
+    eigh,
 )
 from .grounded import GroundedSet, double_set, extension_chain, grounded_set
 from .words import (
@@ -83,6 +85,11 @@ class PartialPositiveType:
     def _gram(self) -> np.ndarray:
         return toeplitz_matrix(self.values, self.E.quotients)
 
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of the Gram matrix, read by the PSD check and by gns."""
+        return eigh(self._gram)
+
 
 def partial_positive_type(E: GroundedSet,
                           values: dict[Word, complex]) -> PartialPositiveType:
@@ -101,11 +108,11 @@ def partial_positive_type(E: GroundedSet,
     vals = {w: complex(v) for w, v in values.items()}
     scale = 1.0 + max((abs(v) for v in vals.values()), default=0.0)
     u = unit(E.spec)
-    if abs(vals[u].imag) > 1e-12 * scale:
+    if abs(vals[u].imag) > HERMITIAN_TOL * scale:
         raise ValueError("value at the unit must be real")
     vals[u] = complex(vals[u].real, 0.0)
     g = PartialPositiveType(E, vals)
-    floor = psd_floor(g.gram())
+    floor = float(g.spectrum[0][0])
     if floor < -PSD_INPUT_TOL * scale:
         raise ValueError(f"Toeplitz compression is not PSD (floor {floor:g})")
     return g
@@ -152,7 +159,6 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
     vals[given] = list(g.values.values())
     known = np.zeros(len(words), dtype=bool)
     known[given] = True
-    written: list[int] = []  # new quotients, in the order they are filled
 
     # tree parent (first letter dropped) of every non-unit element
     parent = np.full(n, -1, dtype=np.intp)
@@ -167,10 +173,10 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
         raise _not_grounded()
     if not known[Q[np.ix_(E_idx, E_idx)]].all():
         raise ValueError("values missing on E^-1E")
-    C = vals[Q[:1, :1]]  # the value at the unit
 
     # left[letter][j] = index of letter^-1 s_j in F, or -1
     left: dict[tuple[int, int], np.ndarray] = {}
+    written = []  # new quotients and their inverses, in the order filled
     for t0 in chain:
         p = pos[t0]
         if parent[p] < 0 or not in_E[parent[p]]:
@@ -185,44 +191,45 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
         shifted = left[letter][E_idx]
         in_E1 = (shifted >= 0) & in_E[shifted]
         E1, E0 = E_idx[in_E1], E_idx[~in_E1]
+        n0 = len(E0)
 
-        if not known[Q[E1, p]].all():
+        # the quotients of E u {t0} in block order (E0, E1, t0)
+        order = np.concatenate((E0, E1, [p]))
+        Qo = Q[order[:, None], order]
+        if not known[Qo[n0:-1, -1]].all():
             raise AssertionError("split-set rule produced an unknown quotient")
-        A = vals[Q[np.ix_(E0, E0)]]
-        X = vals[Q[np.ix_(E0, E1)]]
-        B = vals[Q[np.ix_(E1, E1)]]
-        Y = vals[Q[E1, p]].reshape(len(E1), 1)
+        T = vals[Qo]  # the E0 x t0 corners are unknown quotients: zero
+        Z, full = complete_gathered(T.copy(), n0, len(E1))
 
-        Z, _ = complete_block(PartialBlockMatrix(A, X, B, Y, C))
-
-        new_q = Q[E0, p]
+        new_q = Qo[:n0, -1]
         if known[new_q].any():
             raise AssertionError("quotient for an E0 word is already known")
-        for i, k in enumerate(new_q):
-            z = complex(Z[i, 0])
-            vals[k] = z
-            vals[conj[k]] = z.conjugate()
-            known[k] = known[conj[k]] = True
-            written.append(k)
-            written.append(conj[k])
+        z = Z[:, 0]
+        pair = np.array((new_q, conj[new_q])).T.ravel()
+        vals[pair] = np.array((z, z.conj())).T.ravel()
+        known[pair] = True
+        written.append(pair)
 
         in_E[p] = True
         E_idx = np.flatnonzero(in_E)
-        gram_idx = Q[np.ix_(E_idx, E_idx)]
-        if not known[gram_idx].all():
-            missing = {words[k] for k in gram_idx.ravel() if not known[k]}
+        if not known[Qo].all():
+            missing = {words[k] for k in Qo.ravel() if not known[k]}
             raise AssertionError(
                 f"extension left undefined quotients: {missing}")
         scale = 1.0 + float(np.max(np.abs(vals[known])))
-        floor = psd_floor(hermitian_toeplitz(vals[gram_idx]))
+        # with z filled in, T is the Toeplitz matrix of E u {t0}
+        T[:n0, -1], T[-1, :n0] = z, z.conj()
+        hermitian_toeplitz(T)
+        floor = eig_floor(full)
         if floor < -OUTPUT_PSD_TOL * scale:
             raise ValueError(
                 f"completion failed to stay PSD (floor {floor:g}); "
                 "input likely violated the PSD tolerance")
 
     out_vals = dict(g.values)
-    for k in written:
-        out_vals[words[k]] = complex(vals[k])
+    ks = np.concatenate(written)
+    for k, v in zip(ks.tolist(), vals[ks].tolist()):
+        out_vals[words[k]] = v
     return PartialPositiveType(F, out_vals)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denselin import PSD_INPUT_TOL, RANK_CUTOFF, eigh
+from .denselin import PSD_INPUT_TOL, RANK_CUTOFF
 from .extendpt import PartialPositiveType
 from .grounded import GroundedSet
 from .words import Word, generator, multiply
@@ -44,7 +44,7 @@ def gns(g: PartialPositiveType) -> GnsData:
     elements = list(E)
     index = E.positions
     M = g.gram()
-    w, U = eigh(M)
+    w, U = g.spectrum  # cached: partial_positive_type's PSD check reads it
     lam_max = float(w[-1]) if w.size else 0.0
     scale = 1.0 + max(lam_max, 0.0)
     if w.size and w[0] < -PSD_INPUT_TOL * scale:

@@ -116,6 +116,32 @@ def test_dump_sdp_is_the_solved_instance(tmp_path, capsys, monkeypatch,
     assert json.loads(open(dump).read()) == solved[0]
 
 
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+@pytest.mark.parametrize("dump", [False, True])
+def test_one_gram_instance_per_certify(tmp_path, capsys, monkeypatch,
+                                       command, dump):
+    import freecert.certify as certify_mod
+    import freecert.cli as cli_mod
+
+    calls = []
+    build = certify_mod.gram_instance
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for mod in (certify_mod, cli_mod):
+        monkeypatch.setattr(mod, "gram_instance", counting)
+    f = one(F2) * 3.0 - delta(g(1)) - delta(g(1, -1))
+    fpath = write(tmp_path, "f.json", element_to_json(f))
+    argv = [command, "--input", fpath, "--support", "e,g1^1"]
+    if dump:
+        argv += ["--dump-sdp", str(tmp_path / "sdp.json")]
+    code, _ = run(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_verify_tampered_certificate(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", toy_json())
     cert_path = str(tmp_path / "cert.json")

@@ -4,6 +4,8 @@ import pytest
 from freecert.denselin import (
     PartialBlockMatrix,
     complete_block,
+    complete_gathered,
+    eig_floor,
     eigh,
     hermitian,
     pinv_psd,
@@ -147,8 +149,28 @@ def test_complete_block_empty_middle():
 def test_complete_block_rejects_bad_compression():
     one = np.array([[1.0]])
     two = np.array([[2.0]])
-    with pytest.raises(ValueError):
+    zero = np.array([[0.0]])
+    with pytest.raises(ValueError, match="^upper compression is not PSD"):
         complete_block(PartialBlockMatrix(one, two, one, one, one))
+    with pytest.raises(ValueError, match="^lower compression is not PSD"):
+        complete_block(PartialBlockMatrix(one, zero, one, two, one))
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+def test_complete_gathered_checks_each_diagonal_block(block):
+    # the message of PartialBlockMatrix's own check, for A, B and C alike
+    M = np.eye(3, dtype=complex)
+    M[block, block] += 1e-3j
+    with pytest.raises(ValueError, match="^matrix is not hermitian"):
+        complete_gathered(M, 1, 1)
+    with pytest.raises(ValueError, match="^matrix is not hermitian"):
+        hermitian(M[block:block + 1, block:block + 1])
+    # below the diagonal blocks, the mirrors of X and Y are rebuilt
+    M = np.eye(3, dtype=complex)
+    M[1, 0] = M[2, 1] = 5.0
+    Z, full = complete_gathered(M, 1, 1)
+    assert Z.tobytes() == np.zeros((1, 1), dtype=complex).tobytes()
+    assert np.array_equal(full, np.eye(3))
 
 
 
@@ -168,16 +190,17 @@ def _complete_block_by_np_block(P):
 
 def test_complete_block_matches_np_block(monkeypatch):
     # slice assignment copies the same entries: the same bits, for every
-    # block size down to empty, and the same compressions are checked
+    # block size down to empty, and the same compressions are checked (by
+    # complete_gathered's eigenvalue-only floor, empty ones included)
     import freecert.denselin as denselin
 
     checked = []
 
     def floor(M):
         checked.append(np.array(M))
-        return psd_floor(M)
+        return eig_floor(M)
 
-    monkeypatch.setattr(denselin, "psd_floor", floor)
+    monkeypatch.setattr(denselin, "eig_floor", floor)
     rng = np.random.default_rng(55)
     for n0, n1, n2 in [(0, 0, 1), (1, 0, 0), (0, 2, 0), (2, 0, 3),
                        (0, 1, 2), (3, 2, 0), (1, 1, 1), (2, 3, 4)]:
@@ -190,7 +213,7 @@ def test_complete_block_matches_np_block(monkeypatch):
         upper, lower, Z0, full0 = _complete_block_by_np_block(P)
         assert Z.tobytes() == Z0.tobytes() and Z.shape == Z0.shape
         assert full.tobytes() == full0.tobytes() and full.shape == full0.shape
-        expected = [comp for comp in (upper, lower) if comp.size]
-        assert len(checked) == len(expected)
-        for got, want in zip(checked, expected):
+        assert len(checked) == 2
+        for got, want in zip(checked, (upper, lower)):
+            assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

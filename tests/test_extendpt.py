@@ -3,6 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freecert.algebra import hermitian_toeplitz
 from freecert.extendpt import (
     OUTPUT_PSD_TOL,
     PartialPositiveType,
@@ -11,7 +15,11 @@ from freecert.extendpt import (
     partial_positive_type,
     random_positive_type,
 )
-from freecert.denselin import psd_floor
+from freecert.denselin import (
+    PartialBlockMatrix,
+    complete_block,
+    psd_floor,
+)
 from freecert.grounded import (
     GroundedSet,
     double_set,
@@ -20,11 +28,14 @@ from freecert.grounded import (
     grounded_set,
 )
 from freecert.words import (
+    drop_first,
+    first_letter,
     free_group,
     generator,
     inverse,
     multiply,
     parse_word,
+    sort_key,
     unit,
 )
 
@@ -285,3 +296,232 @@ def test_extend_to_checks_every_step():
                                    g(1, -1): 0.5 + 1e-3j})
     with pytest.raises(ValueError, match="hermitian"):
         extend_to(skew, grounded_set(F2, {U, g(1), g(2)}))
+
+
+def _reference_extend_to(g, F):
+    # extend_to as it was before the gathered step: four gathers per step,
+    # the public PartialBlockMatrix/complete_block, per-quotient writes,
+    # and the re-gathered Toeplitz matrix checked by hermitian_toeplitz and
+    # psd_floor
+    chain = extension_chain(g.E, F)
+    if not chain:
+        return g
+    spec = g.spec
+    elements = tuple(sorted(F, key=sort_key))
+    if elements != F.elements:
+        F = GroundedSet(spec, elements)
+    pos = F.positions
+    n = len(elements)
+    table = F.quotients
+    Q, conj = table.labels, table.inverse
+    qindex = dict(table.index)
+    given = [qindex.setdefault(w, len(qindex)) for w in g.values]
+    words = list(qindex)
+    vals = np.zeros(len(words), dtype=complex)
+    vals[given] = list(g.values.values())
+    known = np.zeros(len(words), dtype=bool)
+    known[given] = True
+    written = []
+    parent = np.full(n, -1, dtype=np.intp)
+    for j in range(1, n):
+        parent[j] = pos.get(drop_first(elements[j]), -1)
+    in_E = np.zeros(n, dtype=bool)
+    in_E[[pos[s] for s in g.E]] = True
+    E_idx = np.flatnonzero(in_E)
+    above = parent[E_idx[1:]]
+    not_grounded = ValueError("set is not grounded (unit missing or "
+                              "suffix gap)")
+    if not (elements[0].is_unit and in_E[0]) or np.any(above < 0) \
+            or not np.all(in_E[above]):
+        raise not_grounded
+    if not known[Q[np.ix_(E_idx, E_idx)]].all():
+        raise ValueError("values missing on E^-1E")
+    C = vals[Q[:1, :1]]
+    left = {}
+    for t0 in chain:
+        p = pos[t0]
+        if parent[p] < 0 or not in_E[parent[p]]:
+            raise not_grounded
+        letter = first_letter(t0)
+        if letter not in left:
+            step_inv = generator(spec, letter[0], -letter[1])
+            left[letter] = np.array(
+                [pos.get(multiply(step_inv, s), -1) for s in elements],
+                dtype=np.intp)
+        shifted = left[letter][E_idx]
+        in_E1 = (shifted >= 0) & in_E[shifted]
+        E1, E0 = E_idx[in_E1], E_idx[~in_E1]
+        if not known[Q[E1, p]].all():
+            raise AssertionError("split-set rule produced an unknown quotient")
+        A = vals[Q[np.ix_(E0, E0)]]
+        X = vals[Q[np.ix_(E0, E1)]]
+        B = vals[Q[np.ix_(E1, E1)]]
+        Y = vals[Q[E1, p]].reshape(len(E1), 1)
+        Z, _ = complete_block(PartialBlockMatrix(A, X, B, Y, C))
+        new_q = Q[E0, p]
+        if known[new_q].any():
+            raise AssertionError("quotient for an E0 word is already known")
+        for i, k in enumerate(new_q):
+            z = complex(Z[i, 0])
+            vals[k] = z
+            vals[conj[k]] = z.conjugate()
+            known[k] = known[conj[k]] = True
+            written.append(k)
+            written.append(conj[k])
+        in_E[p] = True
+        E_idx = np.flatnonzero(in_E)
+        gram_idx = Q[np.ix_(E_idx, E_idx)]
+        if not known[gram_idx].all():
+            missing = {words[k] for k in gram_idx.ravel() if not known[k]}
+            raise AssertionError(
+                f"extension left undefined quotients: {missing}")
+        scale = 1.0 + float(np.max(np.abs(vals[known])))
+        floor = psd_floor(hermitian_toeplitz(vals[gram_idx]))
+        if floor < -OUTPUT_PSD_TOL * scale:
+            raise ValueError(
+                f"completion failed to stay PSD (floor {floor:g}); "
+                "input likely violated the PSD tolerance")
+    out_vals = dict(g.values)
+    for k in written:
+        out_vals[words[k]] = complex(vals[k])
+    return PartialPositiveType(F, out_vals)
+
+
+def _outcome(fn, g, F):
+    # the values with their bits (signs of zeros included) and their order,
+    # or the exception's type and message
+    try:
+        out = fn(g, F)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+    return out.E, [(w, v.real.hex(), v.imag.hex())
+                   for w, v in out.values.items()]
+
+
+def _assert_same_as_reference(g, F):
+    assert _outcome(extend_to, g, F) == _outcome(_reference_extend_to, g, F)
+
+
+def _random_case(d, size, steps, dim, noise, seed):
+    # a positive-type function of a dim-dimensional representation on a
+    # random grounded set of F_d (rank <= dim: deficient for dim 1-2), and a
+    # superset grown by `steps` letters; with `noise`, every non-unit value
+    # is moved by up to 3e-13, so that g(a^-1) = conj(g(a)) holds only
+    # within the 1e-12 hermitian tolerance
+    G = free_group(d)
+    rng = random.Random(seed)
+    words = {unit(G)}
+    while len(words) < size:
+        base = rng.choice(sorted(words, key=str))
+        words.add(multiply(generator(G, rng.randrange(1, d + 1),
+                                     rng.choice([-1, 1])), base))
+    E = grounded_set(G, words)
+    g0 = random_positive_type(E, dim=dim, seed=seed)
+    if noise:
+        nrng = np.random.default_rng(seed)
+        g0 = PartialPositiveType(E, {
+            w: v if w.is_unit else v + complex(*nrng.uniform(-3e-13, 3e-13, 2))
+            for w, v in g0.values.items()})
+    for _ in range(steps):
+        base = rng.choice(sorted(words, key=str))
+        words.add(multiply(generator(G, rng.randrange(1, d + 1),
+                                     rng.choice([-1, 1])), base))
+    return g0, grounded_set(G, words)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3]), size=st.integers(1, 8),
+       steps=st.integers(1, 10), dim=st.integers(1, 4), noise=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_extend_to_matches_reference_loop(d, size, steps, dim, noise, seed):
+    _assert_same_as_reference(*_random_case(d, size, steps, dim, noise, seed))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", [2, 575, 576])
+def test_chain_575_matches_reference_loop(dim, seed):
+    E, F = chain_575()
+    _assert_same_as_reference(random_positive_type(E, dim=dim, seed=seed), F)
+
+
+def _skew(E, overrides=None):
+    # the unvalidated function 0.5^|k| on the powers g1^k of E^-1E, with
+    # some values overridden
+    vals = {w: complex(0.5 ** abs(sum(e for _, e in w.letters)))
+            for w in double_set(E)}
+    return PartialPositiveType(E, {**vals, **(overrides or {})})
+
+
+def _faults():
+    E1 = grounded_set(F2, {U, g(1)})
+    E2 = grounded_set(F2, {U, g(1), g(1, 2)})
+    E575, F575 = chain_575()
+    good = random_positive_type(E575, dim=2, seed=2)
+    lowered = PartialPositiveType(E575, {**good.values,
+                                         U: good.values[U] - 5e-9})
+    gap = GroundedSet(F2, tuple(grounded_set(F2, {U, g(1), g(2)}))
+                      + (multiply(g(1), g(2, 2)),))
+    holed = PartialPositiveType(E1, {U: 1.0 + 0j, g(1): 0.5 + 0j})
+    return {
+        # t0 = g2: E0 = E, so A is the whole Toeplitz matrix of E
+        "A not hermitian": (_skew(E1, {g(1, -1): 0.5 + 1e-3j}),
+                            grounded_set(F2, {U, g(1), g(2)}),
+                            "matrix is not hermitian"),
+        # t0 = g1^3: E0 = {e}, E1 = {g1, g1^2}
+        "B not hermitian": (_skew(E2, {g(1, -1): 0.5 + 1e-3j}),
+                            grounded_set(F2, set(E2) | {g(1, 3)}),
+                            "matrix is not hermitian"),
+        # t0 = g1^2: A = B = [g(e)], the pair sits across E0 x E1
+        "inconsistent pair": (_skew(E1, {g(1, -1): 0.5 + 1e-3j}),
+                              grounded_set(F2, {U, g(1), g(1, 2)}),
+                              "values break hermitian symmetry"),
+        "upper not PSD": (_skew(E1, {g(1): 2.0, g(1, -1): 2.0}),
+                          grounded_set(F2, {U, g(1), g(1, 2)}),
+                          "upper compression is not PSD"),
+        "output floor": (lowered, F575, "completion failed to stay PSD"),
+        "ungrounded": (partial_positive_type(E1, _skew(E1).values), gap,
+                       "not grounded"),
+        "missing values": (holed, grounded_set(F2, {U, g(1), g(1, 2)}),
+                           "values missing"),
+    }
+
+
+# A lower compression that is not PSD cannot reach extend_to's check alone:
+# [[B, Y], [Y*, C]] over E1 u {t0} is, shifted by the letter's inverse, the
+# Toeplitz matrix of a subset of E, so a principal submatrix of the upper
+# compression, which is checked first (the lower check is tested on
+# complete_block). Likewise C is the unit value, which sits on A's diagonal.
+@pytest.mark.parametrize("fault", sorted(_faults()))
+def test_extend_to_failure_matches_reference_loop(fault):
+    base, F, message = _faults()[fault]
+    outcome = _outcome(extend_to, base, F)
+    assert outcome == _outcome(_reference_extend_to, base, F)
+    assert outcome[0] is ValueError and message in outcome[1]
+
+
+def test_one_eigh_per_step_with_nonempty_middle_block(monkeypatch):
+    # the pseudo-inverse of B is the only eigenvector solve of a step; the
+    # floors of both compressions and of the completed matrix are
+    # eigenvalue-only
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    rng = random.Random(77)
+    steps = middles = 0
+    for trial in range(40):
+        E = random_grounded(rng, 6)
+        current = random_positive_type(E, dim=rng.randrange(1, 4),
+                                       seed=7000 + trial)
+        for t0 in extension_chain(E, enlarge(rng, E, steps=5)):
+            letter = inverse(generator(F2, *first_letter(t0)))
+            n1 = sum(multiply(letter, s) in current.E for s in current.E)
+            for name in counts:
+                counts[name] = 0
+            current = extend_one(current, t0)
+            assert counts == {"eigh": int(n1 > 0), "eigvalsh": 3}
+            steps += 1
+            middles += n1 > 0
+    assert 0 < middles < steps  # both kinds of step were met

@@ -116,3 +116,26 @@ def test_gns_rejects_non_psd():
     bad = type(state)(E, {U: 1.0, g(1): 2.0, g(1, -1): 2.0})
     with pytest.raises(ValueError):
         gns(bad)
+
+
+def test_one_eigendecomposition_per_loaded_function(monkeypatch):
+    # the PSD check of partial_positive_type and gns read one eigh of the
+    # Gram matrix
+    calls = []
+    solve = np.linalg.eigh
+
+    def counting(M, *args, **kwargs):
+        calls.append(M.shape)
+        return solve(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    E = fixture_E()
+    g0 = random_positive_type(E, dim=2, seed=9)
+    loaded = partial_positive_type(E, g0.values)
+    calls.clear()
+    data = gns(loaded)
+    assert calls == []
+    assert data.rank == 2
+    calls.clear()
+    gns(partial_positive_type(E, g0.values))
+    assert calls == [(len(E), len(E))]
