@@ -49,6 +49,9 @@ __all__ = [
     "certificate_from_json",
 ]
 
+# the default bound on a certificate's verified residual
+CERTIFY_DEFAULT_TOL = 1e-9
+
 
 @dataclass
 class SosCertificate:
@@ -154,7 +157,7 @@ def _factor_gram(E, b) -> tuple[list[GroupAlgebraElement], np.ndarray]:
 
 
 def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
-                tol: float = 1e-9, instance=None):
+                tol: float = CERTIFY_DEFAULT_TOL, instance=None):
     """Search for a sum-of-hermitian-squares factorization of f + eps*delta_1
     with factors supported in E. Returns an SosCertificate or NotCertified.
     `instance` is gram_instance(f, E, epsilon) if the caller has built it."""
@@ -240,7 +243,8 @@ def verify_sos(cert: SosCertificate, f: GroupAlgebraElement) -> float:
 
 
 def certify_trace(f: GroupAlgebraElement, E: GroundedSet,
-                  epsilon: float = 0.0, tol: float = 1e-9, instance=None):
+                  epsilon: float = 0.0, tol: float = CERTIFY_DEFAULT_TOL,
+                  instance=None):
     """Certify trace positivity: find a Gram matrix whose factorization
     matches f + eps*delta_1 on every conjugacy class sum. Words of supp f
     must be conjugate into E^-1E. `instance` is gram_instance(f, E,

@@ -2,8 +2,9 @@
 falsification, GNS data, and Bell bounds over stable JSON formats.
 
 Exit codes: 0 success, 2 mathematically negative answer (refutation,
-falsification, failed verification), 1 input or usage errors. Every
-randomized subcommand takes a seed and prints it back; reports are
+falsification, failed verification), 1 input or usage errors and any
+library ValueError or SdpError, which `main` alone turns into one `error:`
+line. Randomized subcommands take a seed and print it back; reports are
 byte-identical for identical inputs and seeds (wall time goes to stderr).
 """
 
@@ -35,6 +36,7 @@ from .bell import (
     parse_level,
 )
 from .certify import (
+    CERTIFY_DEFAULT_TOL,
     NotCertified,
     TraceCertificate,
     certificate_from_json,
@@ -213,10 +215,7 @@ def _emit(report: dict, out_path: str | None):
 
 
 def _parse_words(read: WordReader, blob: str):
-    try:
-        return [read(tok.strip()) for tok in blob.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return [read(tok.strip()) for tok in blob.split(",") if tok.strip()]
 
 
 def _load_element(path, read: WordReader | None = None):
@@ -297,12 +296,8 @@ def _cmd_certify(args, trace: bool):
     f, read = _load_element(args.input)
     E = _support_set(f, read, args.support)
     runner = certify_trace if trace else certify_sos
-    try:
-        built = gram_instance(f, E, args.epsilon, trace)
-        result = runner(f, E, epsilon=args.epsilon, tol=args.tol,
-                        instance=built)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    built = gram_instance(f, E, args.epsilon, trace)
+    result = runner(f, E, epsilon=args.epsilon, tol=args.tol, instance=built)
     if args.dump_sdp:  # the instance that was solved
         _emit(instance_to_json(built[0]), args.dump_sdp)
     report = {
@@ -368,11 +363,8 @@ def _cmd_verify(args):
 def _cmd_extend(args):
     g, read = _load_partial(args.input)
     targets = _parse_words(read, args.target)
-    try:
-        F = grounded_set(g.spec, g.E.as_set() | set(targets))
-        out = extend_to(g, F)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    F = grounded_set(g.spec, g.E.as_set() | set(targets))
+    out = extend_to(g, F)
     report = _partial_to_json(out)
     _emit(report, args.out)
     return 0
@@ -387,10 +379,7 @@ def _cmd_complete(args):
             _matrix_from_json(obj["C"], "C"))
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{args.blocks}: {exc}") from exc
-    try:
-        Z, full = complete_block(P)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    Z, full = complete_block(P)
     report = {
         "command": "complete",
         "inputs": _digest([args.blocks]),
@@ -410,10 +399,7 @@ def _cmd_falsify(args):
         raise InputError(f"--dims: {exc}") from exc
     if not dims or min(dims) < 1:
         raise InputError("--dims entries must be >= 1")
-    try:
-        report = falsify(f, args.mode, dims, args.samples, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = falsify(f, args.mode, dims, args.samples, args.seed)
     falsified = report.worst < -10.0 * args.tol
     out = {
         "command": "falsify",
@@ -433,10 +419,7 @@ def _cmd_falsify(args):
 
 def _cmd_gns(args):
     g, _ = _load_partial(args.input)
-    try:
-        data = gns(g)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    data = gns(g)
     gens = {}
     for (i, sign), (L, mask) in sorted(data.gens.items()):
         gens[f"g{i}^{sign:+d}"] = {
@@ -463,17 +446,14 @@ def _cmd_bell_outer(args):
         level = parse_level(args.level)
     except ValueError as exc:
         raise InputError(f"--{exc}") from exc
+    inst = None
+    if args.dump_sdp:
+        # the dumped instance is the one solved
+        inst, _ = moment_instance(scenario, functional, level)
+        _emit(instance_to_json(inst), args.dump_sdp)
     try:
-        inst = None
-        if args.dump_sdp:
-            # the dumped instance is the one solved
-            inst, _ = moment_instance(scenario, functional, level)
-            _emit(instance_to_json(inst), args.dump_sdp)
-        value, info = outer_bound(scenario, functional, level,
-                                  tol=args.tol, return_info=True,
-                                  instance=inst)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        value, info = outer_bound(scenario, functional, level, tol=args.tol,
+                                  return_info=True, instance=inst)
     except SdpError as exc:
         raise InputError(f"the moment relaxation was not solved at --tol "
                          f"{args.tol:g}: {exc}") from exc
@@ -495,8 +475,6 @@ def _cmd_bell_inner(args):
         value, A, B, xi, info = inner_bound(
             scenario, functional, dim=args.dim, iters=args.iters,
             seed=args.seed, restarts=args.restarts, return_info=True)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     except SdpError as exc:
         raise InputError(f"a see-saw measurement update was not solved: "
                          f"{exc}") from exc
@@ -542,9 +520,15 @@ def _cmd_selftest(args):
     return 0 if ok else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freecert",
         description=("Positivity certificates in free group algebras and "
                      "bounds on quantum correlation sets"))
@@ -555,7 +539,7 @@ def _build_parser():
     p.add_argument("--support", default="auto",
                    help="comma-separated grounded support words, or 'auto'")
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=CERTIFY_DEFAULT_TOL)
     p.add_argument("--out", help="certificate output path")
     p.add_argument("--dump-sdp", help="write the Gram SDP instance JSON")
     p.set_defaults(fn=lambda a: _cmd_certify(a, trace=False))
@@ -564,7 +548,7 @@ def _build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--support", default="auto")
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=CERTIFY_DEFAULT_TOL)
     p.add_argument("--out")
     p.add_argument("--dump-sdp")
     p.set_defaults(fn=lambda a: _cmd_certify(a, trace=True))
@@ -631,12 +615,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    start = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
+        start = time.perf_counter()
         _check_numbers(args)
         code = args.fn(args)
-    except InputError as exc:
+    except (InputError, ValueError, SdpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wall time: {time.perf_counter() - start:.3f}s", file=sys.stderr)

@@ -80,6 +80,8 @@ class GroupSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "GroupSpec":
+        if not isinstance(obj, dict):
+            raise ValueError(f"a group must be a JSON object, got {obj!r}")
         kind = obj.get("kind")
         if kind == PRODUCT:
             return direct_product(GroupSpec.from_json(obj["left"]),

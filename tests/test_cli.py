@@ -997,3 +997,59 @@ def test_bell_inner_reports_seesaw_solves(tmp_path, capsys, monkeypatch):
     assert code == 0 and not seen
     assert json.loads(out)["solver"] == {"sdp_calls": 0, "iterations": 0,
                                          "max_gap": None}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify"],  # a missing required flag
+    ["certify", "--input", "f.json", "--tol", "abc"],  # a bad value
+    ["bell-inner", "--scenario", "s.json", "--seed", "1", "--dim", "two"],
+    ["bogus"],  # an unknown subcommand
+])
+def test_usage_error_exit_one(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"]])
+def test_help_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: freecert")
+
+
+_FREE1 = {"kind": "free", "d": 1}
+
+
+@pytest.mark.parametrize("group, bad", [
+    ([1], [1]),
+    ("free", "free"),
+    ({"kind": "direct_product", "left": None, "right": _FREE1}, None),
+    ({"kind": "direct_product", "left": _FREE1, "right": 2}, 2),
+])
+@pytest.mark.parametrize("command, extra", [
+    ("certify", []), ("certify-trace", []), ("falsify", ["--seed", "1"]),
+    ("verify", []), ("extend", ["--target", "g1^2"]), ("gns", []),
+])
+def test_non_object_group_exit_one(tmp_path, capsys, group, bad, command,
+                                   extra):
+    path = write(tmp_path, "in.json", {**toy_json(), "group": group})
+    if command == "verify":
+        fpath = write(tmp_path, "f.json", toy_json())
+        code = main([command, "--cert", path, "--input", fpath])
+    else:
+        code = main([command, "--input", path, *extra])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {path}: a group must be a JSON object, "
+                            f"got {bad!r}\n")
+
+
+def test_malformed_support_word_names_the_flag(tmp_path, capsys):
+    fpath = write(tmp_path, "f.json", toy_json())
+    code = main(["certify", "--input", fpath, "--support", "e,gx"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --support: malformed word token 'gx'\n"

@@ -1,0 +1,162 @@
+"""Every subcommand but selftest, run in-process on mutated small valid
+inputs: a rejected input exits 1 with one `error:` line and no traceback,
+and an accepted one repeats byte for byte."""
+
+import contextlib
+import copy
+import functools
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from freecert.algebra import delta, element_to_json, one
+from freecert.certify import certificate_to_json, certify_sos
+from freecert.cli import main
+from freecert.grounded import grounded_set
+from freecert.words import free_group, generator, unit
+
+F2 = free_group(2)
+
+
+@functools.cache
+def _documents():
+    s1 = generator(F2, 1)
+    f = one(F2) - delta(s1, 0.5) - delta(~s1, 0.5)
+    cert = certify_sos(f, grounded_set(F2, {unit(F2), s1}))
+    c = [[[[w * (-1) ** (i + j) for j in range(2)] for i in range(2)]
+          for w in row] for row in ([1.0, 1.0], [1.0, -1.0])]
+    return {
+        "element": element_to_json(f),
+        "certificate": certificate_to_json(cert),
+        "partial": {"group": {"kind": "free", "d": 2},
+                    "domain": ["e", "g1^1"],
+                    "values": [{"word": "e", "re": 1.0, "im": 0.0},
+                               {"word": "g1^1", "re": 0.5, "im": 0.25},
+                               {"word": "g1^-1", "re": 0.5, "im": -0.25}]},
+        "blocks": {"A": [[1.0]], "X": [[[0.5, 0.25]]], "B": [[1.0]],
+                   "Y": [[[0.5, -0.25]]], "C": [[1.0]]},
+        "functional": {"d": 2, "m": 2, "coeff": c},
+    }
+
+
+# the inputs each subcommand reads, by document name, and its other flags;
+# {out} is the directory of the files it writes
+COMMANDS = {
+    "certify": ["--input", "{element}", "--out", "{out}/cert.json",
+                "--dump-sdp", "{out}/sdp.json"],
+    "certify-trace": ["--input", "{element}", "--out", "{out}/cert.json",
+                      "--dump-sdp", "{out}/sdp.json"],
+    "verify": ["--cert", "{certificate}", "--input", "{element}"],
+    "extend": ["--input", "{partial}", "--target", "g1^2",
+               "--out", "{out}/extended.json"],
+    "complete": ["--blocks", "{blocks}"],
+    "falsify": ["--input", "{element}", "--dims", "1,2", "--samples", "3",
+                "--seed", "1"],
+    "gns": ["--input", "{partial}"],
+    "bell-outer": ["--scenario", "{functional}", "--level", "1",
+                   "--dump-sdp", "{out}/sdp.json"],
+    "bell-inner": ["--scenario", "{functional}", "--dim", "1",
+                   "--restarts", "1", "--iters", "2", "--seed", "1"],
+}
+CASES = [(command, arg[1:-1]) for command, argv in COMMANDS.items()
+         for arg in argv if arg[:1] == "{" and arg[-1:] == "}"]
+
+_KEYS = ("kind", "d", "m", "left", "right", "word", "re", "im", "terms",
+         "domain", "values", "coeff", "A", "X", "factors", "gram")
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+    st.text(max_size=3),
+    st.sampled_from(["e", "g1^1", "g2^-1", "g1^1 g2^1", "free",
+                     "cyclic_free_product", "direct_product"]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(_KEYS)
+                                     | st.text(max_size=2), inner,
+                                     max_size=3)),
+    max_leaves=6)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, (*path, key))
+
+
+def _retype(value):
+    if isinstance(value, dict):
+        return list(value.values())
+    if isinstance(value, list):
+        return {str(i): v for i, v in enumerate(value)}
+    if isinstance(value, str):
+        return [value]
+    if value is None:
+        return {}
+    return str(value)
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one value, at any depth, replaced, dropped or retyped."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    ops = ("replace", "retype", "drop") if path else ("replace", "retype")
+    op = draw(st.sampled_from(ops))
+    if not path:
+        return draw(_VALUES) if op == "replace" else _retype(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    else:
+        parent[key] = (draw(_VALUES) if op == "replace"
+                       else _retype(parent[key]))
+    return doc
+
+
+def _run(argv, out_dir: Path):
+    for p in out_dir.iterdir():
+        p.unlink()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(stdout),
+          contextlib.redirect_stderr(stderr)):
+        code = main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+@pytest.mark.parametrize("command, name", CASES)
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(data=st.data())
+def test_mutated_input(command, name, data):
+    doc = data.draw(_mutated(_documents()[name]), label=name)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out_dir = tmp / "out"
+        out_dir.mkdir()
+        paths = {"out": str(out_dir)}
+        for key, value in _documents().items():
+            paths[key] = str(tmp / f"{key}.json")
+            Path(paths[key]).write_text(
+                json.dumps(doc if key == name else value))
+        argv = [command] + [a.format(**paths) for a in COMMANDS[command]]
+
+        code, out, err, files = _run(argv, out_dir)
+        assert code in (0, 1, 2)
+        if code == 1:
+            lines = err.splitlines()
+            assert out == "" and err.endswith("\n")
+            assert lines[-1].startswith("error: ")
+            assert not any(line.startswith("error:") for line in lines[:-1])
+        else:
+            again = _run(argv, out_dir)
+            assert (again[0], again[1], again[3]) == (code, out, files)
