@@ -43,6 +43,7 @@ __all__ = [
     "element_to_json",
     "element_from_json",
     "complex_from_json",
+    "json_float",
 ]
 
 # coefficients below this are treated as exact zeros and dropped
@@ -283,10 +284,17 @@ def element_from_json(obj: dict,
     return GroupAlgebraElement(read.spec, terms)
 
 
+def json_float(value) -> float:
+    """value when JSON wrote it as a number: not a bool or text."""
+    if type(value) not in (int, float):
+        raise ValueError(f"a coefficient must be a number, got {value!r}")
+    return float(value)
+
+
 def complex_from_json(t: dict) -> complex:
     """The finite complex number {"re": x, "im": y}; NaN and infinities,
     which JSON readers accept, are rejected rather than purged."""
-    z = complex(float(t["re"]), float(t["im"]))
+    z = complex(json_float(t["re"]), json_float(t["im"]))
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite coefficient {t['re']!r} + {t['im']!r}i")
     return z

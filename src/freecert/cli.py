@@ -2,10 +2,13 @@
 falsification, GNS data, and Bell bounds over stable JSON formats.
 
 Exit codes: 0 success, 2 mathematically negative answer (refutation,
-falsification, failed verification), 1 input or usage errors and any
-library ValueError or SdpError, which `main` alone turns into one `error:`
-line. Randomized subcommands take a seed and print it back; reports are
-byte-identical for identical inputs and seeds (wall time goes to stderr).
+falsification, failed verification), 1 input or usage errors, unreadable
+inputs, unwritable --out or --dump-sdp paths (the line starts with the
+path) and any library ValueError or SdpError, which `main` alone turns into
+one `error:` line. Each input is read once; a report's `inputs` is the
+SHA-256 of the bytes parsed, then of the flags. Randomized subcommands take
+a seed and print it back; reports are byte-identical for identical inputs
+and seeds (wall time goes to stderr).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import selftest
-from .algebra import complex_from_json, element_from_json, element_to_json
+from .algebra import (complex_from_json, element_from_json, element_to_json,
+                      json_float)
 from .bell import (
     OUTER_DEFAULT_TOL,
     BellFunctional,
@@ -53,7 +57,7 @@ from .extendpt import PartialPositiveType, extend_to, partial_positive_type
 from .gnsrep import gns
 from .grounded import grounded_hull, grounded_set
 from .sdpcore import SdpError, instance_to_json
-from .words import GroupSpec, WordReader, format_word
+from .words import GroupSpec, WordReader, format_word, json_int
 
 __all__ = ["main"]
 
@@ -62,26 +66,22 @@ class InputError(Exception):
     """Bad file contents or arguments; mapped to exit code 1."""
 
 
-def _load_json(path):
+def _load(path, parse):
+    """parse(obj) of the JSON document in the file at `path`, and the bytes
+    read. A fault of the file, of its UTF-8 or JSON text or of what parse
+    finds in it becomes one InputError that starts with the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return parse(json.loads(raw.decode("utf-8"))), raw
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: malformed JSON ({exc})") from exc
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
-def _digest(paths, extra=""):
-    h = hashlib.sha256()
-    for p in paths:
-        try:
-            with open(p, "rb") as fh:
-                h.update(fh.read())
-        except OSError as exc:
-            raise InputError(f"{p}: {exc.strerror or exc}") from exc
-    h.update(extra.encode())
-    return h.hexdigest()
+def _digest(raws, extra=""):
+    return hashlib.sha256(b"".join((*raws, extra.encode()))).hexdigest()
 
 
 _SEQUENCES = (list, tuple)
@@ -207,27 +207,30 @@ def json_text(obj) -> str:
 
 def _emit(report: dict, out_path: str | None):
     text = json_text(report)
-    if out_path:
+    if not out_path:
+        print(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise InputError(f"{out_path}: {exc.strerror or exc}") from exc
 
 
 def _parse_words(read: WordReader, blob: str):
     return [read(tok.strip()) for tok in blob.split(",") if tok.strip()]
 
 
-def _load_element(path, read: WordReader | None = None):
-    """The element in the file and the reader of its words, which goes on
-    to read the words given on the command line."""
-    obj = _load_json(path)
-    try:
-        if read is None:
-            read = WordReader(GroupSpec.from_json(obj["group"]))
-        return element_from_json(obj, read), read
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+def _element(obj):
+    """The element of obj and the reader of its words, which goes on to
+    read the words given on the command line."""
+    read = WordReader(GroupSpec.from_json(obj["group"]))
+    return element_from_json(obj, read), read
+
+
+def _certificate(obj):
+    read = WordReader(GroupSpec.from_json(obj["group"]))
+    return certificate_from_json(obj, read), read
 
 
 def _support_set(f, read: WordReader, blob: str | None):
@@ -239,17 +242,13 @@ def _support_set(f, read: WordReader, blob: str | None):
         raise InputError(f"--support: {exc}") from exc
 
 
-def _load_partial(path) -> tuple[PartialPositiveType, WordReader]:
-    obj = _load_json(path)
-    try:
-        read = WordReader(GroupSpec.from_json(obj["group"]))
-        E = grounded_set(read.spec, {read(s) for s in obj["domain"]})
-        values = {}
-        for t in obj["values"]:
-            values[read(t["word"])] = complex_from_json(t)
-        return partial_positive_type(E, values), read
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+def _partial(obj) -> tuple[PartialPositiveType, WordReader]:
+    read = WordReader(GroupSpec.from_json(obj["group"]))
+    E = grounded_set(read.spec, {read(s) for s in obj["domain"]})
+    values = {}
+    for t in obj["values"]:
+        values[read(t["word"])] = complex_from_json(t)
+    return partial_positive_type(E, values), read
 
 
 def _partial_to_json(g: PartialPositiveType) -> dict:
@@ -272,28 +271,24 @@ def _matrix_from_json(rows, what):
     try:
         M = np.array([[complex(e[0], e[1]) if isinstance(e, list) else complex(e)
                        for e in row] for row in rows], dtype=complex)
-    except (TypeError, IndexError, ValueError) as exc:
-        raise InputError(f"{what}: malformed matrix ({exc})") from exc
-    if M.size == 0:
-        return M.reshape((len(rows), 0) if rows else (0, 0))
-    return M
+    except (TypeError, IndexError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: malformed matrix ({exc})") from exc
+    return M if M.size else M.reshape((len(rows), 0) if rows else (0, 0))
 
 
-def _load_functional(path):
-    obj = _load_json(path)
-    try:
-        d, m = obj["d"], obj["m"]
-        if not all(type(v) is int for v in (d, m)):
-            raise InputError(f"{path}: d and m must be integers, got "
-                             f"{d!r} and {m!r}")
-        coeff = np.asarray(obj["coeff"], dtype=float).reshape(d, d, m, m)
-        return BellScenario(d, m), BellFunctional(coeff)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+def _blocks(obj) -> PartialBlockMatrix:
+    return PartialBlockMatrix(*(_matrix_from_json(obj[k], k) for k in "AXBYC"))
+
+
+def _functional(obj):
+    d, m = (json_int(obj[k], k) for k in "dm")
+    entries = np.asarray(obj["coeff"], dtype=object)
+    coeff = np.fromiter(map(json_float, entries.flat), float, entries.size)
+    return BellScenario(d, m), BellFunctional(coeff.reshape(d, d, m, m))
 
 
 def _cmd_certify(args, trace: bool):
-    f, read = _load_element(args.input)
+    (f, read), raw = _load(args.input, _element)
     E = _support_set(f, read, args.support)
     runner = certify_trace if trace else certify_sos
     built = gram_instance(f, E, args.epsilon, trace)
@@ -302,8 +297,7 @@ def _cmd_certify(args, trace: bool):
         _emit(instance_to_json(built[0]), args.dump_sdp)
     report = {
         "command": "certify-trace" if trace else "certify",
-        "inputs": _digest([args.input],
-                          f"{args.support}|{args.epsilon}|{args.tol}"),
+        "inputs": _digest([raw], f"{args.support}|{args.epsilon}|{args.tol}"),
         "epsilon": args.epsilon,
         "tol": args.tol,
         "support": [format_word(w) for w in E],
@@ -333,13 +327,9 @@ def _cmd_certify(args, trace: bool):
 
 
 def _cmd_verify(args):
-    cert_obj = _load_json(args.cert)
-    try:
-        read = WordReader(GroupSpec.from_json(cert_obj["group"]))
-        cert = certificate_from_json(cert_obj, read)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{args.cert}: {exc}") from exc
-    f, _ = _load_element(args.input, read)
+    (cert, read), cert_raw = _load(args.cert, _certificate)
+    f, raw = _load(args.input, functools.partial(element_from_json,
+                                                  read=read))
     trace = isinstance(cert, TraceCertificate)
     try:
         checked = verify_trace(cert, f) if trace else verify_sos(cert, f)
@@ -353,7 +343,7 @@ def _cmd_verify(args):
     else:
         residual = checked
         report = {"command": "verify", "kind": "sos", "residual": residual}
-    report["inputs"] = _digest([args.cert, args.input], str(args.tol))
+    report["inputs"] = _digest([cert_raw, raw], str(args.tol))
     report["tol"] = args.tol
     report["ok"] = residual <= args.tol
     _emit(report, args.out)
@@ -361,7 +351,7 @@ def _cmd_verify(args):
 
 
 def _cmd_extend(args):
-    g, read = _load_partial(args.input)
+    (g, read), _ = _load(args.input, _partial)
     targets = _parse_words(read, args.target)
     F = grounded_set(g.spec, g.E.as_set() | set(targets))
     out = extend_to(g, F)
@@ -371,18 +361,11 @@ def _cmd_extend(args):
 
 
 def _cmd_complete(args):
-    obj = _load_json(args.blocks)
-    try:
-        P = PartialBlockMatrix(
-            _matrix_from_json(obj["A"], "A"), _matrix_from_json(obj["X"], "X"),
-            _matrix_from_json(obj["B"], "B"), _matrix_from_json(obj["Y"], "Y"),
-            _matrix_from_json(obj["C"], "C"))
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"{args.blocks}: {exc}") from exc
+    P, raw = _load(args.blocks, _blocks)
     Z, full = complete_block(P)
     report = {
         "command": "complete",
-        "inputs": _digest([args.blocks]),
+        "inputs": _digest([raw]),
         "Z": _matrix_to_json(Z),
         "full": _matrix_to_json(full),
         "psd_floor": psd_floor(full),
@@ -392,7 +375,7 @@ def _cmd_complete(args):
 
 
 def _cmd_falsify(args):
-    f, _ = _load_element(args.input)
+    (f, _), raw = _load(args.input, _element)
     try:
         dims = [int(tok) for tok in args.dims.split(",") if tok.strip()]
     except ValueError as exc:
@@ -403,7 +386,7 @@ def _cmd_falsify(args):
     falsified = report.worst < -10.0 * args.tol
     out = {
         "command": "falsify",
-        "inputs": _digest([args.input], f"{args.mode}|{args.dims}|"
+        "inputs": _digest([raw], f"{args.mode}|{args.dims}|"
                           f"{args.samples}|{args.seed}|{args.tol}"),
         "mode": report.mode,
         "samples": report.samples,
@@ -418,7 +401,7 @@ def _cmd_falsify(args):
 
 
 def _cmd_gns(args):
-    g, _ = _load_partial(args.input)
+    (g, _), raw = _load(args.input, _partial)
     data = gns(g)
     gens = {}
     for (i, sign), (L, mask) in sorted(data.gens.items()):
@@ -428,7 +411,7 @@ def _cmd_gns(args):
         }
     report = {
         "command": "gns",
-        "inputs": _digest([args.input]),
+        "inputs": _digest([raw]),
         "support": [format_word(w) for w in data.E],
         "rank": data.rank,
         "gram": _matrix_to_json(data.gram),
@@ -441,7 +424,7 @@ def _cmd_gns(args):
 
 
 def _cmd_bell_outer(args):
-    scenario, functional = _load_functional(args.scenario)
+    (scenario, functional), raw = _load(args.scenario, _functional)
     try:
         level = parse_level(args.level)
     except ValueError as exc:
@@ -459,7 +442,7 @@ def _cmd_bell_outer(args):
                          f"{args.tol:g}: {exc}") from exc
     report = {
         "command": "bell-outer",
-        "inputs": _digest([args.scenario], f"{args.level}|{args.tol}"),
+        "inputs": _digest([raw], f"{args.level}|{args.tol}"),
         "level": str(args.level),
         "tol": args.tol,
         "value": value,
@@ -470,7 +453,7 @@ def _cmd_bell_outer(args):
 
 
 def _cmd_bell_inner(args):
-    scenario, functional = _load_functional(args.scenario)
+    (scenario, functional), raw = _load(args.scenario, _functional)
     try:
         value, A, B, xi, info = inner_bound(
             scenario, functional, dim=args.dim, iters=args.iters,
@@ -483,7 +466,7 @@ def _cmd_bell_inner(args):
                              for P in (A.settings, B.settings)))
     report = {
         "command": "bell-inner",
-        "inputs": _digest([args.scenario],
+        "inputs": _digest([raw],
                           f"{args.dim}|{args.restarts}|{args.seed}|{args.iters}"),
         "dim": args.dim,
         "restarts": args.restarts,

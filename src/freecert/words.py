@@ -31,6 +31,7 @@ __all__ = [
     "format_word",
     "parse_word",
     "WordReader",
+    "json_int",
 ]
 
 FREE = "free"
@@ -87,10 +88,17 @@ class GroupSpec:
             return direct_product(GroupSpec.from_json(obj["left"]),
                                   GroupSpec.from_json(obj["right"]))
         if kind == CYCLIC:
-            return cyclic_free_product(int(obj["d"]), int(obj["m"]))
+            return cyclic_free_product(*(json_int(obj[k], k) for k in "dm"))
         if kind == FREE:
-            return free_group(int(obj["d"]))
+            return free_group(json_int(obj["d"], "d"))
         raise ValueError(f"unknown group kind {kind!r}")
+
+
+def json_int(value, name: str) -> int:
+    """value when JSON wrote it as an integer: not a float, bool or text."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def free_group(d: int) -> GroupSpec:

@@ -1053,3 +1053,102 @@ def test_malformed_support_word_names_the_flag(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: --support: malformed word token 'gx'\n"
+
+
+_BIG = 10 ** 400  # a JSON integer that no float holds
+
+
+def _fault_files(tmp_path):
+    """Input files with one fault each, next to valid ones, by name."""
+    big_re = toy_json()
+    big_re["terms"][0]["re"] = _BIG
+    big_coeff = chsh_scenario()
+    big_coeff["coeff"][0][0][0][0] = _BIG
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps({**toy_json(), "note": "café"},
+                                  ensure_ascii=False).encode("latin-1"))
+    return {
+        "f": write(tmp_path, "f.json", toy_json()),
+        "s": write(tmp_path, "chsh.json", chsh_scenario()),
+        "latin1": str(latin1),
+        "bad_y": write(tmp_path, "b.json", {"A": [[1.0]], "X": [[0.5]],
+                                            "B": [[1.0]], "Y": [["x"]],
+                                            "C": [[1.0]]}),
+        "inf_d": write(tmp_path, "inf_d.json", {
+            **toy_json(), "group": {"kind": "free", "d": float("inf")}}),
+        "big_re": write(tmp_path, "big_re.json", big_re),
+        "big_coeff": write(tmp_path, "big_coeff.json", big_coeff),
+    }
+
+
+@pytest.mark.parametrize("argv, path", [
+    (["certify", "--input", "{tmp}/nope.json"], "{tmp}/nope.json"),
+    (["falsify", "--input", "{tmp}", "--seed", "1"], "{tmp}"),
+    (["certify", "--input", "{latin1}"], "{latin1}"),
+    (["certify", "--input", "{f}", "--out", "{tmp}/no/c.json"],
+     "{tmp}/no/c.json"),
+    (["certify", "--input", "{f}", "--dump-sdp", "{tmp}/no/sdp.json"],
+     "{tmp}/no/sdp.json"),
+    (["certify-trace", "--input", "{f}", "--out", "{tmp}"], "{tmp}"),
+    (["bell-outer", "--scenario", "{s}", "--dump-sdp", "{tmp}"], "{tmp}"),
+    (["bell-inner", "--scenario", "{s}", "--seed", "1",
+      "--out", "{tmp}/no/r.json"], "{tmp}/no/r.json"),
+    (["complete", "--blocks", "{bad_y}"], "{bad_y}"),
+    (["certify", "--input", "{inf_d}"], "{inf_d}"),
+    (["certify", "--input", "{big_re}"], "{big_re}"),
+    (["bell-outer", "--scenario", "{big_coeff}"], "{big_coeff}"),
+])
+def test_file_fault_names_the_path(tmp_path, capsys, argv, path):
+    fields = {"tmp": tmp_path, **_fault_files(tmp_path)}
+    code = main([a.format(**fields) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith(f"error: {path.format(**fields)}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_malformed_block_names_file_and_block(tmp_path, capsys):
+    bpath = _fault_files(tmp_path)["bad_y"]
+    assert main(["complete", "--blocks", bpath]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: {bpath}: Y: malformed matrix (")
+
+
+def _set(obj, where, value):
+    *keys, last = where
+    for key in keys:
+        obj = obj[key]
+    obj[last] = value
+
+
+@pytest.mark.parametrize("command, doc, where, value, message", [
+    ("certify", toy_json, ("group", "d"), 2.9,
+     "d must be an integer, got 2.9"),
+    ("certify", toy_json, ("group", "d"), "2",
+     "d must be an integer, got '2'"),
+    ("certify", toy_json, ("group", "d"), True,
+     "d must be an integer, got True"),
+    ("certify", toy_json, ("group",), {"kind": "cyclic_free_product",
+                                       "d": 2, "m": 3.0},
+     "m must be an integer, got 3.0"),
+    ("certify", toy_json, ("terms", 1, "re"), "-0.5",
+     "a coefficient must be a number, got '-0.5'"),
+    ("certify", toy_json, ("terms", 1, "re"), True,
+     "a coefficient must be a number, got True"),
+    ("bell-outer", chsh_scenario, ("d",), 2.0,
+     "d must be an integer, got 2.0"),
+    ("bell-outer", chsh_scenario, ("coeff", 0, 0, 0, 1), "-1.0",
+     "a coefficient must be a number, got '-1.0'"),
+    ("bell-outer", chsh_scenario, ("coeff", 1, 1, 1, 1), False,
+     "a coefficient must be a number, got False"),
+])
+def test_outside_numbers_read_strictly(tmp_path, capsys, command, doc, where,
+                                       value, message):
+    obj = doc()
+    _set(obj, where, value)
+    path = write(tmp_path, "in.json", obj)
+    flag = "--scenario" if command == "bell-outer" else "--input"
+    code = main([command, flag, path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"

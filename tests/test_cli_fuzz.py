@@ -1,6 +1,7 @@
 """Every subcommand but selftest, run in-process on mutated small valid
-inputs: a rejected input exits 1 with one `error:` line and no traceback,
-and an accepted one repeats byte for byte."""
+inputs and on drawn flag values: a rejected input exits 1 with one `error:`
+line and no traceback, an accepted one repeats byte for byte, and every
+certificate written passes `verify`."""
 
 import contextlib
 import copy
@@ -134,29 +135,109 @@ def _run(argv, out_dir: Path):
     return code, stdout.getvalue(), stderr.getvalue(), files
 
 
+def _inputs(tmp: Path, name=None, doc=None) -> dict:
+    """Write every document, `doc` in place of the one called `name`, and
+    return the fields of COMMANDS: each document's path and {out}."""
+    paths = {"out": str(tmp / "out")}
+    (tmp / "out").mkdir()
+    for key, value in _documents().items():
+        paths[key] = str(tmp / f"{key}.json")
+        Path(paths[key]).write_text(json.dumps(doc if key == name else value))
+    return paths
+
+
+def _check(argv, out_dir: Path):
+    """Run argv once or twice and check the exit contract; return the exit
+    code and the files written."""
+    code, out, err, files = _run(argv, out_dir)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.splitlines()
+        assert out == "" and err.endswith("\n")
+        assert lines[-1].startswith("error: ")
+        assert not any(line.startswith("error:") for line in lines[:-1])
+    else:
+        again = _run(argv, out_dir)
+        assert (again[0], again[1], again[3]) == (code, out, files)
+    return code, files
+
+
+def _check_reverifies(files, paths, tol=()):
+    """The certificate in `files` passes `verify` on the element file."""
+    cert = Path(paths["out"]).parent / "emitted.json"
+    cert.write_bytes(files["cert.json"])
+    code, _, err, _ = _run(["verify", "--cert", str(cert),
+                            "--input", paths["element"], *tol],
+                           Path(paths["out"]))
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("command, name", CASES)
 @settings(derandomize=True, deadline=None, max_examples=25)
 @given(data=st.data())
 def test_mutated_input(command, name, data):
     doc = data.draw(_mutated(_documents()[name]), label=name)
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        out_dir = tmp / "out"
-        out_dir.mkdir()
-        paths = {"out": str(out_dir)}
-        for key, value in _documents().items():
-            paths[key] = str(tmp / f"{key}.json")
-            Path(paths[key]).write_text(
-                json.dumps(doc if key == name else value))
+        paths = _inputs(Path(tmp), name, doc)
         argv = [command] + [a.format(**paths) for a in COMMANDS[command]]
+        code, files = _check(argv, Path(paths["out"]))
+        if command.startswith("certify") and code == 0:
+            _check_reverifies(files, paths)
 
-        code, out, err, files = _run(argv, out_dir)
-        assert code in (0, 1, 2)
-        if code == 1:
-            lines = err.splitlines()
-            assert out == "" and err.endswith("\n")
-            assert lines[-1].startswith("error: ")
-            assert not any(line.startswith("error:") for line in lines[:-1])
-        else:
-            again = _run(argv, out_dir)
-            assert (again[0], again[1], again[3]) == (code, out, files)
+
+def _counts(hi):
+    """Text for a size flag: an integer of at most `hi`, or a non-integer."""
+    return st.integers(-2, hi).map(str) | st.sampled_from(
+        ["", "x", "1.5", "nan", "inf", "-inf", "1e3"])
+
+
+def _lists(item):
+    return st.lists(item, max_size=3).map(",".join)
+
+
+_WORDS = st.sampled_from(["", " ", "x", "auto", "1ab", "nan", "-inf", "e",
+                          "g1^1", "g1^-2", "g2^-1 g1^1", "g3^1"])
+_NUMBERS = (st.floats().map(repr) | st.integers(-5, 5).map(str)
+            | st.sampled_from(["1e-300", "1e300", "-0"]) | _WORDS)
+# drawn text for each flag; sizes and levels stay small, so that no value
+# asks for a large allocation or a long run
+FLAGS = {
+    "--support": _lists(_WORDS | st.text(max_size=3)),
+    "--target": _lists(_WORDS | st.text(max_size=3)),
+    "--epsilon": _NUMBERS,
+    "--tol": _NUMBERS,
+    "--mode": st.sampled_from(["operator", "trace", "", "x"]),
+    "--dims": _lists(_counts(4)),
+    "--samples": _counts(20),
+    "--seed": st.integers(-3, 2**64).map(str) | _WORDS,
+    "--level": _counts(3) | st.sampled_from(["1ab", "1+AB", "2ab"]),
+    "--dim": _counts(4),
+    "--restarts": _counts(4),
+    "--iters": _counts(20),
+}
+FLAG_CASES = [(command, flag) for command, flags in {
+    "certify": ("--support", "--epsilon", "--tol"),
+    "certify-trace": ("--support", "--epsilon", "--tol"),
+    "verify": ("--tol",),
+    "extend": ("--target",),
+    "falsify": ("--mode", "--dims", "--samples", "--seed", "--tol"),
+    "bell-outer": ("--level", "--tol"),
+    "bell-inner": ("--dim", "--restarts", "--iters", "--seed"),
+}.items() for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", FLAG_CASES)
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(data=st.data())
+def test_mutated_flag(command, flag, data):
+    value = data.draw(FLAGS[flag], label=flag)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _inputs(Path(tmp))
+        argv = [command] + [a.format(**paths) for a in COMMANDS[command]]
+        if flag in argv:  # the flag's value is replaced, not repeated
+            i = argv.index(flag)
+            del argv[i:i + 2]
+        code, files = _check([*argv, f"{flag}={value}"], Path(paths["out"]))
+        if command.startswith("certify") and code == 0:
+            _check_reverifies(files, paths,
+                              [f"--tol={value}"] if flag == "--tol" else [])
