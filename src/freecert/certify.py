@@ -96,11 +96,6 @@ class FalsifyReport:
     mode: str
 
 
-def _check_hermitian(f: GroupAlgebraElement):
-    if not f.is_hermitian():
-        raise ValueError("element is not hermitian")
-
-
 def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
                   epsilon: float = 0.0, trace: bool = False):
     """The normalized Gram SDP of f + eps*delta_1 over E and its scale
@@ -109,7 +104,8 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
     table of E, whose entries b[s,t] add up to
     (f + eps*delta_1)(class) / fscale. Returns (SdpInstance, fscale);
     b = G / fscale for the Gram matrix G."""
-    _check_hermitian(f)
+    if not f.is_hermitian():
+        raise ValueError("element is not hermitian")
     table = E.quotients
     if trace:
         of_class, keys = table.conjugacy
@@ -374,7 +370,7 @@ def certificate_from_json(obj: dict,
                           read: WordReader | None = None) -> SosCertificate:
     """The certificate of obj. One reader parses its support, every factor
     and its class residuals: a factor lists each support word again."""
-    from .algebra import element_from_json
+    from .algebra import element_from_json, json_float
     from .grounded import grounded_set
     from .words import GroupSpec
 
@@ -383,17 +379,19 @@ def certificate_from_json(obj: dict,
         read = WordReader(spec)
     spec = read.spec
     E = grounded_set(spec, {read(s) for s in obj["support"]})
-    gram = np.array([[complex(re, im) for re, im in row]
-                     for row in obj["gram"]], dtype=complex)
+    gram = np.array([[complex(json_float(re), json_float(im))
+                      for re, im in row] for row in obj["gram"]],
+                    dtype=complex)
     if gram.size == 0:
         gram = np.zeros((len(E), len(E)), dtype=complex)
     factors = [element_from_json(e, read) for e in obj["factors"]]
+    epsilon, residual = json_float(obj["epsilon"]), json_float(obj["residual"])
+    if not np.isfinite(epsilon):  # verify_sos's max would skip a NaN term
+        raise ValueError(f"epsilon must be finite, got {epsilon!r}")
     if obj.get("kind") == "trace":
-        cert = TraceCertificate(E, float(obj["epsilon"]), gram, factors,
-                                float(obj["residual"]))
+        cert = TraceCertificate(E, epsilon, gram, factors, residual)
         cert.class_residuals = {
-            read(w): complex(re, im)
+            read(w): complex(json_float(re), json_float(im))
             for w, (re, im) in obj.get("class_residuals", {}).items()}
         return cert
-    return SosCertificate(E, float(obj["epsilon"]), gram, factors,
-                          float(obj["residual"]))
+    return SosCertificate(E, epsilon, gram, factors, residual)

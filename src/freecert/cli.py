@@ -14,6 +14,7 @@ and seeds (wall time goes to stderr).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -269,7 +270,8 @@ def _matrix_to_json(M):
 
 def _matrix_from_json(rows, what):
     try:
-        M = np.array([[complex(e[0], e[1]) if isinstance(e, list) else complex(e)
+        M = np.array([[complex(json_float(e[0]), json_float(e[1]))
+                       if isinstance(e, list) else json_float(e)
                        for e in row] for row in rows], dtype=complex)
     except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: malformed matrix ({exc})") from exc
@@ -304,14 +306,7 @@ def _cmd_certify(args, trace: bool):
     }
     if isinstance(result, NotCertified):
         report["certified"] = False
-        report["solver"] = {
-            "psd_residual": result.psd_residual,
-            "affine_residual": result.affine_residual,
-            "iterations": result.iterations,
-            "message": result.message,
-            "status": result.status,
-            "certified_gap": result.certified_gap,
-        }
+        report["solver"] = dataclasses.asdict(result)
         _emit(report, args.out)
         return 2
     report["certified"] = True

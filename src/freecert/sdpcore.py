@@ -11,18 +11,19 @@ correction: one scatter-add of the class sums and one gather (_Partition).
 The directions of the affine set, the fixed-trace test and the multipliers
 of the dual certificates are closed forms of the same projection.
 
-Feasibility runs Douglas-Rachford projection splitting on hermitian n x n
-matrices, between the PSD cone (eigenvalue clipping) and the affine set;
-the affine projection of the cone shadow is the reported iterate. Plain
-Dykstra-corrected alternating projections only reach O(1/k) PSD floors on
-near-tangent moment instances, which is why the reflected update is used.
-
-When the constraints fix the trace, the gap between the cone point and its
-affine projection is a dual certificate (the infeasibility certificate of
-operator splitting, see _DualGap). A feasibility solve ends as "infeasible"
-as soon as one excludes every PSD point whose affine residual is within its
-tolerance; otherwise it ends "converged", "stalled" (the PSD floor stopped
-improving) or at "max_iter".
+Feasibility (solve_feasibility) is one Douglas-Rachford projection
+splitting loop on hermitian n x n matrices, between the PSD cone
+(eigenvalue clipping) and the affine set; the affine projection of the
+cone shadow is the reported iterate. Plain Dykstra-corrected alternating
+projections only reach O(1/k) PSD floors on near-tangent moment instances,
+which is why the reflected update is used. Every CHECK_EVERY iterations
+the loop scores the affine projection by its PSD floor and, when the
+constraints fix the trace, scores the gap between the cone point and its
+affine projection as a dual certificate (the infeasibility certificate of
+operator splitting, see _DualGap). The solve ends "converged" when the
+floor reaches its tolerance, "infeasible" as soon as a certificate
+excludes every PSD point whose affine residual is within the tolerance,
+"stalled" when the floor stops improving, or at "max_iter".
 
 Optimization (maximize) is one primal-dual interior-point solve over the
 directions of the affine set, the image of the same projection. It reports
@@ -178,12 +179,6 @@ def _hermitian(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + _adjoint(X))
 
 
-def _inner(A: np.ndarray, B: np.ndarray) -> float:
-    """<A, B> = Re tr(A^* B), the real inner product of hermitian
-    matrices."""
-    return float(np.vdot(A, B).real)
-
-
 def _lmin(X: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(X)[0])
 
@@ -315,9 +310,6 @@ class _Partition:
         return np.bincount(ix.cplx, X.view(np.float64).ravel(),
                            2 * ix.rows * self._k).view(complex)
 
-    def class_sums(self, X: np.ndarray) -> np.ndarray:
-        return self._sums_of(X, self._one)
-
     def _corrected(self, X: np.ndarray, offset: bool) -> np.ndarray:
         ix = self._index(X)
         out = ix.beta * self._sums_of(X, ix)
@@ -353,7 +345,7 @@ class _Partition:
         r): S_k(w)/|P_k| on the rows of a sum class (the least-norm choice),
         the deviation of w from the class mean on the rows of a tie class,
         and w itself on the rows of a pinned class."""
-        S = self.class_sums(w)
+        S = self._sums_of(w, self._one)
         dev = w.ravel() - (self._tie_mean * S)[self.labels.ravel()]
         entries = np.abs(dev.view(np.float64)).reshape(-1, 2).sum(axis=1)
         classes = np.abs(S.view(np.float64)).reshape(-1, 2).sum(axis=1)
@@ -466,52 +458,72 @@ class _DualGap:
         above becomes 0 <= g + delta (|lam|_1 + slack |nu|_1).
         """
         slack = float(np.linalg.norm(self.base.null(Y))) - min(0.0, _lmin(Y))
-        g = _inner(Y, self.base.x0) + self.trace * slack
+        g = float(np.vdot(Y, self.base.x0).real) + self.trace * slack
         if g >= 0.0:
             return 0.0
         return -g / (self.base.multiplier_l1(Y) + slack * self._nu_l1)
 
 
-def _splitting(affine, start, tol, max_iter, reject=None):
-    """Douglas-Rachford splitting between the PSD cone and the affine set
-    that `affine` projects onto, started from the affine point `start`.
+def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
+                      max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityResult:
+    """Find b >= 0 satisfying every affine constraint within tol, or report
+    the best residuals reached and why the solve stopped.
 
-    Each step maps z to the cone point y = clip(eigh(z)) and then updates
-    z <- z + affine(2y - z) - y. Every CHECK_EVERY iterations the affine
-    projection x of the cone point y is scored by its PSD floor; the solve
-    ends "converged" when the floor reaches -tol, "infeasible" when
-    `reject(y, x)` reports that the affine set misses the cone, "stalled"
-    when the floor stalls, and "max_iter" when the iterations run out.
-    Returns (best x, its floor, iterations, status).
+    Douglas-Rachford splitting from z = x0: each step maps z to the cone
+    point y = clip(eigh(z)) and then updates z <- z + apply(2y - z) - y.
+    Every CHECK_EVERY iterations the affine projection x = apply(y) is
+    scored by its PSD floor, and the best x so far is the reported b. At
+    the same check, when the rows fix the trace, Y = y - x is scored as a
+    dual certificate (_DualGap), and the best one is kept. The solve ends
+
+    - "converged" when the best floor reaches -tol ("stalled" instead when
+      b then misses the rows by more than tol);
+    - "infeasible" when Y excludes every PSD point whose affine residual
+      is within tol;
+    - "stalled" when, after MIN_ITER_BEFORE_STALL iterations, the best
+      floor improved by less than STALL_REL over STALL_WINDOW checks;
+    - "max_iter" when the iterations run out (the last one is checked).
+
+    Raises InconsistentConstraintsError when the affine system alone is
+    unsolvable (distinct from PSD infeasibility, which yields a non-feasible
+    result).
     """
-    eigh, maximum = np.linalg.eigh, np.maximum
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    base = _Partition(inst)
+    gap = _DualGap(base)
+    apply, eigh, maximum = base.apply, np.linalg.eigh, np.maximum
 
     def cone(Z):
         w, U = eigh(Z)
         return (U * maximum(w, 0.0)) @ U.conj().T
 
-    z = start.copy()
+    z = base.x0.copy()
     y = cone(z)
-    best_floor = -np.inf
-    best_x = affine(y)
+    best_floor, best_x = -np.inf, apply(y)
+    best_delta, best_Y = 0.0, None
     window: list[float] = []
     status = "max_iter"
     it = 0
     while it < max_iter:
         it += 1
-        z = z + affine(2.0 * y - z) - y
+        z = z + apply(2.0 * y - z) - y
         if it % CHECK_EVERY == 0 or it == max_iter:
-            x = affine(y)
+            x = apply(y)
             floor = _lmin(x)
             if floor > best_floor:
-                best_floor = floor
-                best_x = x
+                best_floor, best_x = floor, x
             if best_floor >= -tol:
                 status = "converged"
                 break
-            if reject is not None and reject(y, x):
-                status = "infeasible"
-                break
+            if gap.trace is not None:
+                Y = y - x
+                delta = gap.excluded(Y)
+                if delta > best_delta:
+                    best_delta, best_Y = delta, Y
+                if delta > tol:
+                    status = "infeasible"
+                    break
             window.append(best_floor)
             if len(window) > STALL_WINDOW:
                 window.pop(0)
@@ -521,49 +533,18 @@ def _splitting(affine, start, tol, max_iter, reject=None):
                     status = "stalled"
                     break
         y = cone(z)
-    return _hermitian(best_x), best_floor, it, status
-
-
-def _solve(base: _Partition, tol, max_iter) -> FeasibilityResult:
-    gap = _DualGap(base)
-    best = [0.0, None]
-    reject = None
-    if gap.trace is not None:
-        def reject(y, x):
-            Y = y - x
-            delta = gap.excluded(Y)
-            if delta > best[0]:
-                best[:] = delta, Y
-            return delta > tol
-
-    x, floor, it, status = _splitting(base.apply, base.x0, tol, max_iter,
-                                      reject)
-    psd_res = max(0.0, -floor)
-    aff_res = float(base.residual(x))
+    b = _hermitian(best_x)
+    psd_res = max(0.0, -best_floor)
+    aff_res = float(base.residual(b))
     ok = psd_res <= tol and aff_res <= tol
     if not ok and status == "converged":
         # the floor was reached but the affine residual was not
         status = "stalled"
-    delta, Y = best
     return FeasibilityResult(
-        ok, x, psd_res, aff_res, it,
+        ok, b, psd_res, aff_res, it,
         "" if ok else "no PSD point found within tolerance", status,
-        float(delta) if Y is not None else None,
-        _hermitian(Y) if Y is not None else None)
-
-
-def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> FeasibilityResult:
-    """Find b >= 0 satisfying every affine constraint within tol, or report
-    the best residuals reached and why the solve stopped.
-
-    Raises InconsistentConstraintsError when the affine system alone is
-    unsolvable (distinct from PSD infeasibility, which yields a non-feasible
-    result).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _solve(_Partition(inst), tol, max_iter)
+        float(best_delta) if best_Y is not None else None,
+        _hermitian(best_Y) if best_Y is not None else None)
 
 
 def _objective_matrix(inst: SdpInstance, dtype=complex) -> np.ndarray:

@@ -230,13 +230,9 @@ def _from_reduced(spec: GroupSpec, letters: tuple, pair=None) -> Word:
     return w
 
 
-def _check_specs(a: Word, b: Word):
+def multiply(a: Word, b: Word) -> Word:
     if a.spec is not b.spec and a.spec != b.spec:
         raise ValueError("words live in different groups")
-
-
-def multiply(a: Word, b: Word) -> Word:
-    _check_specs(a, b)
     spec = a.spec
     if spec.is_product:
         return _from_reduced(spec, (), (multiply(a.pair[0], b.pair[0]),

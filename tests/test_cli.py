@@ -1152,3 +1152,62 @@ def test_outside_numbers_read_strictly(tmp_path, capsys, command, doc, where,
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: {path}: {message}\n"
+
+
+def _blocks_json():
+    return {"A": [[1.0]], "X": [[[0.5, 0.25]]], "B": [[1.0]],
+            "Y": [[[0.5, -0.25]]], "C": [[1.0]]}
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("A", 0, 0), "1", "A: malformed matrix (a coefficient must be a number, "
+                       "got '1')"),
+    (("X", 0, 0), True, "X: malformed matrix (a coefficient must be a "
+                        "number, got True)"),
+    (("Y", 0, 0), ["0.5", -0.25], "Y: malformed matrix (a coefficient must "
+                                  "be a number, got '0.5')"),
+    (("Y", 0, 0, 1), False, "Y: malformed matrix (a coefficient must be a "
+                            "number, got False)"),
+])
+def test_block_numbers_read_strictly(tmp_path, capsys, where, value,
+                                     message):
+    obj = _blocks_json()
+    _set(obj, where, value)
+    path = write(tmp_path, "blocks.json", obj)
+    assert main(["complete", "--blocks", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: {message}\n"
+
+
+_NOT_A_NUMBER = "a coefficient must be a number, got "
+
+
+@pytest.mark.parametrize("command, where, value, message", [
+    ("certify", ("epsilon",), "0.0", _NOT_A_NUMBER + "'0.0'"),
+    ("certify", ("residual",), True, _NOT_A_NUMBER + "True"),
+    ("certify", ("gram", 0, 0), [True, 0], _NOT_A_NUMBER + "True"),
+    ("certify", ("gram", 1, 0, 1), "0", _NOT_A_NUMBER + "'0'"),
+    ("certify", ("epsilon",), float("nan"), "epsilon must be finite, got nan"),
+    ("certify-trace", ("epsilon",), False, _NOT_A_NUMBER + "False"),
+    ("certify-trace", ("residual",), "0", _NOT_A_NUMBER + "'0'"),
+    ("certify-trace", ("gram", 0, 1), [0.5, "0"], _NOT_A_NUMBER + "'0'"),
+    ("certify-trace", ("class_residuals", "e"), ["0", 0.0],
+     _NOT_A_NUMBER + "'0'"),
+    ("certify-trace", ("epsilon",), float("-inf"),
+     "epsilon must be finite, got -inf"),
+])
+def test_certificate_numbers_read_strictly(tmp_path, capsys, command, where,
+                                           value, message):
+    fpath = write(tmp_path, "f.json", toy_json())
+    cpath = tmp_path / "cert.json"
+    assert main([command, "--input", fpath, "--support", "e,g1^1",
+                 "--out", str(cpath)]) == 0
+    cert = json.loads(cpath.read_text())
+    _set(cert, where, value)
+    bad = write(tmp_path, "bad.json", cert)
+    capsys.readouterr()
+    assert main(["verify", "--cert", bad, "--input", fpath]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: {message}\n"

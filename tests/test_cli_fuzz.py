@@ -3,11 +3,13 @@ inputs and on drawn flag values: a rejected input exits 1 with one `error:`
 line and no traceback, an accepted one repeats byte for byte, and every
 certificate written passes `verify`."""
 
+import cmath
 import contextlib
 import copy
 import functools
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -183,6 +185,39 @@ def test_mutated_input(command, name, data):
         code, files = _check(argv, Path(paths["out"]))
         if command.startswith("certify") and code == 0:
             _check_reverifies(files, paths)
+
+
+def _margin_element(a, c):
+    """1.5 - (g1 + g1^-1)/2 on {e, g1}, its unit term moved by a and its
+    g1 term by c (g1^-1 by conj(c)): positive with margin 0.35 for |a|,
+    |c| <= 0.05."""
+    s1 = generator(F2, 1)
+    f = (delta(unit(F2), 1.5 + a) + delta(s1, -0.5 + c)
+         + delta(~s1, -0.5 + c.conjugate()))
+    return element_to_json(f)
+
+
+@pytest.mark.parametrize("command", ["certify", "certify-trace"])
+def test_perturbed_positive_element_reverifies(command):
+    """Hermitian perturbations of an element with margin: each run keeps
+    the exit contract, and every certificate written passes `verify`."""
+    codes = []
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(a=st.floats(-0.05, 0.05), r=st.floats(0.0, 0.05),
+           angle=st.floats(-math.pi, math.pi))
+    def run(a, r, angle):
+        doc = _margin_element(a, cmath.rect(r, angle))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = _inputs(Path(tmp), "element", doc)
+            argv = [command] + [x.format(**paths) for x in COMMANDS[command]]
+            code, files = _check(argv, Path(paths["out"]))
+            if code == 0:
+                _check_reverifies(files, paths)
+        codes.append(code)
+
+    run()
+    assert 0 in codes
 
 
 def _counts(hi):

@@ -969,12 +969,13 @@ def _chsh_1ab_instance():
 
 @pytest.mark.parametrize("which", ["chsh_1ab", "povm"])
 def test_splitting_matches_reference_bits(which, povm_sdp):
-    """The engine against the realified loop over the SVD projection: the
-    same stop reason, iterations within one check window and x within
-    1e-9 (the two round differently, so the bits no longer agree). The
-    certified runs go over the instance and over its negation, which every
+    """solve_feasibility against the realified loop over the SVD projection:
+    the same stop reason, iterations within one check window and b within
+    1e-9 (the two round differently, so the bits no longer agree). Both
+    instances fix the trace, so every run carries the dual certificate;
+    the runs go over the instance and over its negation, which every
     right-hand side makes infeasible (a negative trace)."""
-    from freecert.sdpcore import CHECK_EVERY, _DualGap, _Partition, _splitting
+    from freecert.sdpcore import CHECK_EVERY, _DualGap, _Partition
 
     inst = (_chsh_1ab_instance() if which == "chsh_1ab"
             else _povm_instance(povm_sdp))
@@ -982,35 +983,19 @@ def test_splitting_matches_reference_bits(which, povm_sdp):
                           [None if r is None else -r for r in inst.rhs],
                           inst.sums)
 
-    # each run: (affine, start, reject) of the engine and of the reference,
-    # made fresh for every call
-    def plain():
-        base = _Partition(inst)
-        P = SvdProjector(*Realified(inst.n).system(inst))
-        return ((base.apply, base.x0, None), (P.apply, P.x0, None))
-
-    def certified(which_inst):
-        base, hv = _Partition(which_inst), Realified(which_inst.n)
-        P = SvdProjector(*hv.system(which_inst))
-        gap, ref = _DualGap(base), SvdDualGap(hv, P)
-        assert gap.trace is not None
-
-        def reject(y, x):
-            return gap.excluded(y - x) > 1e-10
-
-        return ((base.apply, base.x0, reject),
-                (P.apply, P.x0, lambda y, x: ref.excluded(y - x) > 1e-10))
-
     hv = Realified(inst.n)
     statuses = set()
-    for run in (plain, lambda: certified(inst), lambda: certified(negated)):
+    for which_inst in (inst, negated):
+        assert _DualGap(_Partition(which_inst)).trace is not None
+        P = SvdProjector(*hv.system(which_inst))
+        ref = SvdDualGap(hv, P)
         for max_iter in (0, 1, 3000):
-            new_run, ref_run = run()
-            new = _splitting(*new_run[:2], 1e-10, max_iter, new_run[2])
-            old = reference_splitting(hv, *ref_run[:2], 1e-10, max_iter,
-                                      ref_run[2])
-            assert new[3] == old[3]
-            assert abs(new[2] - old[2]) <= CHECK_EVERY
-            assert np.max(np.abs(new[0] - hv.unvec(old[0]))) <= 1e-9
-            statuses.add(new[3])
+            new = solve_feasibility(which_inst, 1e-10, max_iter)
+            old = reference_splitting(
+                hv, P.apply, P.x0, 1e-10, max_iter,
+                lambda y, x: ref.excluded(y - x) > 1e-10)
+            assert new.status == old[3]
+            assert abs(new.iterations - old[2]) <= CHECK_EVERY
+            assert np.max(np.abs(new.b - hv.unvec(old[0]))) <= 1e-9
+            statuses.add(new.status)
     assert {"converged", "infeasible", "max_iter"} <= statuses

@@ -1,0 +1,120 @@
+"""Digest of every CLI output on the benchmark's inputs: run it on two
+checkouts to see whether a change keeps the program's output byte for byte.
+
+Usage (from the repository root):
+
+    python3 tools/report_digest.py SRC_DIR
+
+SRC_DIR is the `src` directory of the checkout to run (this one's, or that
+of a copy of another commit). The items come from `bench/workloads.py` of
+this checkout: every CLI step of seeds 901-903, rounds 0-1, of each
+workload, run in process, plus a rerun of each `certify`, `certify-trace`
+and `bell-outer` step with `--dump-sdp`. A step's hash covers its argv, exit
+code, stdout, stderr without the wall-time line, and every file in the
+item directory after it, with the temporary directory's path replaced by a
+fixed name (reports echo `--out`). Prints one SHA-256 per workload and one
+over all of them; writes only under a temporary directory.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one BLAS/OpenMP thread, as in the benchmark: set before numpy is imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (901, 902, 903)
+ROUNDS = (0, 1)
+DUMPED = ("certify", "certify-trace", "bell-outer")
+TMP = b"$TMP"
+
+
+def _field(data: bytes) -> bytes:
+    """data with its length in front, so that fields cannot run together."""
+    return b"%d:" % len(data) + data
+
+
+def _step(main, argv, d: Path) -> bytes:
+    """The record of one CLI call: argv, exit code, stdout, stderr without
+    the wall-time line, then the name and bytes of every file in d."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = str(main(argv))
+        except Exception as exc:  # a traceback is output too
+            code = f"raised {type(exc).__name__}: {exc}"
+    err_lines = [line for line in err.getvalue().splitlines(keepends=True)
+                 if not line.startswith("wall time: ")]
+    parts = [p.encode() for p in ("\0".join(argv), code, out.getvalue(),
+                                  "".join(err_lines))]
+    for path in sorted(d.iterdir()):
+        parts += [path.name.encode(), path.read_bytes()]
+    return b"".join(_field(p.replace(bytes(d), TMP)) for p in parts)
+
+
+def digest(workloads, main, root: Path) -> dict[str, tuple[int, str]]:
+    """(steps, SHA-256) of each workload, and of all of them under "all"."""
+    total, out = hashlib.sha256(), {}
+    steps = 0
+    for name in workloads.WORKLOADS:
+        h, count = hashlib.sha256(), 0
+        d = root / name
+        for seed in SEEDS:
+            for r in ROUNDS:
+                for item in workloads.ROUNDS[name](seed, r, d):
+                    shutil.rmtree(d, ignore_errors=True)
+                    d.mkdir(parents=True)
+                    item.write_inputs(d)
+                    for argv, _ in item.steps:
+                        runs = [argv]
+                        if argv[0] in DUMPED:
+                            runs.append([*argv, "--dump-sdp",
+                                         str(d / "sdp.json")])
+                        for run in runs:
+                            record = _field(_step(main, run, d))
+                            h.update(record)
+                            total.update(record)
+                            count += 1
+        out[name] = (count, h.hexdigest())
+        steps += count
+    out["all"] = (steps, total.hexdigest())
+    return out
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print("usage: python3 tools/report_digest.py SRC_DIR", file=sys.stderr)
+        return 2
+    src = Path(argv[0]).resolve()
+    if not (src / "freecert" / "cli.py").is_file():
+        print(f"error: no freecert sources under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [str(src), str(BENCH)]
+    from freecert import cli
+    import workloads
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        print(f"error: freecert was imported from {cli.__file__}",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="report_digest_") as tmp:
+        result = digest(workloads, cli.main, Path(tmp).resolve())
+    for name, (count, sha) in result.items():
+        print(f"{name:<11} {count:4d} steps  {sha}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
