@@ -51,9 +51,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .denselin import eigh, psd_floor
+from .denselin import eigh
 from .quotients import QuotientTable
-from .sdpcore import SdpInstance, maximize, maximize_many
+from .sdpcore import MaximizeResult, SdpInstance, maximize, maximize_many
 from .words import (
     GroupSpec,
     Word,
@@ -349,27 +349,18 @@ def moment_instance(s: BellScenario, functional: BellFunctional, level):
 
 
 def outer_bound(s: BellScenario, functional: BellFunctional, level,
-                tol: float = OUTER_DEFAULT_TOL, return_info: bool = False,
-                instance: SdpInstance | None = None):
+                tol: float = OUTER_DEFAULT_TOL,
+                instance: SdpInstance | None = None) -> MaximizeResult:
     """Upper bound on the functional over commuting-model correlations via
-    the level-indexed moment relaxation: the dual bound of
-    sdpcore.maximize, within tol of the relaxation's optimum. `instance`
+    the level-indexed moment relaxation: the sdpcore.maximize result of
+    its moment instance, whose `value` is the dual bound, within tol of the
+    relaxation's optimum, `b` the moment matrix, `gap` the bound minus the
+    moment matrix's value and `dual` the bound's certificate. `instance`
     is moment_instance(s, functional, level)[0] when the caller has built
-    it already. With return_info, also the matrix size, the interior-point
-    iterations, the final gap (the bound minus the moment matrix's value)
-    and the PSD floor of that moment matrix."""
+    it already."""
     inst = (moment_instance(s, functional, level)[0] if instance is None
             else instance)
-    res = maximize(inst, tol=tol)
-    if return_info:
-        info = {
-            "matrix_size": inst.n,
-            "iterations": res.iterations,
-            "gap": res.gap,
-            "psd_floor": psd_floor(res.b),
-        }
-        return res.value, info
-    return res.value
+    return maximize(inst, tol=tol)
 
 
 def _check_povm(povm: np.ndarray) -> None:
@@ -572,8 +563,7 @@ def _evaluate(c: np.ndarray, rows: np.ndarray, A: np.ndarray,
 
 
 def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
-                iters: int = 50, seed=0, restarts: int = 8,
-                return_info: bool = False):
+                iters: int = 50, seed=0, restarts: int = 8):
     """See-saw lower bound over tensor-model strategies on dim x dim.
 
     Alternates the state step (top eigenvector of the Bell operator) with
@@ -585,8 +575,8 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     iteration in which neither party's update was accepted. Updates are
     accepted, and a restart replaces the best one so far (in restart
     order), only when the exactly re-evaluated value rises by more than
-    ACCEPT_MARGIN. Returns (value, A, B, xi) for the best run, and with
-    return_info a fifth entry on the POVM updates (povm_instance solves in
+    ACCEPT_MARGIN. Returns (value, A, B, xi, info): the best run, and
+    info on the POVM updates (povm_instance solves in
     sdpcore.maximize_many stacks) over all restarts: {"sdp_calls",
     "iterations", "max_gap"}, their number (one per update, not per
     stack), their interior-point iterations and the largest duality gap
@@ -639,6 +629,5 @@ def inner_bound(s: BellScenario, functional: BellFunctional, dim: int,
     for r in range(1, restarts):
         if state.value[r] > state.value[best] + ACCEPT_MARGIN:
             best = r
-    result = (float(state.value[best]), PvmFamily(dim, state.A[best]),
-              PvmFamily(dim, state.B[best]), state.xi[best].copy())
-    return result + (info,) if return_info else result
+    return (float(state.value[best]), PvmFamily(dim, state.A[best]),
+            PvmFamily(dim, state.B[best]), state.xi[best].copy(), info)

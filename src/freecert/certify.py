@@ -19,19 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (
-    FiniteRep,
-    GroupAlgebraElement,
-    delta,
-    element,
-    eval_rep,
-    random_rep,
-)
+from .algebra import (FiniteRep, GroupAlgebraElement, delta, element,
+                      element_from_json, element_to_json, eval_rep,
+                      json_float, random_rep)
 from .denselin import eigh, psd_floor
-from .grounded import GroundedSet
+from .grounded import GroundedSet, grounded_set
 from .quotients import QuotientTable
 from .sdpcore import SdpInstance, solve_feasibility
-from .words import Word, WordReader, conjugacy_canonical, sort_key, unit
+from .words import (GroupSpec, Word, WordReader, conjugacy_canonical,
+                    format_word, sort_key, unit)
 
 __all__ = [
     "SosCertificate",
@@ -90,10 +86,11 @@ class NotCertified:
 
 @dataclass
 class FalsifyReport:
+    """The worst value that falsify met and the representation that gave
+    it."""
+
     worst: float
     witness: FiniteRep
-    samples: int
-    mode: str
 
 
 def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
@@ -157,40 +154,44 @@ def certify_sos(f: GroupAlgebraElement, E: GroundedSet, epsilon: float = 0.0,
     """Search for a sum-of-hermitian-squares factorization of f + eps*delta_1
     with factors supported in E. Returns an SosCertificate or NotCertified.
     `instance` is gram_instance(f, E, epsilon) if the caller has built it."""
-    inst, fscale = instance or gram_instance(f, E, epsilon)
-    return _certify(inst, fscale, tol,
-                    lambda b: _build_sos(E, epsilon, b, f),
-                    "Gram SDP found no PSD solution within tolerance")
+    return _certify(f, E, epsilon, tol, instance, trace=False)
 
 
-def _certify(inst, fscale, tol, build, fail_message):
-    """Solve the (normalized) Gram SDP once and let the symbolic verifier
-    decide; the solver verdict never gates the acceptance.
+def _certify(f, E, epsilon, tol, instance, trace):
+    """Solve the (normalized) Gram SDP once, factor its solution and let
+    the symbolic verifier decide; the solver verdict never gates the
+    acceptance.
 
     The verified residual of b = G / fscale is at most fscale times its
     affine residual plus the class-sum mass of the negative part that
     _factor_gram clips. An SOS class has at most n entries, so that mass is
     at most n times the PSD floor the solve reaches, and the solve runs at
     tol / (fscale n)."""
+    inst, fscale = instance or gram_instance(f, E, epsilon, trace)
     res = solve_feasibility(inst, tol=max(tol / (fscale * inst.n), 1e-15))
-    cert = build(fscale * res.b)
+    factors, gram = _factor_gram(E, fscale * res.b)
+    if trace:
+        cert = TraceCertificate(E, float(epsilon), gram, factors, np.inf)
+        cert.class_residuals = verify_trace(cert, f)
+        cert.residual = max((abs(v) for v in cert.class_residuals.values()),
+                            default=0.0)
+    else:
+        cert = SosCertificate(E, float(epsilon), gram, factors, np.inf)
+        cert.residual = verify_sos(cert, f)
     if cert.residual <= tol:
         return cert
     if res.status == "converged":
-        fail_message = (f"the verified residual {cert.residual:.3g} of the "
-                        f"solver's Gram matrix exceeds tol {tol:g}")
+        message = (f"the verified residual {cert.residual:.3g} of the "
+                   f"solver's Gram matrix exceeds tol {tol:g}")
+    elif trace:
+        message = "class-sum Gram SDP found no PSD solution"
+    else:
+        message = "Gram SDP found no PSD solution within tolerance"
     gap = res.certified_gap
     return NotCertified(res.psd_residual * fscale,
                         res.affine_residual * fscale,
-                        res.iterations, fail_message, res.status,
+                        res.iterations, message, res.status,
                         gap * fscale if gap is not None else None)
-
-
-def _build_sos(E, epsilon, b, f) -> SosCertificate:
-    factors, gram = _factor_gram(E, b)
-    cert = SosCertificate(E, float(epsilon), gram, factors, residual=np.inf)
-    cert.residual = verify_sos(cert, f)
-    return cert
 
 
 def _residual_terms(cert: SosCertificate,
@@ -245,20 +246,7 @@ def certify_trace(f: GroupAlgebraElement, E: GroundedSet,
     matches f + eps*delta_1 on every conjugacy class sum. Words of supp f
     must be conjugate into E^-1E. `instance` is gram_instance(f, E,
     epsilon, trace=True) if the caller has built it."""
-    inst, fscale = instance or gram_instance(f, E, epsilon, trace=True)
-    return _certify(inst, fscale, tol,
-                    lambda b: _build_trace(E, epsilon, b, f),
-                    "class-sum Gram SDP found no PSD solution")
-
-
-def _build_trace(E, epsilon, b, f) -> TraceCertificate:
-    factors, gram = _factor_gram(E, b)
-    cert = TraceCertificate(E, float(epsilon), gram, factors,
-                            residual=np.inf)
-    cert.class_residuals = verify_trace(cert, f)
-    cert.residual = max((abs(v) for v in cert.class_residuals.values()),
-                        default=0.0)
-    return cert
+    return _certify(f, E, epsilon, tol, instance, trace=True)
 
 
 def verify_trace(cert: SosCertificate, f: GroupAlgebraElement) -> dict[Word, complex]:
@@ -341,13 +329,10 @@ def falsify(f: GroupAlgebraElement, mode: str, dims: list[int],
         if value < worst:
             worst = value
             witness = rep
-    return FalsifyReport(float(worst), witness, samples, mode)
+    return FalsifyReport(float(worst), witness)
 
 
 def certificate_to_json(cert: SosCertificate) -> dict:
-    from .algebra import element_to_json
-    from .words import format_word
-
     out = {
         "support": [format_word(w) for w in cert.E],
         "group": cert.E.spec.to_json(),
@@ -370,10 +355,6 @@ def certificate_from_json(obj: dict,
                           read: WordReader | None = None) -> SosCertificate:
     """The certificate of obj. One reader parses its support, every factor
     and its class residuals: a factor lists each support word again."""
-    from .algebra import element_from_json, json_float
-    from .grounded import grounded_set
-    from .words import GroupSpec
-
     spec = GroupSpec.from_json(obj["group"])
     if read is None or read.spec != spec:
         read = WordReader(spec)

@@ -248,7 +248,10 @@ def _partial(obj) -> tuple[PartialPositiveType, WordReader]:
     E = grounded_set(read.spec, {read(s) for s in obj["domain"]})
     values = {}
     for t in obj["values"]:
-        values[read(t["word"])] = complex_from_json(t)
+        w = read(t["word"])
+        if w in values:
+            raise ValueError(f"values: word {format_word(w)} is listed twice")
+        values[w] = complex_from_json(t)
     return partial_positive_type(E, values), read
 
 
@@ -268,11 +271,19 @@ def _matrix_to_json(M):
     return np.stack((A.real, A.imag), axis=-1).tolist()
 
 
+def _entry(e) -> complex:
+    """A block entry: a JSON number or [re, im], finite."""
+    re, im = e if isinstance(e, list) and len(e) == 2 else (e, 0)
+    z = complex(json_float(re), json_float(im))
+    if not np.isfinite(z):
+        raise ValueError(f"non-finite entry {e!r}")
+    return z
+
+
 def _matrix_from_json(rows, what):
     try:
-        M = np.array([[complex(json_float(e[0]), json_float(e[1]))
-                       if isinstance(e, list) else json_float(e)
-                       for e in row] for row in rows], dtype=complex)
+        M = np.array([[_entry(e) for e in row] for row in rows],
+                     dtype=complex)
     except (TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what}: malformed matrix ({exc})") from exc
     return M if M.size else M.reshape((len(rows), 0) if rows else (0, 0))
@@ -383,8 +394,8 @@ def _cmd_falsify(args):
         "command": "falsify",
         "inputs": _digest([raw], f"{args.mode}|{args.dims}|"
                           f"{args.samples}|{args.seed}|{args.tol}"),
-        "mode": report.mode,
-        "samples": report.samples,
+        "mode": args.mode,
+        "samples": args.samples,
         "dims": dims,
         "seed": args.seed,
         "worst": report.worst,
@@ -430,8 +441,8 @@ def _cmd_bell_outer(args):
         inst, _ = moment_instance(scenario, functional, level)
         _emit(instance_to_json(inst), args.dump_sdp)
     try:
-        value, info = outer_bound(scenario, functional, level, tol=args.tol,
-                                  return_info=True, instance=inst)
+        res = outer_bound(scenario, functional, level, tol=args.tol,
+                          instance=inst)
     except SdpError as exc:
         raise InputError(f"the moment relaxation was not solved at --tol "
                          f"{args.tol:g}: {exc}") from exc
@@ -440,8 +451,9 @@ def _cmd_bell_outer(args):
         "inputs": _digest([raw], f"{args.level}|{args.tol}"),
         "level": str(args.level),
         "tol": args.tol,
-        "value": value,
-        "solver": info,
+        "value": res.value,
+        "solver": {"matrix_size": len(res.b), "iterations": res.iterations,
+                   "gap": res.gap, "psd_floor": psd_floor(res.b)},
     }
     _emit(report, args.out)
     return 0
@@ -452,7 +464,7 @@ def _cmd_bell_inner(args):
     try:
         value, A, B, xi, info = inner_bound(
             scenario, functional, dim=args.dim, iters=args.iters,
-            seed=args.seed, restarts=args.restarts, return_info=True)
+            seed=args.seed, restarts=args.restarts)
     except SdpError as exc:
         raise InputError(f"a see-saw measurement update was not solved: "
                          f"{exc}") from exc

@@ -134,19 +134,18 @@ class SdpInstance:
 
 @dataclass
 class FeasibilityResult:
-    """`status` says why the solve stopped: "converged", "infeasible" (a
+    """`status` says why the solve stopped: "converged" (exactly when b
+    is within tol of the PSD cone and of the rows), "infeasible" (a
     dual certificate excludes every PSD point whose affine residual is
     within tol), "stalled" or "max_iter". `certified_gap` is the largest
     affine residual that the best certificate formed excludes (None without
     one), and `dual` is that certificate, the hermitian matrix Y of
     _DualGap."""
 
-    feasible: bool
     b: np.ndarray | None
     psd_residual: float
     affine_residual: float
     iterations: int
-    message: str = ""
     status: str = "converged"
     certified_gap: float | None = None
     dual: np.ndarray | None = None
@@ -536,13 +535,11 @@ def solve_feasibility(inst: SdpInstance, tol: float = DEFAULT_FEAS_TOL,
     b = _hermitian(best_x)
     psd_res = max(0.0, -best_floor)
     aff_res = float(base.residual(b))
-    ok = psd_res <= tol and aff_res <= tol
-    if not ok and status == "converged":
-        # the floor was reached but the affine residual was not
+    if status == "converged" and not aff_res <= tol:
+        # the floor was reached but the affine residual was not (or is NaN)
         status = "stalled"
     return FeasibilityResult(
-        ok, b, psd_res, aff_res, it,
-        "" if ok else "no PSD point found within tolerance", status,
+        b, psd_res, aff_res, it, status,
         float(best_delta) if best_Y is not None else None,
         _hermitian(best_Y) if best_Y is not None else None)
 

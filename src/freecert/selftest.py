@@ -170,9 +170,9 @@ def criterion_6():
     chsh = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
     s = BellScenario(2, 2)
     t0 = time.perf_counter()
-    outer = outer_bound(s, chsh, "1ab")
-    inner, A, B, xi = inner_bound(s, chsh, dim=2, iters=60, seed=20240806,
-                                  restarts=8)
+    outer = outer_bound(s, chsh, "1ab").value
+    inner = inner_bound(s, chsh, dim=2, iters=60, seed=20240806,
+                        restarts=8)[0]
     elapsed = time.perf_counter() - t0
     target = 2.0 * ROOT2
     ok = (abs(outer - target) <= 1e-3
@@ -187,8 +187,8 @@ def criterion_7():
     """Classical CHSH baseline: see-saw at dim 1 reaches exactly 2."""
     chsh = BellFunctional.from_correlators([[1.0, 1.0], [1.0, -1.0]])
     s = BellScenario(2, 2)
-    value, A, B, xi = inner_bound(s, chsh, dim=1, iters=20, seed=20240807,
-                                  restarts=8)
+    value = inner_bound(s, chsh, dim=1, iters=20, seed=20240807,
+                        restarts=8)[0]
     brute = max(a1 * (b1 + b2) + a2 * (b1 - b2)
                 for a1 in (-1, 1) for a2 in (-1, 1)
                 for b1 in (-1, 1) for b2 in (-1, 1))
@@ -205,8 +205,8 @@ def criterion_8():
         c = rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2))
         f = BellFunctional(c)
         inner = inner_bound(s, f, dim=2, iters=40, seed=trial, restarts=4)[0]
-        o_ab = outer_bound(s, f, "1ab")
-        o_1 = outer_bound(s, f, 1)
+        o_ab = outer_bound(s, f, "1ab").value
+        o_1 = outer_bound(s, f, 1).value
         if inner > o_ab + 1e-6 or o_ab > o_1 + 1e-6:
             return False, (f"trial {trial}: inner={inner:.8f} "
                            f"outer1ab={o_ab:.8f} outer1={o_1:.8f}")

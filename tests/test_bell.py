@@ -283,18 +283,18 @@ def test_fourier_consistency():
 
 def test_outer_bound_zero_functional():
     zero = BellFunctional(np.zeros((2, 2, 2, 2)))
-    assert outer_bound(S22, zero, "1ab") == pytest.approx(0.0, abs=1e-9)
+    assert outer_bound(S22, zero, "1ab").value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_outer_bound_marginal_functional():
     c = np.zeros((2, 2, 2, 2))
     c[0, 0, 0, :] = 1.0  # probability of outcome 1 at setting 1, party A
-    val = outer_bound(S22, BellFunctional(c), 1)
+    val = outer_bound(S22, BellFunctional(c), 1).value
     assert val == pytest.approx(1.0, abs=1e-5)
 
 
 def test_outer_bound_chsh():
-    val = outer_bound(S22, CHSH, "1ab")
+    val = outer_bound(S22, CHSH, "1ab").value
     assert val == pytest.approx(2 * np.sqrt(2), abs=1e-3)
 
 
@@ -409,14 +409,14 @@ def test_check_povm_rejects_bad_povm():
 
 def test_inner_bound_zero():
     zero = BellFunctional(np.zeros((2, 2, 2, 2)))
-    value, A, B, xi = inner_bound(S22, zero, dim=1, iters=5, seed=0,
-                                  restarts=2)
+    value, A, B, xi, _ = inner_bound(S22, zero, dim=1, iters=5, seed=0,
+                                     restarts=2)
     assert value == 0.0
 
 
 def test_inner_bound_chsh_classical():
-    value, A, B, xi = inner_bound(S22, CHSH, dim=1, iters=20, seed=1,
-                                  restarts=8)
+    value, A, B, xi, _ = inner_bound(S22, CHSH, dim=1, iters=20, seed=1,
+                                     restarts=8)
     assert value == 2.0  # deterministic strategies peak at exactly 2
     # exhaustive deterministic check
     best = max(a1 * (b1 + b2) + a2 * (b1 - b2)
@@ -426,8 +426,8 @@ def test_inner_bound_chsh_classical():
 
 
 def test_inner_bound_chsh_quantum():
-    value, A, B, xi = inner_bound(S22, CHSH, dim=2, iters=50, seed=2,
-                                  restarts=8)
+    value, A, B, xi, _ = inner_bound(S22, CHSH, dim=2, iters=50, seed=2,
+                                     restarts=8)
     assert value >= 2 * np.sqrt(2) - 1e-3
     # reported strategies are exact PVMs achieving the reported value
     corr = correlation_of(A, B, xi)
@@ -445,7 +445,7 @@ def test_inner_bound_restart_independent_of_rounding(monkeypatch, sign):
     def run():
         return inner_bound(S22, CHSH, dim=2, iters=50, seed=2, restarts=4)
 
-    _, A, B, xi = run()
+    _, A, B, xi, _ = run()
     evaluate = bell_mod._evaluate
     nudged_rows = set()
 
@@ -455,7 +455,7 @@ def test_inner_bound_restart_independent_of_rounding(monkeypatch, sign):
         return got._replace(value=got.value + sign * 2e-14 * rows)
 
     monkeypatch.setattr(bell_mod, "_evaluate", nudged)
-    _, A2, B2, xi2 = run()
+    _, A2, B2, xi2, _ = run()
     assert nudged_rows == {0, 1, 2, 3}
     assert np.array_equal(A2.settings, A.settings)
     assert np.array_equal(B2.settings, B.settings)
@@ -594,7 +594,7 @@ def _seesaw_cases():
 @pytest.mark.parametrize("f, kw", _seesaw_cases())
 def test_stacked_seesaw_matches_reference_loop(f, kw):
     ref, _ = _reference_inner_bound(f.scenario, f, **kw)
-    got = inner_bound(f.scenario, f, return_info=True, **kw)
+    got = inner_bound(f.scenario, f, **kw)
     assert got[0] == ref[0] and type(got[0]) is float
     for x, y in ((got[1], ref[1]), (got[2], ref[2])):
         assert x.settings.tobytes() == y.settings.tobytes()
@@ -610,7 +610,7 @@ def test_stacked_seesaw_when_restarts_stop_apart():
     kw = dict(dim=2, iters=50, seed=2, restarts=4)
     ref, ran = _reference_inner_bound(S22, f, **kw)
     assert ran == [2, 2, 3, 1]
-    got = inner_bound(S22, f, return_info=True, **kw)
+    got = inner_bound(S22, f, **kw)
     assert got[0] == ref[0]
     assert got[1].settings.tobytes() == ref[1].settings.tobytes()
     assert got[2].settings.tobytes() == ref[2].settings.tobytes()
@@ -677,15 +677,16 @@ def test_inner_bound_three_outcomes_smoke():
     rng = np.random.default_rng(104)
     c = rng.uniform(-1, 1, size=(2, 2, 3, 3))
     f = BellFunctional(c)
-    value, A, B, xi = inner_bound(s, f, dim=2, iters=3, seed=3, restarts=1)
+    value, A, B, xi, _ = inner_bound(s, f, dim=2, iters=3, seed=3,
+                                     restarts=1)
     corr = correlation_of(A, B, xi)
     assert f.value(corr) == pytest.approx(value)
 
 
 def test_hierarchy_monotone_chsh():
-    v1 = outer_bound(S22, CHSH, 1)
-    v1ab = outer_bound(S22, CHSH, "1ab")
-    v2 = outer_bound(S22, CHSH, 2)
+    v1 = outer_bound(S22, CHSH, 1).value
+    v1ab = outer_bound(S22, CHSH, "1ab").value
+    v2 = outer_bound(S22, CHSH, 2).value
     assert v1ab <= v1 + 1e-6
     assert v2 <= v1ab + 1e-6
     assert v2 == pytest.approx(2 * np.sqrt(2), abs=1e-3)
@@ -699,7 +700,7 @@ def test_inner_at_most_outer_criterion_8():
         f = BellFunctional(rng.uniform(-1.0, 1.0, size=(2, 2, 2, 2)))
         inner = inner_bound(S22, f, dim=2, iters=40, seed=trial,
                             restarts=4)[0]
-        assert inner <= outer_bound(S22, f, "1ab") + 1e-12
+        assert inner <= outer_bound(S22, f, "1ab").value + 1e-12
 
 
 def test_inner_at_most_outer_random():
@@ -708,7 +709,7 @@ def test_inner_at_most_outer_random():
         c = rng.uniform(-1, 1, size=(2, 2, 2, 2))
         f = BellFunctional(c)
         inner = inner_bound(S22, f, dim=2, iters=40, seed=6, restarts=4)[0]
-        outer = outer_bound(S22, f, "1ab")
+        outer = outer_bound(S22, f, "1ab").value
         assert inner <= outer + 1e-6
 
 
@@ -727,19 +728,19 @@ def test_outer_certificate_not_below_classical_maximum():
     c = np.array([r.uniform(-1, 1) for _ in range(36)]).reshape(3, 3, 2, 2)
     classical = _classical_max(c)
     assert classical == pytest.approx(1.8207290763658, abs=1e-12)
-    value, info = outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab",
-                              return_info=True)
-    assert value >= classical
-    assert set(info) == {"matrix_size", "iterations", "gap", "psd_floor"}
-    assert 0.0 <= info["gap"] <= 2e-7 and info["psd_floor"] > 0.0
+    from freecert.denselin import psd_floor
+
+    res = outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab")
+    assert res.value >= classical
+    assert 0.0 <= res.gap <= 2e-7 and psd_floor(res.b) > 0.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.floats(-1.0, 1.0), min_size=36, max_size=36))
 def test_outer_bound_not_below_classical_random(coeffs):
     c = np.array(coeffs).reshape(3, 3, 2, 2)
-    assert outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab") >= (
-        _classical_max(c))
+    res = outer_bound(BellScenario(3, 2), BellFunctional(c), "1ab")
+    assert res.value >= _classical_max(c)
 
 
 @pytest.mark.parametrize("d, m, dims", [(3, 2, (2, 2)), (2, 3, (2, 3)),

@@ -272,6 +272,17 @@ def test_bell_outer_cli(tmp_path, capsys):
     assert set(solver) == {"matrix_size", "iterations", "gap", "psd_floor"}
     assert solver["matrix_size"] == 9 and solver["iterations"] > 0
     assert 0.0 <= solver["gap"] <= 2e-7
+    # the report is the library's result on the same input, field by field
+    from freecert.bell import BellFunctional, BellScenario, outer_bound
+    from freecert.denselin import psd_floor
+
+    res = outer_bound(BellScenario(2, 2),
+                      BellFunctional(np.array(chsh_scenario()["coeff"])),
+                      "1ab")
+    assert result["value"] == res.value
+    assert solver == {"matrix_size": len(res.b),
+                      "iterations": res.iterations, "gap": res.gap,
+                      "psd_floor": psd_floor(res.b)}
     sdp = json.loads(open(dump).read())
     assert sdp["n"] == 9
     assert sdp["constraints"]
@@ -696,6 +707,24 @@ def test_asymmetric_partial_function_exit_one(tmp_path, capsys, command):
     assert "hermitian symmetry" in captured.err
 
 
+@pytest.mark.parametrize("command", ["extend", "gns"])
+@pytest.mark.parametrize("text", ["g1^1", "g1"])
+def test_partial_function_lists_each_word_once(tmp_path, capsys, command,
+                                               text):
+    # the file lists g1 (spelled `text`) and g1^-1 again, with values that
+    # are symmetric on their own: no value may replace another
+    obj = _partial_json()
+    obj["values"] += [{"word": text, "re": 0.9, "im": 0.0},
+                      {"word": "g1^-1", "re": 0.9, "im": 0.0}]
+    ipath = write(tmp_path, "g.json", obj)
+    argv = [command, "--input", ipath]
+    code = main(argv + (["--target", "g2"] if command == "extend" else []))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {ipath}: values: word g1^1 is "
+                            f"listed twice\n")
+
+
 def test_every_written_json_is_canonical(tmp_path, capsys):
     # each report and file must read back to the exact text that json.dumps
     # (indent=2, sort_keys=True) gives for what it holds
@@ -853,7 +882,7 @@ def three_outcome_outer():
     from freecert.bell import BellFunctional, BellScenario, outer_bound
 
     c = np.array(three_outcome_scenario()["coeff"])
-    return outer_bound(BellScenario(2, 3), BellFunctional(c), 1)
+    return outer_bound(BellScenario(2, 3), BellFunctional(c), 1).value
 
 
 def test_cglmp_two_sided(tmp_path, capsys):
@@ -1168,6 +1197,14 @@ def _blocks_json():
                                   "be a number, got '0.5')"),
     (("Y", 0, 0, 1), False, "Y: malformed matrix (a coefficient must be a "
                             "number, got False)"),
+    # an entry is a number or exactly [re, im], and finite
+    (("A", 0, 0), [1.0, 0.0, 99], "A: malformed matrix (a coefficient must "
+                                  "be a number, got [1.0, 0.0, 99])"),
+    (("X", 0, 0), [0.5], "X: malformed matrix (a coefficient must be a "
+                         "number, got [0.5])"),
+    (("A", 0, 0), float("nan"), "A: malformed matrix (non-finite entry nan)"),
+    (("Y", 0, 0), [float("inf"), 0], "Y: malformed matrix (non-finite entry "
+                                     "[inf, 0])"),
 ])
 def test_block_numbers_read_strictly(tmp_path, capsys, where, value,
                                      message):

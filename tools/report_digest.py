@@ -9,11 +9,15 @@ SRC_DIR is the `src` directory of the checkout to run (this one's, or that
 of a copy of another commit). The items come from `bench/workloads.py` of
 this checkout: every CLI step of seeds 901-903, rounds 0-1, of each
 workload, run in process, plus a rerun of each `certify`, `certify-trace`
-and `bell-outer` step with `--dump-sdp`. A step's hash covers its argv, exit
-code, stdout, stderr without the wall-time line, and every file in the
-item directory after it, with the temporary directory's path replaced by a
-fixed name (reports echo `--out`). Prints one SHA-256 per workload and one
-over all of them; writes only under a temporary directory.
+and `bell-outer` step with `--dump-sdp`, and `falsify` in operator and
+trace modes (seeded) on the element of each `certify` and `certify-trace`
+step. A `complete` entry adds `complete` on seeded PSD block files, one of
+them with an empty block. Every subcommand but `selftest` is covered. A
+step's hash covers its argv, exit code, stdout, stderr without the
+wall-time line, and every file in the item directory after it, with the
+temporary directory's path replaced by a fixed name (reports echo
+`--out`). Prints one SHA-256 per workload and one over all of them; writes
+only under a temporary directory.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import contextlib  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
@@ -33,10 +38,18 @@ import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (901, 902, 903)
 ROUNDS = (0, 1)
 DUMPED = ("certify", "certify-trace", "bell-outer")
+FALSIFIED = ("certify", "certify-trace")
+FALSIFY = ("--samples", "30", "--seed", "7")
+# (seed, sizes of the blocks A, B and C, rank) of the PSD matrices whose
+# blocks `complete` reads; a rank below the size makes B singular
+COMPLETE = ((1, (2, 3, 2), 7), (2, (3, 2, 4), 3), (3, (1, 4, 2), 2),
+            (4, (3, 2, 0), 5))
 TMP = b"$TMP"
 
 
@@ -63,29 +76,71 @@ def _step(main, argv, d: Path) -> bytes:
     return b"".join(_field(p.replace(bytes(d), TMP)) for p in parts)
 
 
+def _bench_jobs(workloads, name: str, d: Path):
+    """(input files, CLI calls) of each item of the workload: every step,
+    followed by its --dump-sdp rerun and, on a certify step, by falsify on
+    its element in both modes."""
+    for seed in SEEDS:
+        for r in ROUNDS:
+            for item in workloads.ROUNDS[name](seed, r, d):
+                runs = []
+                for argv, _ in item.steps:
+                    runs.append(argv)
+                    if argv[0] in DUMPED:
+                        runs.append([*argv, "--dump-sdp",
+                                     str(d / "sdp.json")])
+                    if argv[0] in FALSIFIED:
+                        element = argv[argv.index("--input") + 1]
+                        runs += [["falsify", "--input", element, "--mode",
+                                  mode, *FALSIFY]
+                                 for mode in ("operator", "trace")]
+                yield item.files, runs
+
+
+def _blocks(seed: int, sizes, rank: int) -> dict:
+    """The blocks A, X, B, Y and C of a seeded PSD matrix of the given
+    rank: each entry as [re, im], but the diagonal of A, B and C as plain
+    numbers."""
+    rng = np.random.default_rng(seed)
+    shape = (sum(sizes), rank)
+    G = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    M = G @ G.conj().T
+    a, b = sizes[0], sizes[0] + sizes[1]
+    cut = {"A": M[:a, :a], "X": M[:a, a:b], "B": M[a:b, a:b],
+           "Y": M[a:b, b:], "C": M[b:, b:]}
+    return {k: [[z.real if k in "ABC" and i == j else [z.real, z.imag]
+                 for j, z in enumerate(row)]
+                for i, row in enumerate(v.tolist())]
+            for k, v in cut.items()}
+
+
+def _complete_jobs(d: Path):
+    for seed, sizes, rank in COMPLETE:
+        yield ({"blocks.json": _blocks(seed, sizes, rank)},
+               [["complete", "--blocks", str(d / "blocks.json")]])
+
+
 def digest(workloads, main, root: Path) -> dict[str, tuple[int, str]]:
-    """(steps, SHA-256) of each workload, and of all of them under "all"."""
+    """(steps, SHA-256) of each workload and of `complete`, and of all of
+    them under "all"."""
+    jobs = {name: functools.partial(_bench_jobs, workloads, name)
+            for name in workloads.WORKLOADS}
+    jobs["complete"] = _complete_jobs
     total, out = hashlib.sha256(), {}
     steps = 0
-    for name in workloads.WORKLOADS:
+    for name, make in jobs.items():
         h, count = hashlib.sha256(), 0
         d = root / name
-        for seed in SEEDS:
-            for r in ROUNDS:
-                for item in workloads.ROUNDS[name](seed, r, d):
-                    shutil.rmtree(d, ignore_errors=True)
-                    d.mkdir(parents=True)
-                    item.write_inputs(d)
-                    for argv, _ in item.steps:
-                        runs = [argv]
-                        if argv[0] in DUMPED:
-                            runs.append([*argv, "--dump-sdp",
-                                         str(d / "sdp.json")])
-                        for run in runs:
-                            record = _field(_step(main, run, d))
-                            h.update(record)
-                            total.update(record)
-                            count += 1
+        for files, runs in make(d):
+            shutil.rmtree(d, ignore_errors=True)
+            d.mkdir(parents=True)
+            for fname, obj in files.items():
+                workloads.write_json(d / fname, obj)
+            for run in runs:
+                record = _field(_step(main, run, d))
+                h.update(record)
+                total.update(record)
+                count += 1
         out[name] = (count, h.hexdigest())
         steps += count
     out["all"] = (steps, total.hexdigest())
