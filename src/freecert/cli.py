@@ -290,7 +290,12 @@ def _matrix_from_json(rows, what):
 
 
 def _blocks(obj) -> PartialBlockMatrix:
-    return PartialBlockMatrix(*(_matrix_from_json(obj[k], k) for k in "AXBYC"))
+    A, X, B, Y, C = (_matrix_from_json(obj[k], k) for k in "AXBYC")
+    # JSON writes an empty n x 0 or 0 x n matrix as [] or [[]]: an empty X
+    # or Y takes its shape from the diagonal blocks beside it
+    X, Y = (M.reshape(len(P), len(R)) if M.size == len(P) * len(R) == 0
+            else M for M, P, R in ((X, A, B), (Y, B, C)))
+    return PartialBlockMatrix(A, X, B, Y, C)
 
 
 def _functional(obj):

@@ -1,5 +1,11 @@
 """Dense hermitian linear algebra: eigendecomposition, PSD utilities, and the
-three-block positive completion."""
+three-block positive completion.
+
+`pinv_psd` checks that its matrix is PSD, then inverts it by `pinv_cut`.
+`pinv_cut` inverts from an eigendecomposition already made and counts
+every eigenvalue at or below its cut as zero, negative ones included, so
+it cannot fail: extendpt calls it on middle blocks whose floors the one
+check of its output bounds."""
 
 from __future__ import annotations
 
@@ -13,9 +19,9 @@ __all__ = [
     "psd_floor",
     "eig_floor",
     "pinv_psd",
+    "pinv_cut",
     "PartialBlockMatrix",
     "complete_block",
-    "complete_gathered",
 ]
 
 # how far M - M* (or a unit value's imaginary part) may reach, relative to
@@ -38,16 +44,10 @@ def hermitian(M: np.ndarray,
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("expected a square matrix")
-    _check_hermitian(M, np.abs(M - M.conj().T), what)
-    return 0.5 * (M + M.conj().T)
-
-
-def _check_hermitian(M: np.ndarray, dev: np.ndarray,
-                     what: str = "matrix is not hermitian within tolerance"):
-    """Raise ValueError(what) unless dev = |M - M*| stays within
-    HERMITIAN_TOL of 1 + max |M|."""
-    if M.size and dev.max() > HERMITIAN_TOL * (1.0 + float(np.abs(M).max())):
+    if M.size and np.abs(M - M.conj().T).max() > \
+            HERMITIAN_TOL * (1.0 + float(np.abs(M).max())):
         raise ValueError(what)
+    return 0.5 * (M + M.conj().T)
 
 
 def eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,21 +76,24 @@ def eig_floor(M: np.ndarray) -> float:
 
 
 def pinv_psd(M: np.ndarray, tol: float = PSD_INPUT_TOL) -> np.ndarray:
-    """Pseudo-inverse of a PSD matrix; eigenvalues at or below
-    max(EIG_CUTOFF * top, tol) count as zero, so a near-singular direction
-    that the PSD check would forgive is never inverted."""
+    """Pseudo-inverse of a PSD matrix by pinv_cut; ValueError if an
+    eigenvalue lies below -tol * (1 + the top one)."""
     w, U = eigh(M)
-    if w.size == 0:
-        return np.zeros_like(np.asarray(M, dtype=complex))
-    top = float(w[-1])
-    scale = 1.0 + max(top, 0.0)
-    if w[0] < -tol * scale:
+    if w.size and w[0] < -tol * (1.0 + max(float(w[-1]), 0.0)):
         raise ValueError(f"matrix is not PSD within tolerance (min eig {w[0]:g})")
-    cut = max(EIG_CUTOFF * max(top, 0.0), tol)
-    keep = w > cut
-    vals = np.zeros_like(w)
-    vals[keep] = 1.0 / w[keep]
-    return (U * vals) @ U.conj().T
+    return pinv_cut(w, U, tol)
+
+
+def pinv_cut(w: np.ndarray, U: np.ndarray, tol: float) -> np.ndarray:
+    """U diag(1/w) U* over the ascending eigenvalues w above
+    max(EIG_CUTOFF * top, tol) only: the others, negative ones included,
+    count as zero, so a near-singular direction that the PSD check would
+    forgive is never inverted."""
+    top = float(w.max(initial=0.0))
+    keep = w > max(EIG_CUTOFF * top, tol)
+    inv = np.zeros_like(w)
+    inv[keep] = 1.0 / w[keep]
+    return (U * inv) @ U.conj().T
 
 
 @dataclass(frozen=True)
@@ -134,46 +137,22 @@ class PartialBlockMatrix:
 
 def complete_block(P: PartialBlockMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Fill the unspecified corner with Z = X B^+ Y and assemble the full
-    hermitian matrix (by complete_gathered).
+    hermitian matrix.
 
     Requires the two specified compressions [[A,X],[X*,B]] and [[B,Y],[Y*,C]]
-    to be PSD within 1e-8 * scale; the assembled matrix is then PSD within
-    1e-7 * scale.
+    to be PSD within 1e-8 * scale (eigenvalue-only floors); the assembled
+    matrix is then PSD within 1e-7 * scale.
     """
     n0, n1, n2 = P.sizes
     m1 = n0 + n1
     M = np.zeros((m1 + n2, m1 + n2), dtype=complex)
-    M[:n0, :n0] = P.A
-    M[:n0, n0:m1] = P.X
-    M[n0:m1, n0:m1] = P.B
-    M[n0:m1, m1:] = P.Y
-    M[m1:, m1:] = P.C
-    return complete_gathered(M, n0, n1)
-
-
-def complete_gathered(M: np.ndarray, n0: int,
-                      n1: int) -> tuple[np.ndarray, np.ndarray]:
-    """complete_block on the blocks of M, gathered in the order (A, B, C) of
-    sizes (n0, n1, rest), its two unknown corner blocks zero. Reads the
-    diagonal blocks, X and Y, and overwrites the other blocks of M. The
-    checks are those of PartialBlockMatrix and complete_block, in that
-    order; the compressions' floors are eigenvalue-only."""
-    m1 = n0 + n1
-    X, Y = M[:n0, n0:m1], M[n0:m1, m1:]
-    M[n0:m1, :n0] = X.conj().T
-    M[m1:, n0:m1] = Y.conj().T
-    dev = np.abs(M - M.conj().T)
-    for b in (slice(0, n0), slice(n0, m1), slice(m1, None)):
-        _check_hermitian(M[b, b], dev[b, b])
-    H = 0.5 * (M + M.conj().T)
-    scale = 1.0 + (float(np.max(np.abs(H))) if H.size else 0.0)
-    for name, comp in (("upper", H[:m1, :m1]), ("lower", H[n0:, n0:])):
-        if eig_floor(comp) < -PSD_INPUT_TOL * scale:
+    M[:n0, :n0], M[n0:m1, n0:m1], M[m1:, m1:] = P.A, P.B, P.C
+    M[:n0, n0:m1], M[n0:m1, :n0] = P.X, P.X.conj().T
+    M[n0:m1, m1:], M[m1:, n0:m1] = P.Y, P.Y.conj().T
+    tol = PSD_INPUT_TOL * P.scale()
+    for name, comp in (("upper", M[:m1, :m1]), ("lower", M[n0:, n0:])):
+        if eig_floor(comp) < -tol:
             raise ValueError(f"{name} compression is not PSD within tolerance")
-    if n1 == 0:
-        Z = np.zeros((n0, len(M) - m1), dtype=complex)
-    else:
-        Z = X @ pinv_psd(H[n0:m1, n0:m1], tol=PSD_INPUT_TOL * scale) @ Y
-    M[:n0, m1:] = Z
-    M[m1:, :n0] = Z.conj().T
+    Z = P.X @ pinv_psd(P.B, tol=tol) @ P.Y
+    M[:n0, m1:], M[m1:, :n0] = Z, Z.conj().T
     return Z, 0.5 * (M + M.conj().T)

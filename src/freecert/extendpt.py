@@ -8,11 +8,13 @@ and the rest (E0), and the unknown entries are read off the canonical
 three-block completion with block order (E0, E1, {t0}).
 
 `extend_to` forms the |F|^2 word products s^-1 t over the target set F once,
-as a table of indices into one value vector. A step gathers the values of
-E u {t0} in block order (E0, E1, t0), completes them in one matrix
-(denselin.complete_gathered: one eigendecomposition, of the E1 block, and
-eigenvalue-only floors) and checks that matrix, the Toeplitz matrix of
-E u {t0} up to a permutation. `extend_one` is the one-step case.
+as a table of indices into one value vector. It checks its input once, by
+the rule of `partial_positive_type`, and its output once: every set of the
+chain is a subset of F, so its Toeplitz matrix is a principal submatrix of
+F's, whose least eigenvalue bounds its own from below (Cauchy interlacing).
+A step between them gathers the values of E u {t0} in block order
+(E0, E1, t0) and makes one eigendecomposition, of the E1 block, for
+X B^+ Y. `extend_one` is the one-step case.
 
 The construction needs the Cayley graph to be a tree, which is why only free
 groups are accepted: on groups with relations (already on the Z x Z lattice)
@@ -33,13 +35,7 @@ from .algebra import (
     rep_matrix,
     toeplitz_matrix,
 )
-from .denselin import (
-    HERMITIAN_TOL,
-    PSD_INPUT_TOL,
-    complete_gathered,
-    eig_floor,
-    eigh,
-)
+from .denselin import HERMITIAN_TOL, PSD_INPUT_TOL, eig_floor, eigh, pinv_cut
 from .grounded import GroundedSet, double_set, extension_chain, grounded_set
 from .words import (
     FREE,
@@ -60,8 +56,6 @@ __all__ = [
     "extend_to",
     "random_positive_type",
 ]
-
-OUTPUT_PSD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -112,10 +106,16 @@ def partial_positive_type(E: GroundedSet,
         raise ValueError("value at the unit must be real")
     vals[u] = complex(vals[u].real, 0.0)
     g = PartialPositiveType(E, vals)
-    floor = float(g.spectrum[0][0])
-    if floor < -PSD_INPUT_TOL * scale:
-        raise ValueError(f"Toeplitz compression is not PSD (floor {floor:g})")
+    _check_toeplitz(g)
     return g
+
+
+def _check_toeplitz(g: PartialPositiveType) -> None:
+    """The Toeplitz compression of g over E is hermitian (checked when it
+    is formed) and PSD within PSD_INPUT_TOL of g's scale."""
+    floor = float(g.spectrum[0][0])
+    if floor < -PSD_INPUT_TOL * g.scale():
+        raise ValueError(f"Toeplitz compression is not PSD (floor {floor:g})")
 
 
 def extend_one(g: PartialPositiveType, t0: Word) -> PartialPositiveType:
@@ -134,10 +134,14 @@ def _not_grounded():
 def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
     """Extend g along the canonical chain from E to the grounded superset F.
 
-    Every step keeps the checks of a single extension: the grown set stays
-    grounded, the split-set rule agrees with the known quotients, no
-    quotient is left undefined, and the Toeplitz matrix is hermitian and PSD
-    within OUTPUT_PSD_TOL."""
+    g is checked by the rule of partial_positive_type (free when its
+    spectrum is cached), and every step keeps the integer checks of a single
+    extension: the grown set stays grounded, the split-set rule agrees with
+    the known quotients, and no quotient is left undefined. The Toeplitz
+    matrix of F is then checked once: hermitian, and PSD within
+    PSD_INPUT_TOL of g's scale, so that the output reads back as valid
+    input. By interlacing its floor is at most that of every set of the
+    chain; if it fails, the first set E u {t1..tk} that fails is named."""
     chain = extension_chain(g.E, F)
     if not chain:
         return g
@@ -173,6 +177,7 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
         raise _not_grounded()
     if not known[Q[np.ix_(E_idx, E_idx)]].all():
         raise ValueError("values missing on E^-1E")
+    _check_toeplitz(g)
 
     # left[letter][j] = index of letter^-1 s_j in F, or -1
     left: dict[tuple[int, int], np.ndarray] = {}
@@ -198,13 +203,20 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
         Qo = Q[order[:, None], order]
         if not known[Qo[n0:-1, -1]].all():
             raise AssertionError("split-set rule produced an unknown quotient")
-        T = vals[Qo]  # the E0 x t0 corners are unknown quotients: zero
-        Z, full = complete_gathered(T.copy(), n0, len(E1))
-
         new_q = Qo[:n0, -1]
         if known[new_q].any():
             raise AssertionError("quotient for an E0 word is already known")
-        z = Z[:, 0]
+        z = np.zeros(n0, dtype=complex)
+        if len(E1):
+            # the E0 x t0 corners are unknown quotients: zero; X and Y are
+            # mirrored, so H and its scale are those of complete_block's
+            # assembled matrix, and the cut is that of pinv_psd
+            M = vals[Qo]
+            X, Y = M[:n0, n0:-1], M[n0:-1, -1:]
+            M[n0:-1, :n0], M[-1, n0:-1] = X.conj().T, Y[:, 0].conj()
+            H = 0.5 * (M + M.conj().T)
+            tol = PSD_INPUT_TOL * (1.0 + float(np.abs(H).max()))
+            z = (X @ pinv_cut(*eigh(H[n0:-1, n0:-1]), tol) @ Y)[:, 0]
         pair = np.array((new_q, conj[new_q])).T.ravel()
         vals[pair] = np.array((z, z.conj())).T.ravel()
         known[pair] = True
@@ -216,16 +228,21 @@ def extend_to(g: PartialPositiveType, F: GroundedSet) -> PartialPositiveType:
             missing = {words[k] for k in Qo.ravel() if not known[k]}
             raise AssertionError(
                 f"extension left undefined quotients: {missing}")
-        scale = 1.0 + float(np.max(np.abs(vals[known])))
-        # with z filled in, T is the Toeplitz matrix of E u {t0}
-        T[:n0, -1], T[-1, :n0] = z, z.conj()
-        hermitian_toeplitz(T)
-        floor = eig_floor(full)
-        if floor < -OUTPUT_PSD_TOL * scale:
-            raise ValueError(
-                f"completion failed to stay PSD (floor {floor:g}); "
-                "input likely violated the PSD tolerance")
 
+    T = hermitian_toeplitz(vals[Q])
+    limit = -PSD_INPUT_TOL * g.scale()
+    if eig_floor(T) < limit:
+        # name the first set of the chain that fails: the last set is F,
+        # whose floor failed, so the loop raises
+        in_E[:] = False
+        in_E[[pos[s] for s in g.E]] = True
+        for t0 in chain:
+            in_E[pos[t0]] = True
+            floor = eig_floor(T[np.ix_(in_E, in_E)])
+            if floor < limit:
+                raise ValueError(
+                    f"completion failed to stay PSD (floor {floor:g}); "
+                    "input likely violated the PSD tolerance")
     out_vals = dict(g.values)
     ks = np.concatenate(written)
     for k, v in zip(ks.tolist(), vals[ks].tolist()):

@@ -204,6 +204,20 @@ def test_complete_cli(tmp_path, capsys):
     assert result["psd_floor"] >= -1e-10
 
 
+@pytest.mark.parametrize("blocks, Z", [
+    ({"A": [[1.0]], "X": [[]], "B": [], "Y": [], "C": [[1.0]]}, [[[0.0, 0.0]]]),
+    ({"A": [], "X": [], "B": [[1.0]], "Y": [[0.5]], "C": [[1.0]]}, []),
+])
+def test_complete_cli_empty_outer_block(tmp_path, capsys, blocks, Z):
+    # an empty A or B block beside non-empty ones: X or Y is written empty
+    bpath = write(tmp_path, "blocks.json", blocks)
+    code, out = run(capsys, ["complete", "--blocks", bpath])
+    assert code == 0
+    result = json.loads(out)
+    assert result["Z"] == Z
+    assert result["psd_floor"] >= -1e-10
+
+
 def test_falsify_cli(tmp_path, capsys):
     f = delta(g(1)) + delta(g(1, -1))
     fpath = write(tmp_path, "f.json", element_to_json(f))

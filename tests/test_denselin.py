@@ -4,7 +4,6 @@ import pytest
 from freecert.denselin import (
     PartialBlockMatrix,
     complete_block,
-    complete_gathered,
     eig_floor,
     eigh,
     hermitian,
@@ -157,21 +156,15 @@ def test_complete_block_rejects_bad_compression():
 
 
 @pytest.mark.parametrize("block", [0, 1, 2])
-def test_complete_gathered_checks_each_diagonal_block(block):
-    # the message of PartialBlockMatrix's own check, for A, B and C alike
-    M = np.eye(3, dtype=complex)
-    M[block, block] += 1e-3j
+def test_partial_block_matrix_checks_each_diagonal_block(block):
+    # the message of hermitian's own check, for A, B and C alike
+    diag = [np.eye(1, dtype=complex) for _ in range(3)]
+    diag[block] += 1e-3j
     with pytest.raises(ValueError, match="^matrix is not hermitian"):
-        complete_gathered(M, 1, 1)
+        PartialBlockMatrix(diag[0], np.zeros((1, 1)), diag[1],
+                           np.zeros((1, 1)), diag[2])
     with pytest.raises(ValueError, match="^matrix is not hermitian"):
-        hermitian(M[block:block + 1, block:block + 1])
-    # below the diagonal blocks, the mirrors of X and Y are rebuilt
-    M = np.eye(3, dtype=complex)
-    M[1, 0] = M[2, 1] = 5.0
-    Z, full = complete_gathered(M, 1, 1)
-    assert Z.tobytes() == np.zeros((1, 1), dtype=complex).tobytes()
-    assert np.array_equal(full, np.eye(3))
-
+        hermitian(diag[block])
 
 
 def _complete_block_by_np_block(P):
@@ -191,7 +184,7 @@ def _complete_block_by_np_block(P):
 def test_complete_block_matches_np_block(monkeypatch):
     # slice assignment copies the same entries: the same bits, for every
     # block size down to empty, and the same compressions are checked (by
-    # complete_gathered's eigenvalue-only floor, empty ones included)
+    # complete_block's eigenvalue-only floor, empty ones included)
     import freecert.denselin as denselin
 
     checked = []

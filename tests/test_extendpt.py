@@ -1,4 +1,6 @@
+import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,15 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecert.algebra import hermitian_toeplitz
+from freecert import cli, extendpt
 from freecert.extendpt import (
-    OUTPUT_PSD_TOL,
     PartialPositiveType,
+    _check_toeplitz,
     extend_one,
     extend_to,
     partial_positive_type,
     random_positive_type,
 )
 from freecert.denselin import (
+    PSD_INPUT_TOL,
     PartialBlockMatrix,
     complete_block,
     psd_floor,
@@ -261,7 +265,7 @@ def test_psd_failure_message_unchanged():
             current = extend_one(current, t0)
     assert str(whole.value) == str(stepwise.value)
     floor = float(str(whole.value).split("floor ")[1].split(")")[0])
-    assert floor < -OUTPUT_PSD_TOL * base.scale()
+    assert floor < -PSD_INPUT_TOL * base.scale()
 
 
 def test_rank_deficient_chain_extends():
@@ -302,7 +306,8 @@ def _reference_extend_to(g, F):
     # extend_to as it was before the gathered step: four gathers per step,
     # the public PartialBlockMatrix/complete_block, per-quotient writes,
     # and the re-gathered Toeplitz matrix checked by hermitian_toeplitz and
-    # psd_floor
+    # psd_floor after every step; the input is checked as extend_to checks
+    # it, once its values are known to cover E^-1E
     chain = extension_chain(g.E, F)
     if not chain:
         return g
@@ -336,6 +341,7 @@ def _reference_extend_to(g, F):
         raise not_grounded
     if not known[Q[np.ix_(E_idx, E_idx)]].all():
         raise ValueError("values missing on E^-1E")
+    _check_toeplitz(g)
     C = vals[Q[:1, :1]]
     left = {}
     for t0 in chain:
@@ -377,7 +383,7 @@ def _reference_extend_to(g, F):
                 f"extension left undefined quotients: {missing}")
         scale = 1.0 + float(np.max(np.abs(vals[known])))
         floor = psd_floor(hermitian_toeplitz(vals[gram_idx]))
-        if floor < -OUTPUT_PSD_TOL * scale:
+        if floor < -PSD_INPUT_TOL * scale:
             raise ValueError(
                 f"completion failed to stay PSD (floor {floor:g}); "
                 "input likely violated the PSD tolerance")
@@ -444,6 +450,56 @@ def test_chain_575_matches_reference_loop(dim, seed):
     _assert_same_as_reference(random_positive_type(E, dim=dim, seed=seed), F)
 
 
+def _prefix_floors(out, E, chain):
+    # psd_floor of the Toeplitz matrix of E and of each E u {t1..tk}
+    sets = [set(E)]
+    for t0 in chain:
+        sets.append(sets[-1] | {t0})
+    return [psd_floor(PartialPositiveType(grounded_set(out.spec, S),
+                                          out.values).gram()) for S in sets]
+
+
+def test_output_check_names_first_failing_prefix():
+    # every set of the chain has a Toeplitz matrix that is a principal
+    # submatrix of F's, so by interlacing none has a lower floor; with the
+    # unit value lowered by delta, extend_to fails exactly when the floor of
+    # E or of some E u {t1..tk} is below -PSD_INPUT_TOL * scale, and names
+    # the first such floor. The values come from extend_to with both of its
+    # PSD checks switched off.
+    met = set()
+    for trial in range(25):
+        rng = random.Random(trial)
+        good, F = _random_case(rng.choice([2, 3]), rng.randrange(1, 9),
+                               rng.randrange(1, 11), rng.randrange(1, 5),
+                               False, 9000 + trial)
+        E, u = good.E, unit(good.spec)
+        chain = extension_chain(E, F)
+        for delta in (1e-9, 5e-9, 1e-7, 1e-6):
+            g0 = PartialPositiveType(E, {**good.values,
+                                         u: good.values[u] - delta})
+            with mock.patch.object(extendpt, "_check_toeplitz",
+                                   lambda g: None), \
+                    mock.patch.object(extendpt, "eig_floor", lambda M: 0.0):
+                unchecked = extend_to(g0, F)
+            floors = _prefix_floors(unchecked, E, chain)
+            assert min(floors) >= floors[-1] - 1e-12 * g0.scale()
+            bad = [k for k, f in enumerate(floors)
+                   if f < -PSD_INPUT_TOL * g0.scale()]
+            if not bad:
+                assert extend_to(g0, F).values == unchecked.values
+                met.add("pass")
+                continue
+            with pytest.raises(ValueError) as failed:
+                extend_to(g0, F)
+            text = ("Toeplitz compression is not PSD" if bad[0] == 0
+                    else "completion failed to stay PSD")
+            assert str(failed.value).startswith(text)
+            floor = float(str(failed.value).split("floor ")[1].split(")")[0])
+            assert floor == pytest.approx(floors[bad[0]], rel=1e-5)
+            met.add("input" if bad[0] == 0 else "chain")
+    assert met == {"pass", "input", "chain"}
+
+
 def _skew(E, overrides=None):
     # the unvalidated function 0.5^|k| on the powers g1^k of E^-1E, with
     # some values overridden
@@ -463,21 +519,24 @@ def _faults():
                       + (multiply(g(1), g(2, 2)),))
     holed = PartialPositiveType(E1, {U: 1.0 + 0j, g(1): 0.5 + 0j})
     return {
-        # t0 = g2: E0 = E, so A is the whole Toeplitz matrix of E
+        # t0 = g2: E0 = E, so A is the whole Toeplitz matrix of E; the
+        # input check sees the broken pair first
         "A not hermitian": (_skew(E1, {g(1, -1): 0.5 + 1e-3j}),
                             grounded_set(F2, {U, g(1), g(2)}),
-                            "matrix is not hermitian"),
+                            "values break hermitian symmetry"),
         # t0 = g1^3: E0 = {e}, E1 = {g1, g1^2}
         "B not hermitian": (_skew(E2, {g(1, -1): 0.5 + 1e-3j}),
                             grounded_set(F2, set(E2) | {g(1, 3)}),
-                            "matrix is not hermitian"),
+                            "values break hermitian symmetry"),
         # t0 = g1^2: A = B = [g(e)], the pair sits across E0 x E1
         "inconsistent pair": (_skew(E1, {g(1, -1): 0.5 + 1e-3j}),
                               grounded_set(F2, {U, g(1), g(1, 2)}),
                               "values break hermitian symmetry"),
+        # the upper compression of the first step is the input's Toeplitz
+        # matrix: the input check rejects it
         "upper not PSD": (_skew(E1, {g(1): 2.0, g(1, -1): 2.0}),
                           grounded_set(F2, {U, g(1), g(1, 2)}),
-                          "upper compression is not PSD"),
+                          "Toeplitz compression is not PSD"),
         "output floor": (lowered, F575, "completion failed to stay PSD"),
         "ungrounded": (partial_positive_type(E1, _skew(E1).values), gap,
                        "not grounded"),
@@ -486,11 +545,12 @@ def _faults():
     }
 
 
-# A lower compression that is not PSD cannot reach extend_to's check alone:
+# A lower compression that is not PSD cannot fail on its own:
 # [[B, Y], [Y*, C]] over E1 u {t0} is, shifted by the letter's inverse, the
 # Toeplitz matrix of a subset of E, so a principal submatrix of the upper
-# compression, which is checked first (the lower check is tested on
-# complete_block). Likewise C is the unit value, which sits on A's diagonal.
+# compression and of every matrix completed after it (the lower check is
+# tested on complete_block). Likewise C is the unit value, which sits on
+# A's diagonal.
 @pytest.mark.parametrize("fault", sorted(_faults()))
 def test_extend_to_failure_matches_reference_loop(fault):
     base, F, message = _faults()[fault]
@@ -499,29 +559,69 @@ def test_extend_to_failure_matches_reference_loop(fault):
     assert outcome[0] is ValueError and message in outcome[1]
 
 
-def test_one_eigh_per_step_with_nonempty_middle_block(monkeypatch):
-    # the pseudo-inverse of B is the only eigenvector solve of a step; the
-    # floors of both compressions and of the completed matrix are
-    # eigenvalue-only
+def _middle_blocks(E, F):
+    # whether each step of the chain from E to F has a non-empty E1 block
+    current, middles = set(E), []
+    for t0 in extension_chain(E, F):
+        letter = inverse(generator(F2, *first_letter(t0)))
+        middles.append(any(multiply(letter, s) in current for s in current))
+        current.add(t0)
+    return middles
+
+
+def _count_lapack(monkeypatch):
     counts = {"eigh": 0, "eigvalsh": 0}
     for name in counts:
         def counting(*args, _name=name, _fn=getattr(np.linalg, name)):
             counts[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def test_one_eigh_per_step_with_nonempty_middle_block(monkeypatch):
+    # the pseudo-inverse of B is the only eigenvector solve of a step, and a
+    # step takes no floor; one eigenvalue-only solve checks the output, and
+    # an input whose spectrum is cached (as partial_positive_type leaves it)
+    # costs none
+    counts = _count_lapack(monkeypatch)
     rng = random.Random(77)
     steps = middles = 0
     for trial in range(40):
         E = random_grounded(rng, 6)
-        current = random_positive_type(E, dim=rng.randrange(1, 4),
-                                       seed=7000 + trial)
-        for t0 in extension_chain(E, enlarge(rng, E, steps=5)):
-            letter = inverse(generator(F2, *first_letter(t0)))
-            n1 = sum(multiply(letter, s) in current.E for s in current.E)
-            for name in counts:
-                counts[name] = 0
-            current = extend_one(current, t0)
-            assert counts == {"eigh": int(n1 > 0), "eigvalsh": 3}
-            steps += 1
-            middles += n1 > 0
+        base = random_positive_type(E, dim=rng.randrange(1, 4),
+                                    seed=7000 + trial)
+        F = enlarge(rng, E, steps=5)
+        kinds = _middle_blocks(E, F)
+        counts.update(eigh=0, eigvalsh=0)
+        extend_to(base, F)
+        assert counts == {"eigh": sum(kinds), "eigvalsh": int(bool(kinds))}
+        steps += len(kinds)
+        middles += sum(kinds)
     assert 0 < middles < steps  # both kinds of step were met
+
+
+def test_cli_extend_lapack_count(monkeypatch, tmp_path):
+    # the CLI's extend: one eigh for the input's spectrum, read by its PSD
+    # check and then cached, one per step with a middle block, and one
+    # eigenvalue-only solve for the output
+    counts = _count_lapack(monkeypatch)
+    rng = random.Random(78)
+    seen = set()
+    for trial in range(12):
+        E = random_grounded(rng, 6)
+        base = random_positive_type(E, dim=rng.randrange(1, 4),
+                                    seed=7100 + trial)
+        F = enlarge(rng, E, steps=5)
+        kinds = _middle_blocks(E, F)
+        if not kinds:
+            continue
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(cli._partial_to_json(base)))
+        target = ",".join(str(w) for w in extension_chain(E, F))
+        counts.update(eigh=0, eigvalsh=0)
+        assert cli.main(["extend", "--input", str(path), "--target", target,
+                         "--out", str(tmp_path / "out.json")]) == 0
+        assert counts == {"eigh": 1 + sum(kinds), "eigvalsh": 1}
+        seen.update(kinds)
+    assert seen == {False, True}

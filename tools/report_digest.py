@@ -12,11 +12,14 @@ workload, run in process, plus a rerun of each `certify`, `certify-trace`
 and `bell-outer` step with `--dump-sdp`, and `falsify` in operator and
 trace modes (seeded) on the element of each `certify` and `certify-trace`
 step. A `complete` entry adds `complete` on seeded PSD block files, one of
-them with an empty block. Every subcommand but `selftest` is covered. A
-step's hash covers its argv, exit code, stdout, stderr without the
-wall-time line, and every file in the item directory after it, with the
-temporary directory's path replaced by a fixed name (reports echo
-`--out`). Prints one SHA-256 per workload and one over all of them; writes
+them with an empty block. A `failures` entry adds two runs that exit 1:
+`extend` on a seeded positive-type function whose unit value is lowered
+just outside the cone, so that its chain fails, and `gns` on one lowered
+further, which fails its PSD check. Every subcommand but `selftest` is
+covered. A step's hash covers its argv, exit code, stdout, stderr without
+the wall-time line, and every file in the item directory after it, with
+the temporary directory's path replaced by a fixed name (reports echo
+`--out`). Prints one SHA-256 per entry and one over all of them; writes
 only under a temporary directory.
 """
 
@@ -50,6 +53,15 @@ FALSIFY = ("--samples", "30", "--seed", "7")
 # blocks `complete` reads; a rank below the size makes B singular
 COMPLETE = ((1, (2, 3, 2), 7), (2, (3, 2, 4), 3), (3, (1, 4, 2), 2),
             (4, (3, 2, 0), 5))
+# the domain and the targets of an extension chain through near-singular
+# middle blocks, (seed, dim) of the representation whose positive-type
+# function on it the `failures` entry lowers, and the lowerings of its unit
+# value for `extend` and for `gns`
+LOWERED_E = ("e", "g2", "g1^-1 g2", "g2^-1", "g1^-1 g2^-1")
+LOWERED_T = ("g1^-1", "g2^-1 g1^-1", "g1^-2 g2", "g2^-1 g1^-1 g2^-1",
+             "g1^-1 g2^-1 g1^-1 g2^-1", "g2^-1 g1^-2 g2", "g2^-2 g1^-1 g2^-1")
+LOWERED = (2, 2)
+LOWER_EXTEND, LOWER_GNS = 5e-9, 1e-6
 TMP = b"$TMP"
 
 
@@ -120,12 +132,39 @@ def _complete_jobs(d: Path):
                [["complete", "--blocks", str(d / "blocks.json")]])
 
 
+def _lowered(F, delta: float) -> dict:
+    """<pi(w) xi, xi> on E^-1 E for a seeded unitary pi and unit xi,
+    symmetrized, its unit value 1 - delta: a function of rank <= dim just
+    outside the PSD cone."""
+    seed, dim = LOWERED
+    rng = np.random.default_rng(seed)
+    U = F.random_rep(2, dim, rng)
+    xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    xi /= np.linalg.norm(xi)
+    raw = {w: complex(np.vdot(xi, F.rep_word(U, w) @ xi))
+           for w in F.quotients([F.parse(t) for t in LOWERED_E])}
+    vals = {w: 0.5 * (raw[w] + raw[F.inv(w)].conjugate()) for w in raw}
+    vals[F.UNIT] = complex(1.0 - delta)
+    return {"group": {"kind": "free", "d": 2}, "domain": list(LOWERED_E),
+            "values": [{"word": F.fmt(w), "re": v.real, "im": v.imag}
+                       for w, v in sorted(vals.items())]}
+
+
+def _failure_jobs(F, d: Path):
+    yield ({"g.json": _lowered(F, LOWER_EXTEND)},
+           [["extend", "--input", str(d / "g.json"), "--target",
+             ",".join(LOWERED_T)]])
+    yield ({"g.json": _lowered(F, LOWER_GNS)},
+           [["gns", "--input", str(d / "g.json")]])
+
+
 def digest(workloads, main, root: Path) -> dict[str, tuple[int, str]]:
-    """(steps, SHA-256) of each workload and of `complete`, and of all of
-    them under "all"."""
+    """(steps, SHA-256) of each workload, of `complete` and of `failures`,
+    and of all of them under "all"."""
     jobs = {name: functools.partial(_bench_jobs, workloads, name)
             for name in workloads.WORKLOADS}
     jobs["complete"] = _complete_jobs
+    jobs["failures"] = functools.partial(_failure_jobs, workloads.F)
     total, out = hashlib.sha256(), {}
     steps = 0
     for name, make in jobs.items():
