@@ -12,8 +12,9 @@ for the state h of the moment matrix. The weights omega^k come from the
 table BellScenario.roots, exact at 1, -1 and +-i, so a two-outcome
 functional gives an exactly real instance.
 
-The outer bound is the dual bound of sdpcore.maximize on that moment matrix,
-solved over real symmetric matrices when the instance is real.
+The outer bound is the dual bound of sdpcore.maximize on the moment form
+(sdpcore.moment_form) of these terms, solved over real symmetric matrices
+when the instance is real.
 
 The see-saw (inner_bound) holds each party's measurements as one
 (d, m, dim, dim) stack of effects (PvmFamily), and runs all its restarts as
@@ -47,13 +48,15 @@ the one the first failing restart alone would raise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
-from .denselin import eigh
+from .denselin import adjoint, eigh
 from .quotients import QuotientTable
-from .sdpcore import MaximizeResult, SdpInstance, maximize, maximize_many
+from .sdpcore import (MaximizeResult, SdpInstance, maximize, maximize_many,
+                      moment_form)
 from .words import (
     GroupSpec,
     Word,
@@ -111,18 +114,13 @@ class BellScenario:
                      for k in range(m))
 
 
-def _adjoint(M: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every matrix in a stack."""
-    return np.swapaxes(M, -1, -2).conj()
-
-
 def _check_pvms(P: np.ndarray, dim: int, ndim: int = 4) -> None:
     """Raise ValueError unless P, an ndim-dimensional stack (..., d, m, dim,
     dim) of effects, holds one PVM per setting within PVM_TOL: hermitian,
     idempotent effects that sum to the identity."""
     if P.ndim != ndim or P.shape[-2:] != (dim, dim):
         raise ValueError("projection dimension mismatch")
-    if np.max(np.abs(P - _adjoint(P))) > PVM_TOL:
+    if np.max(np.abs(P - adjoint(P))) > PVM_TOL:
         raise ValueError("effect is not hermitian")
     if np.max(np.abs(P @ P - P)) > PVM_TOL:
         raise ValueError("effect is not idempotent")
@@ -238,30 +236,12 @@ def _transfer(Xi: np.ndarray, settings: np.ndarray) -> np.ndarray:
     <(P (x) Q_j^(l)) xi, xi> = tr(P K[l, j]) for every operator P of
     party A."""
     Xi = Xi[..., None, None, :, :]
-    return Xi @ np.swapaxes(settings, -1, -2) @ _adjoint(Xi)
+    return Xi @ np.swapaxes(settings, -1, -2) @ adjoint(Xi)
 
 
 def _product_spec(s: BellScenario) -> GroupSpec:
     cyc = cyclic_free_product(s.d, s.m)
     return direct_product(cyc, cyc)
-
-
-def _base_words(cyc: GroupSpec, syllables: int) -> list[Word]:
-    """All reduced words of Z_m^{*d} with at most the given syllable count."""
-    out = [unit(cyc)]
-    frontier = [unit(cyc)]
-    for _ in range(syllables):
-        new = []
-        for w in frontier:
-            last = w.letters[-1][0] if w.letters else 0
-            for gen in range(1, cyc.d + 1):
-                if gen == last:
-                    continue
-                for e in range(1, cyc.m):
-                    new.append(multiply(w, generator(cyc, gen, e)))
-        out.extend(new)
-        frontier = new
-    return out
 
 
 def parse_level(level) -> str | int:
@@ -287,65 +267,50 @@ def hierarchy_words(s: BellScenario, level) -> list[Word]:
     Integer level n: all pairs with total syllable count at most n.
     """
     spec = _product_spec(s)
-    cyc = spec.left
-    lvl = parse_level(level)
-    if lvl == "1ab":
-        singles = [w for w in _base_words(cyc, 1) if not w.is_unit]
-        words = [unit(spec)]
-        words += [pair_word(spec, x, unit(cyc)) for x in singles]
-        words += [pair_word(spec, unit(cyc), y) for y in singles]
-        words += [pair_word(spec, x, y) for x in singles for y in singles]
-    else:
-        n = lvl
-        words = []
-        left = _base_words(cyc, n)
-        for x in left:
-            nx = len(x.letters)
-            for y in _base_words(cyc, n - nx):
-                words.append(pair_word(spec, x, y))
-    return sorted(set(words), key=sort_key)
+    cyc, lvl = spec.left, parse_level(level)
+    one_each = lvl == "1ab"
+    # the reduced words of Z_m^{*d} with at most 1 (level 1ab) or n syllables
+    base = frontier = [unit(cyc)]
+    for _ in range(1 if one_each else lvl):
+        frontier = [multiply(w, generator(cyc, gen, e)) for w in frontier
+                    for gen in range(1, cyc.d + 1)
+                    if not w.letters or gen != w.letters[-1][0]
+                    for e in range(1, cyc.m)]
+        base = base + frontier
+    return sorted((pair_word(spec, x, y) for x in base for y in base
+                   if one_each or len(x.letters) + len(y.letters) <= lvl),
+                  key=sort_key)
 
 
 def moment_instance(s: BellScenario, functional: BellFunctional, level):
-    """The hierarchy SDP: moment matrix over E_n, one tie class per quotient
-    (labelled by the quotient table of E_n) with h(1) = 1 pinned, and the
-    Fourier-transformed functional as objective on the first entry of each
-    class."""
-    E = hierarchy_words(s, level)
-    table = QuotientTable(E)
-    # the first (row, col) of each class in row-major order
-    rows, cols = np.divmod(
-        np.unique(table.labels, return_index=True)[1], len(E))
-    first = list(zip(rows.tolist(), cols.tolist()))
-
+    """The hierarchy SDP and its index set, (SdpInstance, E_n): the moment
+    form (sdpcore.moment_form) over E_n of the functional's Fourier terms,
+    c[k,l,i,j] / m^2 omega^(-iv-jw) at s_k^v t_l^w for v, w = 1..m, added
+    up in (k, l, i, j, v, w) order."""
     spec = _product_spec(s)
-    cyc = spec.left
-    roots = s.roots
-    obj: dict[tuple[int, int], complex] = {}
-    c = functional.coeff
+    cyc, m, roots = spec.left, s.m, s.roots
+    slot: dict[Word, int] = {}
+    sums: dict[int, complex] = {}
     for k in range(s.d):
         for l in range(s.d):
-            # the entry of A_k^v B_l^w, v, w = 1..m: every such quotient
-            # lies in the table from level 1 on
-            entry = [[first[table.index[pair_word(
-                        spec, generator(cyc, k + 1, v % s.m),
-                        generator(cyc, l + 1, w % s.m))]]
-                      for w in range(1, s.m + 1)]
-                     for v in range(1, s.m + 1)]
-            for i in range(s.m):
-                for j in range(s.m):
-                    coef = c[k][l][i][j]
-                    if coef == 0.0:
-                        continue
-                    for v in range(1, s.m + 1):
-                        for w in range(1, s.m + 1):
-                            weight = (coef / s.m ** 2 * roots[
-                                (-(i + 1) * v - (j + 1) * w) % s.m])
-                            pos = entry[v - 1][w - 1]
-                            obj[pos] = obj.get(pos, 0j) + weight
-    objective = tuple((r, c0, coef) for (r, c0), coef in sorted(obj.items()))
-    pinned = [1.0 if q.is_unit else None for q in table.classes]
-    return SdpInstance(table.labels, pinned, False, objective), E
+            # the words s_k^v t_l^w as int slots, looked up once per (k, l):
+            # the loop below adds by slot, not by Word key
+            grid = [[slot.setdefault(pair_word(
+                        spec, generator(cyc, k + 1, v % m),
+                        generator(cyc, l + 1, w % m)), len(slot))
+                     for w in range(1, m + 1)] for v in range(1, m + 1)]
+            for (i, j), coef in np.ndenumerate(functional.coeff[k, l]):
+                if coef == 0.0:
+                    continue
+                for v, w in product(range(1, m + 1), repeat=2):
+                    at = grid[v - 1][w - 1]
+                    sums[at] = sums.get(at, 0j) + (
+                        coef / m ** 2
+                        * roots[(-(i + 1) * v - (j + 1) * w) % m])
+    words = list(slot)
+    E = hierarchy_words(s, level)
+    return moment_form({words[at]: value for at, value in sums.items()},
+                       QuotientTable(E)), E
 
 
 def outer_bound(s: BellScenario, functional: BellFunctional, level,
@@ -369,7 +334,7 @@ def _check_povm(povm: np.ndarray) -> None:
     the effects sum to I within PVM_TOL."""
     if not np.all(np.isfinite(povm)):
         raise ValueError("effect has non-finite entries")
-    if np.linalg.eigvalsh(0.5 * (povm + _adjoint(povm))).min() < -PVM_TOL:
+    if np.linalg.eigvalsh(0.5 * (povm + adjoint(povm))).min() < -PVM_TOL:
         raise ValueError("effect is not PSD within tolerance")
     if np.max(np.abs(povm.sum(axis=0) - np.eye(povm.shape[-1]))) > PVM_TOL:
         raise ValueError("effects do not sum to the identity")
@@ -432,7 +397,7 @@ def _update_two_outcome(G: np.ndarray) -> np.ndarray:
     onto the positive part of G_1 - G_2. Returns the (..., 2, n, n) stack of
     projector pairs."""
     w, U = eigh(G[..., 0, :, :] - G[..., 1, :, :])
-    P1 = (U * (w > 0.0)[..., None, :]) @ _adjoint(U)
+    P1 = (U * (w > 0.0)[..., None, :]) @ adjoint(U)
     return np.stack((P1, np.eye(G.shape[-1]) - P1), axis=-3)
 
 
@@ -534,7 +499,7 @@ def _effect_multipliers(c: np.ndarray, other: np.ndarray, Xi: np.ndarray):
     `other`. Party B's are party A's for c.transpose(1, 0, 3, 2) and
     Xi.T."""
     acc = np.einsum("klij,...ljab->...kiab", c, _transfer(Xi, other))
-    return 0.5 * (acc + _adjoint(acc))
+    return 0.5 * (acc + adjoint(acc))
 
 
 class _Strategies(NamedTuple):

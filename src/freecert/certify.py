@@ -25,7 +25,7 @@ from .algebra import (FiniteRep, GroupAlgebraElement, delta, element,
 from .denselin import eigh, psd_floor
 from .grounded import GroundedSet, grounded_set
 from .quotients import QuotientTable
-from .sdpcore import SdpInstance, solve_feasibility
+from .sdpcore import SdpInstance, class_sums, solve_feasibility
 from .words import (GroupSpec, Word, WordReader, conjugacy_canonical,
                     format_word, sort_key, unit)
 
@@ -104,28 +104,21 @@ def gram_instance(f: GroupAlgebraElement, E: GroundedSet,
     if not f.is_hermitian():
         raise ValueError("element is not hermitian")
     table = E.quotients
+    labels, keys, index = table.labels, table.classes, table.index
+    what = "support not contained in E^-1E"
     if trace:
         of_class, keys = table.conjugacy
         labels = of_class[table.labels]
-        key = conjugacy_canonical
-    else:
-        labels, keys = table.labels, table.classes
-        key = (lambda a: a)
-    reachable = set(keys)
-    outside = [w for w in f.terms if key(w) not in reachable]
-    if outside:
+        label = {q: k for k, q in enumerate(keys)}
+        index = {w: label[a] for w in f.terms
+                 if (a := conjugacy_canonical(w)) in label}
         what = ("conjugacy classes of the support are not reachable from "
-                "E^-1E" if trace else "support not contained in E^-1E")
-        raise ValueError(f"{what}: {sorted(map(str, outside))}")
-
-    sums: dict[Word, complex] = {}
-    for w, c in f.terms.items():
-        a = key(w)
-        sums[a] = sums.get(a, 0j) + c
-    u = key(unit(E.spec))
-    sums[u] = sums.get(u, 0j) + epsilon
+                "E^-1E")
+    sums = class_sums(f.terms, index, what)
+    # class 0, at (0, 0), holds the unit
+    sums[0] = sums.get(0, 0j) + epsilon
     fscale = max(1.0, f.max_coeff() + abs(epsilon))
-    rhs = [sums.get(a, 0j) / fscale for a in keys]
+    rhs = [sums.get(k, 0j) / fscale for k in range(len(keys))]
     return SdpInstance(labels, rhs), fscale
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "adjoint",
     "hermitian",
     "eigh",
     "psd_floor",
@@ -36,6 +37,11 @@ RANK_CUTOFF = 1e-10
 PSD_INPUT_TOL = 1e-8
 
 
+def adjoint(M: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of every matrix in a stack."""
+    return np.swapaxes(M, -1, -2).conj()
+
+
 def hermitian(M: np.ndarray,
               what: str = "matrix is not hermitian within tolerance"
               ) -> np.ndarray:
@@ -56,7 +62,7 @@ def eigh(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     M = np.asarray(M, dtype=complex)
     if M.size and not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
-    w, U = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2).conj()))
+    w, U = np.linalg.eigh(0.5 * (M + adjoint(M)))
     return w, U
 
 

@@ -5,10 +5,12 @@ Labels number the distinct quotients in row-major order of first
 appearance, so anything built class by class from the table keeps the order
 of a plain double loop over W. A list of direct-product words (x, y) has
 (x, y)^-1 (x', y') = (x^-1 x', y^-1 y'), so its table is read off one table
-per component word list, with no product of pair words. Gram and moment constraints, Toeplitz
-compressions and the extension chain read E^-1 E from the table of E; the
-certificate verifier reads the table of the factors' support, which is E's
-own table when the factors list E's words in E's order.
+per component word list, with no product of pair words. Label 0, at (0, 0),
+is the unit. The Gram and moment instances (certify.gram_instance and
+sdpcore.moment_form, which find a term's class by its word's `index`),
+Toeplitz compressions and the extension chain read E^-1 E from the table of
+E; the certificate verifier reads the table of the factors' support, which
+is E's own table when the factors list E's words in E's order.
 """
 
 from __future__ import annotations

@@ -3,13 +3,16 @@ sections of the PSD cone, for instances given as a class partition of the
 entries of a hermitian matrix.
 
 Every entry b[i, j] belongs to one class. The entries of a sum class add up
-to its right-hand side (the Gram constraints of certify); the entries of a
-tie class are equal, and equal to its right-hand side when it has one (the
-moment constraints of bell). Distinct classes constrain distinct entries,
-so the orthogonal projection onto the affine set is a per-class mean
-correction: one scatter-add of the class sums and one gather (_Partition).
-The directions of the affine set, the fixed-trace test and the multipliers
-of the dual certificates are closed forms of the same projection.
+to its right-hand side (the Gram constraints of certify.gram_instance); the
+entries of a tie class are equal, and equal to its right-hand side when it
+has one (the moment form, which moment_form builds from a term map and the
+quotient table of a word list for bell's outer bound). Both builders find
+the class of each term through class_sums. Distinct classes constrain
+distinct entries, so the orthogonal projection onto the affine set is a
+per-class mean correction: one scatter-add of the class sums and one gather
+(_Partition). The directions of the affine set, the fixed-trace test and
+the multipliers of the dual certificates are closed forms of the same
+projection.
 
 Feasibility (solve_feasibility) is one Douglas-Rachford projection
 splitting loop on hermitian n x n matrices, between the PSD cone
@@ -51,6 +54,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .denselin import adjoint as _adjoint
 from .quotients import label_pairs
 
 __all__ = [
@@ -64,6 +68,8 @@ __all__ = [
     "solve_feasibility",
     "maximize",
     "maximize_many",
+    "class_sums",
+    "moment_form",
     "instance_to_json",
 ]
 
@@ -97,7 +103,8 @@ class SdpInstance:
     and equal to `rhs[k]` unless that is None. The transposed entries of a
     class must form one class of the same kind, whose right-hand side is
     the conjugate. `objective` lists (row, col, coef) for the objective
-    Re sum coef * b[row, col].
+    Re sum coef * b[row, col]. moment_form builds the tie-class instance of
+    a term map, certify.gram_instance the sum-class one.
     """
 
     labels: np.ndarray
@@ -166,12 +173,6 @@ class MaximizeResult:
     iterations: int
     gap: float
     dual: np.ndarray
-
-
-def _adjoint(X: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of a matrix, or of every matrix in a
-    stack."""
-    return X.swapaxes(-1, -2).conj()
 
 
 def _hermitian(X: np.ndarray) -> np.ndarray:
@@ -812,6 +813,36 @@ def maximize_many(instances: Sequence[SdpInstance],
     if errors:
         raise errors[min(errors)]
     return results
+
+
+def class_sums(terms, index, what: str) -> dict[int, complex]:
+    """{label: 0j plus its words' coefficients, in the order of terms} for
+    a term map {word: coefficient} and index, {word: class label}, labels
+    in order of first touch. ValueError "what: [words]" for the words that
+    index lacks."""
+    outside = [w for w in terms if w not in index]
+    if outside:
+        raise ValueError(f"{what}: {sorted(map(str, outside))}")
+    sums: dict[int, complex] = {}
+    for w, c in terms.items():
+        k = index[w]
+        sums[k] = sums.get(k, 0j) + c
+    return sums
+
+
+def moment_form(terms, table) -> SdpInstance:
+    """The moment SDP b[s, t] = h(s^-1 t) over the words of the
+    QuotientTable table, for the term map {word: coefficient}: one tie class
+    per quotient, h(1) = 1 pinned (class 0, at (0, 0)), and the objective
+    Re sum terms[w] h(w), each class's sum (class_sums) on the class's
+    first entry in row-major order, which is the order of the labels.
+    ValueError for a word that is no quotient of the table."""
+    sums = class_sums(terms, table.index, "support not contained in E^-1E")
+    first = np.unique(table.labels, return_index=True)[1].tolist()
+    objective = tuple((*divmod(first[k], len(table.words)), c)
+                      for k, c in sorted(sums.items()))
+    return SdpInstance(table.labels, [1.0] + [None] * (len(table) - 1),
+                       False, objective)
 
 
 def instance_to_json(inst: SdpInstance) -> dict:

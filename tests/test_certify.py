@@ -378,3 +378,21 @@ def test_gram_instance_is_normalized():
         assert fscale == 3.5
         rhs = sorted(r.real for r in inst.rhs)
         assert rhs == pytest.approx([-1 / 3.5, -1 / 3.5, 1.0])
+
+
+@pytest.mark.parametrize("trace, message", [
+    (False, "support not contained in E^-1E"),
+    (True, "conjugacy classes of the support are not reachable from E^-1E"),
+])
+def test_gram_instance_rejects_words_outside_the_table(trace, message):
+    from freecert.certify import gram_instance
+
+    # g1 g2 g1 and its inverse have length 3, conjugate to no word of
+    # length <= 2: outside E^-1E and its conjugacy classes
+    w = multiply(multiply(g(1), g(2)), g(1))
+    f = one(F2) + delta(w) + delta(inverse(w))
+    E = grounded_set(F2, {U, g(1), g(2)})
+    with pytest.raises(ValueError) as err:
+        gram_instance(f, E, trace=trace)
+    assert str(err.value) == (f"{message}: "
+                              f"{sorted(map(str, (w, inverse(w))))}")

@@ -383,6 +383,26 @@ def test_non_free_group_auto_support_exit_one(tmp_path, capsys, command,
                             "over free groups only\n")
 
 
+@pytest.mark.parametrize("command, message", [
+    ("certify", "support not contained in E^-1E"),
+    ("certify-trace",
+     "conjugacy classes of the support are not reachable from E^-1E"),
+])
+def test_support_word_outside_the_table_exits_one(tmp_path, capsys, command,
+                                                  message):
+    # g1 g2 g1 and its inverse are not quotients of {e, g1, g2}, nor
+    # conjugate to one
+    fpath = write(tmp_path, "f.json", {
+        "group": {"kind": "free", "d": 2},
+        "terms": [{"word": w, "re": c, "im": 0.0} for w, c in (
+            ("e", 2.0), ("g1 g2 g1", 0.5), ("g1^-1 g2^-1 g1^-1", 0.5))]})
+    code = main([command, "--input", fpath, "--support", "e,g1,g2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: {message}: ['g1^-1 g2^-1 g1^-1', "
+                            f"'g1^1 g2^1 g1^1']\n")
+
+
 def test_complete_non_object_blocks_exit_one(tmp_path, capsys):
     for blocks in ([1, 2], "A", 3, None):
         bpath = write(tmp_path, "blocks.json", blocks)

@@ -999,3 +999,48 @@ def test_splitting_matches_reference_bits(which, povm_sdp):
             assert np.max(np.abs(new.b - hv.unvec(old[0]))) <= 1e-9
             statuses.add(new.status)
     assert {"converged", "infeasible", "max_iter"} <= statuses
+
+
+def _f2_ball_table():
+    """The quotient table of F2's radius-1 ball {e, g1^+-1, g2^+-1}."""
+    from freecert.quotients import QuotientTable
+    from freecert.words import free_group, generator, unit
+
+    F2 = free_group(2)
+    return QuotientTable([unit(F2)] + [generator(F2, i, e)
+                                       for i in (1, 2) for e in (1, -1)])
+
+
+@pytest.mark.parametrize("f, minimum", [
+    ({"e": 1.0, "g1": -0.5, "g1^-1": -0.5}, 0.0),
+    ({"g1": 1.0, "g1^-1": 1.0}, -2.0),
+])
+def test_moment_form_minimum_over_states_on_f2(f, minimum):
+    """min phi(f) over the states of F2 is -max of the moment form of -f:
+    1 - (g1 + g1^-1)/2 >= 0 vanishes at the trivial character, and
+    g1 + g1^-1 reaches -2 at the character g1 -> -1. Real term maps give a
+    real instance."""
+    from freecert.sdpcore import moment_form
+    from freecert.words import parse_word
+
+    table = _f2_ball_table()
+    spec = table.words[0].spec
+    inst = moment_form({parse_word(spec, w): -c for w, c in f.items()},
+                       table)
+    assert inst.real
+    assert inst.rhs[0] == 1.0 and set(inst.rhs[1:]) == {None}
+    assert -maximize(inst, tol=1e-9).value == pytest.approx(minimum,
+                                                            abs=1e-9)
+
+
+def test_moment_form_rejects_words_outside_the_table():
+    from freecert.sdpcore import moment_form
+    from freecert.words import parse_word
+
+    table = _f2_ball_table()
+    spec = table.words[0].spec
+    outside = parse_word(spec, "g1 g2 g1")
+    with pytest.raises(ValueError) as err:
+        moment_form({parse_word(spec, "g1"): 1.0, outside: 1.0}, table)
+    assert str(err.value) == (f"support not contained in E^-1E: "
+                              f"{[str(outside)]}")
